@@ -19,18 +19,15 @@ import numpy as np
 
 from . import io, presets
 from ._version import __version__
-from .liouville import SIGMA_X, SIGMA_Y, SIGMA_Z, hamiltonian_liouvillian
-from .multiqubit import SingularMapError, collective_report, isolate_collective, unravel
-from .noisegen import NoiseModel
+from .liouville import hamiltonian_liouvillian
+from .noisegen import _MAX_COV_SIDE, NoiseModel
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
-from .propagator import SystemModel, simulate_process, simulate_pulsed_process
+from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
 from .spectroscopy import combine_scaled_kernels, fit_correlations, spectral_density
-from .ttm import build_ttms, extract_kernel, norm_profile, predict_maps
+from .ttm import build_ttms, extract_kernel, norm_profile
 
 MODES = ("simulate", "ttm", "nonmarkov", "spectroscopy", "twoqubit", "ingest", "xy4")
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 class ConfigError(ValueError):
@@ -94,14 +91,6 @@ def _stage(module, fn, *args, **kwargs):
         raise PipelineError(f"[{module}] {type(exc).__name__}: {exc}") from exc
 
 
-def _local_pauli(axis, qubit, n_qubits):
-    op = _PAULI[axis]
-    if n_qubits == 1:
-        return op
-    eye = np.eye(2)
-    return np.kron(op, eye) if qubit == 1 else np.kron(eye, op)
-
-
 def build_model(cfg):
     """Assemble a SystemModel from the 'system' and 'noise' config sections."""
     n_qubits = _integer(cfg, "system.n_qubits", minimum=1)
@@ -116,7 +105,7 @@ def build_model(cfg):
     channels = _get(cfg, "system.channels")
     if not isinstance(channels, list) or not channels:
         raise ConfigError("field 'system.channels': expected a non-empty list")
-    couplings = []
+    placed = []
     for i, ch in enumerate(channels):
         where = f"system.channels[{i}]"
         if not isinstance(ch, dict):
@@ -129,7 +118,7 @@ def build_model(cfg):
                 or not 1 <= qubit <= n_qubits:
             raise ConfigError(f"field '{where}.qubit': expected an integer "
                               f"in [1, {n_qubits}] (qubits are labeled from 1)")
-        couplings.append(_local_pauli(axis, qubit, n_qubits))
+        placed.append((axis, qubit))
 
     variances = _get(cfg, "noise.variances")
     decay = _get(cfg, "noise.decay_rates")
@@ -149,15 +138,10 @@ def build_model(cfg):
             raise ConfigError("field 'noise.cross': must be a square matrix "
                               "over the noise channels")
 
-    if n_qubits == 1:
-        h = biases[0] * SIGMA_Z
-    else:
-        eye = np.eye(2)
-        h = (biases[0] * np.kron(SIGMA_Z, eye) + biases[1] * np.kron(eye, SIGMA_Z)
-             + (zz or 0.0) * np.kron(SIGMA_Z, SIGMA_Z))
+    h, couplings = presets._qubit_operators(biases, placed, zz)
     noise = _stage("noisegen", NoiseModel, kappas=tuple(decay), omegas=tuple(mods),
                    cross=cross)
-    return _stage("propagator", SystemModel, h_system=h, couplings=tuple(couplings),
+    return _stage("propagator", SystemModel, h_system=h, couplings=couplings,
                   noise=noise)
 
 
@@ -173,9 +157,9 @@ def _sampling(cfg):
 def _grid(cfg, substeps, n_channels):
     dt = _number(cfg, "grid.dt", positive=True)
     n_steps = _integer(cfg, "grid.n_steps", minimum=1)
-    if n_channels * n_steps * substeps > 4096:
+    if n_channels * n_steps * substeps > _MAX_COV_SIDE:
         raise ConfigError("field 'grid.n_steps': channels * n_steps * substeps "
-                          "exceeds the exact-sampler limit of 4096")
+                          f"exceeds the exact-sampler limit of {_MAX_COV_SIDE}")
     return dt, n_steps
 
 
@@ -311,42 +295,13 @@ def _mode_spectroscopy(cfg, out_dir):
     return [corr_path, spec_path, report_path]
 
 
-def _collective_split(result, dt):
-    """(dL dt, dK dt^2, None), or (None, None, reason) when a map has no logarithm."""
-    try:
-        return (*isolate_collective(result, dt), None)
-    except SingularMapError as exc:
-        return None, None, str(exc)
-
-
 def _mode_twoqubit(cfg, out_dir):
     maps, info = _load_maps(cfg, out_dir)
     if info["dim"] != 4:
         raise ConfigError("field 'input': twoqubit mode needs dim-4 maps")
-    result = _stage("multiqubit", unravel, maps)
-    meta = _meta_for(cfg)
-    dl_dt = dk_dt2 = skipped = None
-    if len(result.delta_maps) >= 2:
-        dl_dt, dk_dt2, skipped = _stage("multiqubit", _collective_split, result, info["dt"])
-    report = _stage("multiqubit", collective_report, result, dl_dt, dk_dt2)
-    norms_path = os.path.join(out_dir, "twoqubit_norms.csv")
-    io.write_series_csv(norms_path, {
-        "n": np.arange(1, len(maps) + 1),
-        "full": report["full_tensor_norms"],
-        "separable": report["separable_tensor_norms"],
-        "correlated": report["delta_tensor_norms"],
-    }, meta)
-    fields = {"verdict": report["verdict"]}
-    if skipped is not None:
-        fields["split_skipped"] = skipped
-    if dl_dt is not None:
-        fields["dl_dt_norm"] = report["dl_dt_norm"]
-        fields["dk_dt2_norm"] = report["dk_dt2_norm"]
-        fields["dl_dt_diag_imag"] = np.diag(dl_dt).imag
-        fields["dk_dt2_diag_real"] = np.diag(dk_dt2).real
-    report_path = os.path.join(out_dir, "twoqubit_report.txt")
-    io.write_report(report_path, fields, meta)
-    return [norms_path, report_path]
+    written = _stage("multiqubit", presets._pair_study, out_dir, "twoqubit", maps,
+                     info["dt"], _meta_for(cfg))
+    return list(written.values())
 
 
 def _mode_ingest(cfg, out_dir):
@@ -370,14 +325,8 @@ def _mode_xy4(cfg, out_dir):
     n_traj, seed, substeps, antithetic, _ = _sampling(cfg)
     dt_cycle = _number(cfg, "grid.dt", positive=True)
     n_cycles = _integer(cfg, "grid.n_steps", minimum=1)
-    quarter = dt_cycle / 4.0
-    free_maps = _stage("propagator", simulate_process, model, dt_cycle, n_cycles,
-                       n_traj, substeps=4 * substeps, seed=seed, antithetic=antithetic)
-    segments = [(quarter, SIGMA_X), (quarter, SIGMA_Y)] * 2
-    dd_maps = _stage("propagator", simulate_pulsed_process, model, segments, n_cycles,
-                     n_traj, substeps=substeps, seed=seed)
-    free_profile = _stage("ttm", norm_profile, _stage("ttm", build_ttms, free_maps))
-    dd_profile = _stage("ttm", norm_profile, _stage("ttm", build_ttms, dd_maps))
+    free_profile, dd_profile = _stage("propagator", presets._xy4_profiles, model, dt_cycle,
+                                      n_cycles, n_traj, substeps, seed, antithetic)
     out = os.path.join(out_dir, "xy4_norms.csv")
     io.write_series_csv(out, {
         "n": np.arange(1, n_cycles + 1),

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import logm
 
 from .liouville import factorize_bipartite, kron_superop
-from .ttm import build_ttms
+from .ttm import _richardson, build_ttms
 
 __all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
            "SingularMapError", "collective_report"]
@@ -84,15 +84,10 @@ def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt, noise=None):
     Hausdorff) and is booked as kernel. Pass the noise model to get a
     warning when kappa dt is not small.
     """
-    d1 = np.asarray(delta_t1_dt, dtype=complex)
-    d2 = np.asarray(delta_t1_2dt, dtype=complex)
-    if d1.shape != d2.shape:
-        raise ValueError("the two corrections must share a shape")
+    split = _richardson(delta_t1_dt, delta_t1_2dt)
     if noise is not None:
         _warn_coarse_step(dt, noise, stacklevel=3)
-    dl_dt = (4.0 * d1 - d2) / 2.0
-    dk_dt2 = -(2.0 * d1 - d2) / 2.0
-    return dl_dt, dk_dt2
+    return split
 
 
 class SingularMapError(ValueError):

@@ -10,18 +10,12 @@ import os
 
 import numpy as np
 
-from . import io
+from . import io, multiqubit, propagator, ttm
 from ._version import __version__
 from .liouville import SIGMA_X, SIGMA_Y, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
-from .multiqubit import collective_report, isolate_collective, unravel
 from .noisegen import NoiseModel
 from .nonmarkov import volume_measure, volume_series
-from .propagator import (
-    SystemModel,
-    dephasing_map_series,
-    simulate_process,
-    simulate_pulsed_process,
-)
+from .propagator import SystemModel, dephasing_map_series, simulate_process
 from .spectroscopy import combine_scaled_kernels, fit_correlations, spectral_density
 from .ttm import (
     build_ttms,
@@ -36,22 +30,39 @@ _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
+def _qubit_operators(biases, channels, zz=0.0):
+    """System Hamiltonian and couplings of one or two qubits (labeled from 1).
+
+    H = sum_q biases[q] sigma_z^(q), plus zz sigma_z (x) sigma_z for a pair;
+    channel (axis, qubit) couples through that Pauli on that qubit.
+    """
+    eye = np.eye(2)
+
+    def local(op, qubit):
+        if len(biases) == 1:
+            return op
+        return np.kron(op, eye) if qubit == 1 else np.kron(eye, op)
+
+    h = biases[0] * local(SIGMA_Z, 1)
+    if len(biases) == 2:
+        h = h + biases[1] * local(SIGMA_Z, 2) + zz * np.kron(SIGMA_Z, SIGMA_Z)
+    return h, tuple(local(_PAULI[axis], qubit) for axis, qubit in channels)
+
+
 def single_qubit_model(bias, axis, coupling, kappa, omega_c=0.0):
     """Qubit with H = bias * sigma_z and one noise channel on the given axis."""
     noise = NoiseModel.single(coupling, kappa, omega_c)
-    return SystemModel(h_system=bias * SIGMA_Z, couplings=(_PAULI[axis],), noise=noise)
+    h, couplings = _qubit_operators([bias], [(axis, 1)])
+    return SystemModel(h_system=h, couplings=couplings, noise=noise)
 
 
 def two_qubit_dephasing(bias1=0.1, bias2=0.1, zz=0.0, couplings=(1.0, 1.0),
                         cross=0.0, kappas=(1.0, 1.0)):
     """Two qubits under local z noise, optionally zz-coupled or cross-correlated."""
-    eye = np.eye(2)
-    z1 = np.kron(SIGMA_Z, eye)
-    z2 = np.kron(eye, SIGMA_Z)
-    h = bias1 * z1 + bias2 * z2 + zz * np.kron(SIGMA_Z, SIGMA_Z)
+    h, ops = _qubit_operators([bias1, bias2], [("z", 1), ("z", 2)], zz)
     amp = np.array([[couplings[0], cross], [cross, couplings[1]]])
     noise = NoiseModel(kappas=tuple(kappas), omegas=(0.0, 0.0), cross=amp)
-    return SystemModel(h_system=h, couplings=(z1, z2), noise=noise)
+    return SystemModel(h_system=h, couplings=ops, noise=noise)
 
 
 # frozen model parameters of the bundled studies
@@ -163,18 +174,19 @@ def run_fig2(out_dir, scale="full", seed=13):
     return {"volume": path, "report": report}
 
 
-def _spectroscopy_outputs(out_dir, stem, series, model, channel, meta, n_fit):
+def _kernel_spectroscopy(out_dir, stem, model, maps, dt, n_fit, axis, meta):
     # the presets couple one noise channel to one Pauli axis, so the fitted
-    # (a, b) pair always corresponds to the model's channel 0
-    a, b = channel
+    # (axis, axis) pair always corresponds to the model's channel 0
+    kernels = extract_kernel(build_ttms(maps), hamiltonian_liouvillian(model.h_system), dt)
+    series = fit_correlations(kernels[:n_fit], model.h_system, dt, active=((axis, axis),))
     c_true = model.noise.correlation_entry(0, 0, series.times)
     corr_path = os.path.join(out_dir, f"{stem}_correlation.csv")
     io.write_series_csv(corr_path, {
         "time": series.times,
-        "c_fit": series.channel(a, b).real,
+        "c_fit": series.channel(axis, axis).real,
         "c_true": c_true,
     }, meta)
-    omega, s_fit = spectral_density(series, channel)
+    omega, s_fit = spectral_density(series, (axis, axis))
     s_true = model.noise.spectral_density(omega, 0, 0)
     spec_path = os.path.join(out_dir, f"{stem}_spectrum.csv")
     io.write_series_csv(spec_path, {"omega": omega, "s_fit": s_fit, "s_true": s_true}, meta)
@@ -193,10 +205,8 @@ def run_fig3top(out_dir, scale="full", seed=0):
     params = {"preset": "fig3top", "dt": dt, "n_steps": n_steps, "n_fit": n_fit}
     model = weak_dephasing_model()
     maps = dephasing_map_series(model, dt, n_steps)
-    kernels = extract_kernel(build_ttms(maps), hamiltonian_liouvillian(model.h_system), dt)
-    series = fit_correlations(kernels[:n_fit], model.h_system, dt, active=(("z", "z"),))
-    return _spectroscopy_outputs(out_dir, "fig3top", series, model, ("z", "z"),
-                                 _meta(params, seed), n_fit)
+    return _kernel_spectroscopy(out_dir, "fig3top", model, maps, dt, n_fit, "z",
+                                _meta(params, seed))
 
 
 def run_fig3bottom(out_dir, scale="full", seed=0):
@@ -250,33 +260,65 @@ def run_fig4(out_dir, scale="full", seed=17):
     model = transverse_noise_model()
     maps = simulate_process(model, dt, n_steps, n_traj, seed=seed,
                             antithetic=True, control_variate=True)
-    kernels = extract_kernel(build_ttms(maps), hamiltonian_liouvillian(model.h_system), dt)
-    series = fit_correlations(kernels[:n_fit], model.h_system, dt, active=(("x", "x"),))
-    return _spectroscopy_outputs(out_dir, "fig4", series, model, ("x", "x"),
-                                 _meta(params, seed), n_fit)
+    return _kernel_spectroscopy(out_dir, "fig4", model, maps, dt, n_fit, "x",
+                                _meta(params, seed))
 
 
-def _run_pair_study(out_dir, stem, model, dt, n_steps, n_traj, seed, meta):
-    maps = simulate_process(model, dt, n_steps, n_traj, seed=seed, antithetic=True)
-    result = unravel(maps)
-    dl_dt, dk_dt2 = isolate_collective(result, dt, noise=model.noise)
-    report = collective_report(result, dl_dt, dk_dt2)
+# The CLI's twoqubit and xy4 modes run the next two bodies as well. They
+# reach the layers through module attributes, so that wrappers installed on
+# those modules (bench/tracing.py) see the calls of a CLI run.
+
+def _pair_study(out_dir, stem, maps, dt, meta, noise=None):
+    """Write ``<stem>_norms.csv`` and ``<stem>_report.txt`` for a two-qubit map series.
+
+    The generator/kernel split needs maps at dt and 2 dt that have a
+    logarithm; without them the verdict stays unattributed, with the reason
+    under ``split_skipped``. ``noise`` enables the coarse-step warning.
+    """
+    result = multiqubit.unravel(maps)
+    dl_dt = dk_dt2 = skipped = None
+    if len(maps) >= 2:
+        try:
+            dl_dt, dk_dt2 = multiqubit.isolate_collective(result, dt, noise=noise)
+        except multiqubit.SingularMapError as exc:
+            skipped = str(exc)
+    report = multiqubit.collective_report(result, dl_dt, dk_dt2)
     norms_path = os.path.join(out_dir, f"{stem}_norms.csv")
     io.write_series_csv(norms_path, {
-        "n": np.arange(1, n_steps + 1),
+        "n": np.arange(1, len(maps) + 1),
         "full": report["full_tensor_norms"],
         "separable": report["separable_tensor_norms"],
         "correlated": report["delta_tensor_norms"],
     }, meta)
+    fields = {"verdict": report["verdict"]}
+    if skipped is not None:
+        fields["split_skipped"] = skipped
+    if dl_dt is not None:
+        fields["dl_dt_norm"] = report["dl_dt_norm"]
+        fields["dk_dt2_norm"] = report["dk_dt2_norm"]
+        fields["dl_dt_diag_imag"] = np.diag(dl_dt).imag
+        fields["dk_dt2_diag_real"] = np.diag(dk_dt2).real
     report_path = os.path.join(out_dir, f"{stem}_report.txt")
-    io.write_report(report_path, {
-        "verdict": report["verdict"],
-        "dl_dt_norm": report["dl_dt_norm"],
-        "dk_dt2_norm": report["dk_dt2_norm"],
-        "dl_dt_diag_imag": np.diag(dl_dt).imag,
-        "dk_dt2_diag_real": np.diag(dk_dt2).real,
-    }, meta)
+    io.write_report(report_path, fields, meta)
     return {"norms": norms_path, "report": report_path}
+
+
+def _xy4_profiles(model, dt_cycle, n_cycles, n_traj, substeps, seed, antithetic):
+    """(free, xy4) transfer-tensor norm profiles over n_cycles cycles of dt_cycle.
+
+    An XY4 cycle is four quarter-cycle segments of ``substeps`` noise values,
+    each ending in an X, Y, X, Y pulse; free evolution takes 4 * substeps per
+    cycle, and ``antithetic`` applies to it only.
+    """
+    quarter = dt_cycle / 4.0
+    free_maps = propagator.simulate_process(model, dt_cycle, n_cycles, n_traj,
+                                            substeps=4 * substeps, seed=seed,
+                                            antithetic=antithetic)
+    segments = [(quarter, SIGMA_X), (quarter, SIGMA_Y)] * 2
+    dd_maps = propagator.simulate_pulsed_process(model, segments, n_cycles, n_traj,
+                                                 substeps=substeps, seed=seed)
+    return (ttm.norm_profile(ttm.build_ttms(free_maps)),
+            ttm.norm_profile(ttm.build_ttms(dd_maps)))
 
 
 def run_fig5(out_dir, scale="full", seed=19):
@@ -295,8 +337,9 @@ def run_fig5(out_dir, scale="full", seed=19):
                                ("fig5_correlated", correlated_pair_model(2.0), 2.0)):
         params = {"preset": "fig5", "model": stem, "dt": dt, "n_steps": n_steps,
                   "n_traj": n_traj, "seed": seed, "kappa": kappa}
-        out[stem] = _run_pair_study(out_dir, stem, model, dt, n_steps, n_traj,
-                                    seed, _meta(params, seed))
+        maps = simulate_process(model, dt, n_steps, n_traj, seed=seed, antithetic=True)
+        out[stem] = _pair_study(out_dir, stem, maps, dt, _meta(params, seed),
+                                noise=model.noise)
     return out
 
 
@@ -317,7 +360,7 @@ def run_fig6(out_dir, scale="full", seed=23):
         params = {"preset": "fig6", "model": stem, "dt": dt, "n_maps": n_maps,
                   "n_pred": n_pred, "n_traj": n_traj, "seed": seed}
         maps = simulate_process(model, dt, n_maps, n_traj, seed=seed, antithetic=True)
-        result = unravel(maps)
+        result = multiqubit.unravel(maps)
         full_states = predict_states(result.full_tensors, rho0, n_pred)
         sep_states = predict_states(result.separable_tensors, rho0, n_pred)
         exact_maps = dephasing_map_series(model, dt, n_pred)
@@ -336,19 +379,12 @@ def run_fig6(out_dir, scale="full", seed=23):
 def run_xy4(out_dir, scale="full", seed=29):
     """Memory shortening under the XY4 pulse sequence versus free evolution."""
     n_traj = _scaled(30_000, scale)
-    dt_cycle, n_cycles = 2.0, 12
-    quarter = dt_cycle / 4.0
+    dt_cycle, n_cycles, substeps = 2.0, 12, 4
     params = {"preset": "xy4", "dt_cycle": dt_cycle, "n_cycles": n_cycles,
               "n_traj": n_traj, "seed": seed}
     meta = _meta(params, seed)
-    model = dd_demo_model()
-    free_maps = simulate_process(model, dt_cycle, n_cycles, n_traj, substeps=16,
-                                 seed=seed, antithetic=True)
-    segments = [(quarter, SIGMA_X), (quarter, SIGMA_Y)] * 2
-    dd_maps = simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=4,
-                                      seed=seed)
-    free_profile = norm_profile(build_ttms(free_maps))
-    dd_profile = norm_profile(build_ttms(dd_maps))
+    free_profile, dd_profile = _xy4_profiles(dd_demo_model(), dt_cycle, n_cycles, n_traj,
+                                             substeps, seed, antithetic=True)
     threshold = 0.01 * free_profile[0]
     path = os.path.join(out_dir, "xy4_ttm_norms.csv")
     io.write_series_csv(path, {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator_superop, unitary_superop
+from .liouville import commutator_superop, unitary_superop
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -79,7 +79,8 @@ def evolve_trajectory(model, path, rho0):
 
     Each step applies U_k = exp(-i H_k dt) with H_k the Hamiltonian frozen
     at the step midpoint value stored in ``path``; the per-path evolution is
-    exactly unitary, so purity and trace survive to machine precision.
+    exactly unitary, so purity and trace survive to machine precision. The
+    steps are taken by the ensemble kernel on a single path.
 
     Returns the states at t_1 .. t_n as an (n_steps, d, d) array.
     """
@@ -92,15 +93,9 @@ def evolve_trajectory(model, path, rho0):
     d = model.dim
     if rho.shape != (d, d):
         raise ValueError("rho0 dimension does not match the model")
-    ops = np.stack(model.couplings)
-    out = np.empty((values.shape[1], d, d), dtype=complex)
-    for k in range(values.shape[1]):
-        h = model.h_system + np.einsum("a,aij->ij", values[:, k], ops)
-        w, v = np.linalg.eigh(h)
-        u = (v * np.exp(-1.0j * w * path.dt)) @ v.conj().T
-        rho = u @ rho @ u.conj().T
-        out[k] = rho
-    return out
+    n_steps = values.shape[1]
+    maps = _chunk_map_sums(model, values[None], path.dt, np.arange(n_steps))
+    return (maps @ rho.reshape(-1)).reshape(n_steps, d, d)
 
 
 def _diag_parts(model):
@@ -267,6 +262,24 @@ def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
     return out
 
 
+def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
+    """Noise draws of an ensemble, chunk by chunk.
+
+    Chunk c draws up to ``chunk_size`` paths from its own generator,
+    ``SeedSequence((seed, c))``, so a fixed (seed, chunk_size) gives
+    bit-stable draws. With ``antithetic`` every draw is followed by its
+    sign-flipped mirror and n_traj counts both, so it must be even. Yields
+    (draws, paths): the drawn paths and the paths to propagate.
+    """
+    if antithetic and n_traj % 2:
+        raise ValueError("antithetic sampling needs an even n_traj")
+    n_draw = n_traj // 2 if antithetic else n_traj
+    for chunk_idx, done in enumerate(range(0, n_draw, chunk_size)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_idx))))
+        draws = sampler.sample(rng, min(chunk_size, n_draw - done))
+        yield draws, np.concatenate([draws, -draws], axis=0) if antithetic else draws
+
+
 def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
                      antithetic=False, chunk_size=1024, collect_chunk_means=False,
                      control_variate=False):
@@ -313,8 +326,6 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         n_steps superoperators of shape (d^2, d^2).
     chunk_means : ndarray, only when ``collect_chunk_means``
     """
-    if antithetic and n_traj % 2:
-        raise ValueError("antithetic sampling needs an even n_traj")
     d = model.dim
     n_sub = n_steps * substeps
     dt_sub = dt / substeps
@@ -327,27 +338,19 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     sum_b = np.zeros(n_flat)
     sum_gram = np.zeros((n_flat, n_flat))
 
-    n_draw = n_traj // 2 if antithetic else n_traj
     acc = np.zeros((n_steps, d * d, d * d), dtype=complex)
     chunk_means = []
-    done = 0
-    chunk_idx = 0
-    while done < n_draw:
-        p = min(chunk_size, n_draw - done)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_idx))))
-        b = sampler.sample(rng, p)
-        if antithetic:
-            b = np.concatenate([b, -b], axis=0)
+    for draws, b in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
         contrib = _chunk_map_sums(model, b, dt_sub, boundary)
         acc += contrib
         if control_variate:
-            flat = b.reshape(b.shape[0], n_flat)
-            sum_b += flat.sum(axis=0)
-            sum_gram += flat.T @ flat
+            # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
+            flat = draws.reshape(draws.shape[0], n_flat)
+            sum_gram += (2.0 if antithetic else 1.0) * (flat.T @ flat)
+            if not antithetic:
+                sum_b += flat.sum(axis=0)
         if collect_chunk_means:
             chunk_means.append(contrib / b.shape[0])
-        done += p
-        chunk_idx += 1
 
     maps = [acc[k] / n_traj for k in range(n_steps)]
     if control_variate:
@@ -370,7 +373,8 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     within each cycle: free evolution under the noisy Hamiltonian for
     ``duration``, then the instantaneous unitary ``pulse`` (or None). Only
     purely longitudinal models are supported; segment propagators are then
-    exact diagonal phases given the sampled noise integrals.
+    exact diagonal phases given the sampled noise integrals. Chunks are
+    seeded as in :func:`simulate_process`.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """
@@ -392,13 +396,8 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     sampler = GaussianPathSampler(model.noise, midpoints)
 
     acc = np.zeros((n_cycles, d * d, d * d), dtype=complex)
-    done = 0
-    chunk_idx = 0
-    while done < n_traj:
-        p = min(chunk_size, n_traj - done)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_idx))))
-        b = sampler.sample(rng, p)
-        u_cum = np.broadcast_to(np.eye(d, dtype=complex), (p, d, d)).copy()
+    for _, b in _chunks(sampler, n_traj, seed, chunk_size):
+        u_cum = np.broadcast_to(np.eye(d, dtype=complex), (b.shape[0], d, d)).copy()
         for s in range(n_seg * n_cycles):
             tau = seg_durs[s]
             sl = slice(s * substeps, (s + 1) * substeps)
@@ -410,8 +409,6 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
                 u_cum = np.einsum("ab,pbc->pac", pulse, u_cum)
             if (s + 1) % n_seg == 0:
                 acc[(s + 1) // n_seg - 1] += _superop_sum(u_cum)
-        done += p
-        chunk_idx += 1
     return [acc[k] / n_traj for k in range(n_cycles)]
 
 

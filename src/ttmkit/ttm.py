@@ -109,6 +109,15 @@ def kernel_to_ttms(kernels, liouvillian, dt):
     return out
 
 
+def _richardson(g_dt, g_2dt):
+    """(a dt, b dt^2) of g(dt) = a dt + b dt^2 from its values at dt and 2 dt."""
+    g1 = np.asarray(g_dt, dtype=complex)
+    g2 = np.asarray(g_2dt, dtype=complex)
+    if g1.shape != g2.shape:
+        raise ValueError("the dt and 2 dt inputs must share a shape")
+    return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
+
+
 def estimate_liouvillian(e1_dt, e1_2dt, dt):
     """Richardson estimate of the time-local generator from two step sizes.
 
@@ -116,9 +125,8 @@ def estimate_liouvillian(e1_dt, e1_2dt, dt):
     shared by the two one-step maps.
     """
     e1_dt = np.asarray(e1_dt, dtype=complex)
-    e1_2dt = np.asarray(e1_2dt, dtype=complex)
     eye = np.eye(e1_dt.shape[0], dtype=complex)
-    return (4.0 * (e1_dt - eye) - (e1_2dt - eye)) / (2.0 * dt)
+    return _richardson(e1_dt - eye, np.asarray(e1_2dt) - eye)[0] / dt
 
 
 def norm_profile(tensors, subtract_identity=True):

@@ -16,6 +16,7 @@ from ttmkit.liouville import (
     vec,
 )
 from ttmkit.noisegen import NoiseModel, NoisePath, sample_paths
+from ttmkit.presets import dd_demo_model, revival_demo_model
 from ttmkit.propagator import (
     SystemModel,
     _chunk_map_sums,
@@ -98,6 +99,45 @@ def test_evolve_trajectory_validation():
     two = NoisePath(0.2, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="channel count"):
         evolve_trajectory(model, two, np.eye(2) / 2)
+
+
+def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
+    # a transverse qubit (quaternion kernel) and a non-diagonal pair
+    # (eigh kernel) against per-step expm products applied to rho0
+    rng = np.random.default_rng(17)
+    eye = np.eye(2)
+    qubit = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_X, SIGMA_Y),
+                        noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                                         cross=np.eye(2)))
+    pair = SystemModel(h_system=0.1 * np.kron(SIGMA_Z, eye) + 0.2 * np.kron(eye, SIGMA_Z)
+                       + 0.05 * np.kron(SIGMA_Z, SIGMA_Z),
+                       couplings=(np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y)),
+                       noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
+                                        cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+    for model in (qubit, pair):
+        d = model.dim
+        dt, n_steps = 0.15, 9
+        path = NoisePath(dt, rng.normal(scale=2.0, size=(2, n_steps)))
+        rho0 = random_density(d, rng)
+        states = evolve_trajectory(model, path, rho0)
+        u = np.eye(d, dtype=complex)
+        for k in range(n_steps):
+            h = model.h_system + sum(path.values[a, k] * c
+                                     for a, c in enumerate(model.couplings))
+            u = expm(-1.0j * h * dt) @ u
+            npt.assert_allclose(states[k], u @ rho0 @ u.conj().T, rtol=0, atol=1e-12)
+
+
+def test_pulsed_process_without_pulses_matches_simulate_process():
+    # one pulse-free segment per cycle is the plain map grid: both drivers
+    # must draw the same noise chunk by chunk and give the same maps
+    for model in (dd_demo_model(), revival_demo_model()):
+        for dt, n_steps, substeps in ((0.2, 6, 4), (0.5, 3, 2)):
+            plain = simulate_process(model, dt, n_steps, n_traj=600, substeps=substeps,
+                                     seed=21, chunk_size=256)
+            pulsed = simulate_pulsed_process(model, [(dt, None)], n_steps, n_traj=600,
+                                             substeps=substeps, seed=21, chunk_size=256)
+            npt.assert_allclose(np.stack(pulsed), np.stack(plain), rtol=0, atol=1e-12)
 
 
 def test_dephasing_map_matches_independent_construction():
