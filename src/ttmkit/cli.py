@@ -222,6 +222,7 @@ def _mode_nonmarkov(cfg, out_dir):
     out = os.path.join(out_dir, "volume.csv")
     io.write_series_csv(out, {"time": series.times, "volume": series.values},
                         _meta_for(cfg))
+    written = [out]
     fields = {"nonmarkovianity": _stage("nonmarkov", volume_measure, series)}
     n_total = _integer(cfg, "extend.n_total", required=False, minimum=1)
     if n_total:
@@ -233,12 +234,10 @@ def _mode_nonmarkov(cfg, out_dir):
         io.write_series_csv(ext_path, {"time": ext_series.times,
                                        "volume": ext_series.values}, _meta_for(cfg))
         fields["nonmarkovianity_extended"] = measure
-        report = os.path.join(out_dir, "nonmarkov_report.txt")
-        io.write_report(report, fields, _meta_for(cfg))
-        return [out, ext_path, report]
+        written.append(ext_path)
     report = os.path.join(out_dir, "nonmarkov_report.txt")
     io.write_report(report, fields, _meta_for(cfg))
-    return [out, report]
+    return written + [report]
 
 
 def _mode_spectroscopy(cfg, out_dir):
@@ -323,8 +322,8 @@ def _mode_xy4(cfg, out_dir):
     if model.dim != 2:
         raise ConfigError("field 'system.n_qubits': xy4 mode supports one qubit")
     n_traj, seed, substeps, antithetic, _ = _sampling(cfg)
-    dt_cycle = _number(cfg, "grid.dt", positive=True)
-    n_cycles = _integer(cfg, "grid.n_steps", minimum=1)
+    # the free run samples 4 * substeps noise values per cycle
+    dt_cycle, n_cycles = _grid(cfg, 4 * substeps, model.noise.n_channels)
     free_profile, dd_profile = _stage("propagator", presets._xy4_profiles, model, dt_cycle,
                                       n_cycles, n_traj, substeps, seed, antithetic)
     out = os.path.join(out_dir, "xy4_norms.csv")

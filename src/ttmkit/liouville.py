@@ -179,11 +179,19 @@ def is_density_matrix(rho, tol=1e-9):
 # Bloch (affine) representation of qubit maps
 # ---------------------------------------------------------------------------
 
+# Columns vec(I), vec(X), vec(Y), vec(Z). B^H B = 2 I, so B^H E B / 2 is the
+# Pauli transfer matrix R_ij = Tr(sigma_i E(sigma_j)) / 2 and E = B R B^H / 2.
+_B = np.stack([vec(SIGMA_I), vec(SIGMA_X), vec(SIGMA_Y), vec(SIGMA_Z)], axis=1)
+
+
 def bloch_affine(sop):
     """Affine Bloch representation (M, c) of a single-qubit map.
 
     E(rho) with rho = (I + v . sigma) / 2 maps v -> M v + c. Rows and
-    columns are ordered (x, y, z).
+    columns are ordered (x, y, z). (M, c) is read off the Pauli transfer
+    matrix R = B^H E B / 2, with B the columns vec(I), vec(X), vec(Y),
+    vec(Z): R_ij = Tr(sigma_i E(sigma_j)) / 2, M = Re R[1:, 1:] and
+    c = Re R[1:, 0].
 
     Returns
     -------
@@ -193,45 +201,21 @@ def bloch_affine(sop):
     sop = np.asarray(sop, dtype=complex)
     if sop.shape != (4, 4):
         raise ValueError("Bloch representation is defined for single-qubit maps")
-    paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-    M = np.empty((3, 3))
-    c = np.empty(3)
-    for i, pa in enumerate(paulis):
-        out_id = apply_superop(sop, SIGMA_I)
-        c[i] = 0.5 * np.real(np.trace(pa @ out_id))
-        for j, pb in enumerate(paulis):
-            out = apply_superop(sop, pb)
-            M[i, j] = 0.5 * np.real(np.trace(pa @ out))
-    return M, c
+    r = np.real(_B.conj().T @ (sop @ _B)) / 2.0
+    return r[1:, 1:], r[1:, 0]
 
 
 def affine_to_superop(M, c):
     """Rebuild the 4 x 4 superoperator from its affine Bloch action.
 
-    Columns of the superoperator are images of the basis matrices
-    |k><l|, expanded as (delta_{kl} I + sum_b (sigma_b)_{lk} sigma_b) / 2
-    and pushed through v -> M v + c.
+    Inverse of :func:`bloch_affine`: E = B R B^H / 2 with the Pauli
+    transfer matrix R = [[1, 0], [c, M]] of a trace-preserving map.
     """
-    M = np.asarray(M, dtype=float)
-    c = np.asarray(c, dtype=float)
-    paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-    sop = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            # E(|k><l|) = (1/2) [ delta_kl (I + c . sigma) + sum_b (sigma_b)_{lk} sum_a M_ab sigma_a ]
-            out = np.zeros((2, 2), dtype=complex)
-            if k == l:
-                out += SIGMA_I
-                for a in range(3):
-                    out += c[a] * paulis[a]
-            for b in range(3):
-                w = paulis[b][l, k]
-                if w != 0:
-                    for a in range(3):
-                        if M[a, b] != 0:
-                            out += w * M[a, b] * paulis[a]
-            sop[:, 2 * k + l] = vec(0.5 * out)
-    return sop
+    r = np.zeros((4, 4))
+    r[0, 0] = 1.0
+    r[1:, 0] = np.asarray(c, dtype=float)
+    r[1:, 1:] = np.asarray(M, dtype=float)
+    return _B @ r @ _B.conj().T / 2.0
 
 
 def bloch_volume(sop):

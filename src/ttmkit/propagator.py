@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import commutator_superop, unitary_superop
+from .liouville import _B, commutator_superop, unitary_superop, vec
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -104,14 +104,6 @@ def _diag_parts(model):
     return h, z
 
 
-def _pauli_vector(op):
-    # Hermitian 2x2 -> v with op = a0 I + v . sigma; a0 only adds a global
-    # phase, which cancels in U (x) conj(U)
-    return 0.5 * np.array([np.real(op[0, 1] + op[1, 0]),
-                           np.imag(op[1, 0] - op[0, 1]),
-                           np.real(op[0, 0] - op[1, 1])])
-
-
 # A unit quaternion q = (w, x, y, z) stands for U = w I - i (x, y, z) . sigma,
 # so each entry U[a, b] = sum_i _SU2_ENTRIES[a, b, i] q_i is linear in q and
 # each entry of U (x) conj(U) is bilinear. Summed over paths, the
@@ -180,8 +172,11 @@ def _chunk_map_sums(model, b, dt_sub, boundary):
 
     n_paths, _, n_sub = b.shape
     if d == 2:
-        v_sys = _pauli_vector(model.h_system)
-        v_coup = np.stack([_pauli_vector(c) for c in model.couplings])
+        # Hermitian op = a0 I + v . sigma with v = Re(B^H vec(op))[1:] / 2; a0
+        # only adds a global phase, which cancels in U (x) conj(U)
+        ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
+        pv = 0.5 * np.real(ops @ _B.conj())[:, 1:]
+        v_sys, v_coup = pv[0], pv[1:]
         q_cum = np.zeros((4, n_paths))
         q_cum[0] = 1.0
         grams = np.empty((n_steps, 4, 4))

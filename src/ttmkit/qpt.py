@@ -100,18 +100,16 @@ def _infer_qubits(dim_sq):
 
 
 def _design_matrix(n_qubits):
-    # Row for (P, rho): expectation = vec(P^T)^T E vec(rho) = kron(vec(P^T), vec(rho)) . vec(E)
+    # Row (prep, P) is kron(vec(P^T), vec(rho)), so that its dot product with
+    # vec(E) is vec(P^T) . E vec(rho) = Tr(P E(rho)). Rows run over preps, then
+    # Paulis: the emission order of simulate_qpt.
     states = prep_states(n_qubits)
     paulis = all_pauli_labels(n_qubits)
-    rows = []
-    keys = []
-    for lab, rho in states.items():
-        v = vec(rho)
-        for p in paulis:
-            a = vec(pauli_string(p).T)
-            rows.append(np.kron(a, v))
-            keys.append((lab, p))
-    return np.array(rows), keys
+    p_vecs = np.array([vec(pauli_string(p).T) for p in paulis])
+    rho_vecs = np.array([vec(rho) for rho in states.values()])
+    a = np.einsum("pi,sj->spij", p_vecs, rho_vecs)
+    keys = [(lab, p) for lab in states for p in paulis]
+    return a.reshape(len(keys), -1), keys
 
 
 def basis_condition(n_qubits):
@@ -122,6 +120,10 @@ def basis_condition(n_qubits):
 
 def simulate_qpt(maps, shots=0, seed=None):
     """Generate tomography records for a map series.
+
+    Every exact expectation Tr(P E_k(rho_prep)) comes from one product of
+    the stacked vec(E_k) with the design matrix that
+    :func:`reconstruct_maps` inverts.
 
     Parameters
     ----------
@@ -142,33 +144,27 @@ def simulate_qpt(maps, shots=0, seed=None):
         raise ValueError("shots must be >= 0")
     if shots > 0 and seed is None:
         raise ValueError("seed is required when shots > 0")
-    n_qubits, d = _infer_qubits(np.asarray(maps[0]).shape[0])
-    states = prep_states(n_qubits)
-    paulis = all_pauli_labels(n_qubits)
-    pmats = {p: pauli_string(p) for p in paulis}
-    rng = np.random.default_rng(seed) if shots > 0 else None
-
-    records = []
-    for k, sop in enumerate(maps, start=1):
-        sop = np.asarray(sop)
-        for lab, rho in states.items():
-            out = (sop @ vec(rho)).reshape(d, d)
-            for p in paulis:
-                val = float(np.real(np.trace(pmats[p] @ out)))
-                if shots > 0:
-                    # Clip guards non-CP inputs whose expectations spill out of [-1, 1].
-                    prob = min(max((1.0 + val) / 2.0, 0.0), 1.0)
-                    val = 2.0 * rng.binomial(shots, prob) / shots - 1.0
-                records.append(QptRecord(k, lab, p, val, shots))
-    return records
+    maps = np.asarray(maps, dtype=complex)
+    n_qubits, _ = _infer_qubits(maps.shape[1])
+    a, keys = _design_matrix(n_qubits)
+    vals = np.real(maps.reshape(len(maps), -1) @ a.T)
+    if shots > 0:
+        # Clip guards non-CP inputs whose expectations spill out of [-1, 1].
+        probs = np.clip((1.0 + vals) / 2.0, 0.0, 1.0)
+        vals = 2.0 * np.random.default_rng(seed).binomial(shots, probs) / shots - 1.0
+    return [QptRecord(k, lab, p, float(val), shots)
+            for k, row in enumerate(vals, start=1)
+            for (lab, p), val in zip(keys, row)]
 
 
 def reconstruct_maps(records):
     """Invert tomography records back into a map series.
 
     Expects a complete (prep, Pauli) grid for every time index and
-    consecutive indices starting at 1. The inversion is least squares on
-    the linear design, exact when the records came from shots=0.
+    consecutive indices starting at 1. The inversion is one least-squares
+    solve, for all time indices at once, on the design matrix that
+    :func:`simulate_qpt` applies; it is exact when the records came from
+    shots=0.
 
     Returns
     -------
@@ -188,7 +184,7 @@ def reconstruct_maps(records):
     a, keys = _design_matrix(n_qubits)
     d2 = int(round(np.sqrt(a.shape[1])))
 
-    maps = []
+    columns = []
     for k in indices:
         got = by_time[k]
         missing = [key for key in keys if key not in got]
@@ -197,10 +193,9 @@ def reconstruct_maps(records):
                 f"time index {k}: incomplete record set, missing {missing[:8]}"
                 + ("..." if len(missing) > 8 else "")
             )
-        y = np.array([got[key] for key in keys])
-        x, *_ = np.linalg.lstsq(a, y, rcond=None)
-        maps.append(x.reshape(d2, d2))
-    return maps
+        columns.append([got[key] for key in keys])
+    x, *_ = np.linalg.lstsq(a, np.array(columns).T, rcond=None)
+    return list(x.T.reshape(len(indices), d2, d2))
 
 
 def _project_trace_preserving(x4, d):

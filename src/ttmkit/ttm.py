@@ -56,7 +56,7 @@ def predict_maps(tensors, n_total, k_trunc=None):
     history = [identity_superop(int(round(np.sqrt(dim))))]
     out = []
     for n in range(1, n_total + 1):
-        acc = np.zeros_like(tensors[0])
+        acc = np.zeros(tensors[0].shape, dtype=complex)
         for m in range(1, min(n, k_trunc) + 1):
             acc += tensors[m - 1] @ history[n - m]
         history.append(acc)
@@ -67,21 +67,15 @@ def predict_maps(tensors, n_total, k_trunc=None):
 def predict_states(tensors, rho0, n_steps, k_trunc=None):
     """Propagate a state with the truncated transfer-tensor recursion.
 
-    rho(t_n) = sum_{m=1}^{min(n, k_trunc)} T_m rho(t_{n-m}), seeded with
+    rho(t_n) = E_n rho0 with E_n from :func:`predict_maps`, so that
+    rho(t_n) = sum_{m=1}^{min(n, k_trunc)} T_m rho(t_{n-m}) with
     rho(t_0) = rho0. Returns the states at t_1..t_n.
     """
-    k_trunc = _check_trunc(tensors, k_trunc)
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     if tensors[0].shape[0] != d * d:
         raise ValueError("state dimension does not match the tensors")
-    vecs = [vec(rho0)]
-    for n in range(1, n_steps + 1):
-        acc = np.zeros(d * d, dtype=complex)
-        for m in range(1, min(n, k_trunc) + 1):
-            acc += tensors[m - 1] @ vecs[n - m]
-        vecs.append(acc)
-    return [unvec(v) for v in vecs[1:]]
+    return [unvec(e_n @ vec(rho0)) for e_n in predict_maps(tensors, n_steps, k_trunc)]
 
 
 def extract_kernel(tensors, liouvillian, dt):

@@ -99,11 +99,27 @@ def test_unknown_mode_rejected(tmp_path):
         run_config(_sim_cfg(mode="meditate"), str(tmp_path))
 
 
-def test_grid_cap_enforced(tmp_path):
+def _xy4_cfg(n_steps=3, substeps=4):
+    return {
+        "mode": "xy4",
+        "system": {"n_qubits": 1, "biases": [0.0],
+                   "channels": [{"axis": "z", "qubit": 1}]},
+        "noise": {"variances": [0.1], "decay_rates": [0.25]},
+        "grid": {"dt": 2.0, "n_steps": n_steps},
+        "sampling": {"n_traj": 400, "seed": 3, "substeps": substeps},
+    }
+
+
+def test_grid_cap_enforced(tmp_path, capsys):
     cfg = _sim_cfg()
     cfg["grid"]["n_steps"] = 4096
     with pytest.raises(ConfigError, match="4096"):
         run_config(cfg, str(tmp_path))
+    # the xy4 free run samples 4 * substeps values per cycle: 200 * 32 > 4096
+    cfg_path = _write_cfg(tmp_path, _xy4_cfg(n_steps=200, substeps=8))
+    assert main(["xy4", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.n_steps" in err
 
 
 def test_simulate_writes_maps_and_optional_records(tmp_path):
@@ -256,15 +272,7 @@ def test_ingest_mode_roundtrip(tmp_path):
 
 
 def test_xy4_mode(tmp_path):
-    cfg = {
-        "mode": "xy4",
-        "system": {"n_qubits": 1, "biases": [0.0],
-                   "channels": [{"axis": "z", "qubit": 1}]},
-        "noise": {"variances": [0.1], "decay_rates": [0.25]},
-        "grid": {"dt": 2.0, "n_steps": 3},
-        "sampling": {"n_traj": 400, "seed": 3, "substeps": 4},
-    }
-    written = run_config(cfg, str(tmp_path))
+    written = run_config(_xy4_cfg(), str(tmp_path))
     assert written[0].endswith("xy4_norms.csv")
     cols, _ = read_series_csv(tmp_path / "xy4_norms.csv")
     assert set(cols) == {"n", "free", "xy4"}

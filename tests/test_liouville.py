@@ -129,11 +129,20 @@ def test_identity_superop_action():
 
 def test_bloch_affine_roundtrip():
     rng = np.random.default_rng(17)
+    paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
     for _ in range(6):
         sop = random_cptp(2, rng)
         m, c = bloch_affine(sop)
         assert m.shape == (3, 3) and c.shape == (3,)
+        # oracle: M_ij = Tr(sigma_i E(sigma_j)) / 2 and c_i = Tr(sigma_i E(I)) / 2
+        want_m = [[0.5 * np.trace(a @ apply_superop(sop, b)).real for b in paulis]
+                  for a in paulis]
+        want_c = [0.5 * np.trace(a @ apply_superop(sop, PAULIS["I"])).real for a in paulis]
+        npt.assert_allclose(m, want_m, rtol=0, atol=1e-15)
+        npt.assert_allclose(c, want_c, rtol=0, atol=1e-15)
         npt.assert_allclose(affine_to_superop(m, c), sop, atol=1e-12)
+    with pytest.raises(ValueError, match="single-qubit"):
+        bloch_affine(identity_superop(4))
 
 
 def test_bloch_affine_known_channels():

@@ -4,10 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ttmkit.io import read_qpt_csv, write_qpt_csv
 from ttmkit.liouville import (
+    all_pauli_labels,
+    apply_superop,
     identity_superop,
     is_density_matrix,
     min_choi_eigenvalue,
+    pauli_string,
     trace_preservation_defect,
 )
 from ttmkit.qpt import (
@@ -47,6 +51,35 @@ def test_exact_records_invert_exactly():
         back = reconstruct_maps(records)
         worst = max(map_distance(a, b) for a, b in zip(maps, back))
         assert worst < 1e-10
+
+
+def test_exact_records_match_trace_loop_in_emission_order():
+    rng = np.random.default_rng(41)
+    for n_qubits in (1, 2):
+        maps = [random_cptp(2**n_qubits, rng) for _ in range(2)]
+        want = []
+        for k, sop in enumerate(maps, start=1):
+            for lab, rho in prep_states(n_qubits).items():
+                out = apply_superop(sop, rho)
+                for p in all_pauli_labels(n_qubits):
+                    want.append((k, lab, p, np.real(np.trace(pauli_string(p) @ out))))
+        records = simulate_qpt(maps)
+        assert [(r.time_index, r.prep_label, r.pauli) for r in records] \
+            == [w[:3] for w in want]
+        npt.assert_allclose([r.expectation for r in records], [w[3] for w in want],
+                            rtol=0, atol=1e-15)
+
+
+def test_record_expectations_are_python_floats(tmp_path):
+    rng = np.random.default_rng(43)
+    maps = [random_cptp(4, rng)]
+    for shots, seed in ((0, None), (64, 3)):
+        records = simulate_qpt(maps, shots=shots, seed=seed)
+        assert all(type(r.expectation) is float for r in records)
+        path = tmp_path / f"records_{shots}.csv"
+        write_qpt_csv(path, records)
+        assert "np.float64" not in path.read_text()
+        assert read_qpt_csv(path) == records
 
 
 def test_record_grid_is_complete_and_ordered():

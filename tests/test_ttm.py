@@ -91,6 +91,17 @@ def test_predict_states_tracks_predict_maps():
         npt.assert_allclose(states[k], apply_superop(ext[k], rho0), atol=1e-12)
 
 
+def test_predictions_accept_real_tensors():
+    # real-valued dephasing tensors; the identity seed E_0 is complex
+    tensors = [np.diag([1.0, 0.8, 0.8, 1.0]), np.diag([0.0, 0.05, 0.05, 0.0])]
+    ext = predict_maps(tensors, 3)
+    npt.assert_allclose(ext[1], np.diag([1.0, 0.69, 0.69, 1.0]), atol=1e-15)
+    rho0 = np.full((2, 2), 0.5)
+    states = predict_states(tensors, rho0, 3)
+    for k in range(3):
+        npt.assert_allclose(states[k], apply_superop(ext[k], rho0), atol=1e-15)
+
+
 def test_kernel_conversion_roundtrip():
     rng = np.random.default_rng(6)
     h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
