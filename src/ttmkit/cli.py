@@ -201,12 +201,11 @@ def _mode_simulate(cfg, out_dir):
 def _mode_ttm(cfg, out_dir):
     maps, info = _load_maps(cfg, out_dir)
     tensors = _stage("ttm", build_ttms, maps)
-    profile = _stage("ttm", norm_profile, tensors)
     out = os.path.join(out_dir, "ttm_norms.csv")
     io.write_series_csv(out, {
         "n": np.arange(1, len(tensors) + 1),
-        "norm": np.array([np.linalg.norm(t) for t in tensors]),
-        "norm_first_minus_identity": profile,
+        "norm": _stage("ttm", norm_profile, tensors, subtract_identity=False),
+        "norm_first_minus_identity": _stage("ttm", norm_profile, tensors),
     }, _meta_for(cfg, {"dt": info["dt"]}))
     written = [out]
     if _get(cfg, "save_tensors", required=False, default=False):

@@ -82,7 +82,8 @@ def write_qpt_csv(path, records):
         writer = csv.writer(fh)
         writer.writerow(QPT_HEADER)
         for r in records:
-            writer.writerow([r.time_index, r.prep_label, r.pauli, repr(r.expectation), r.shots])
+            writer.writerow([r.time_index, r.prep_label, r.pauli, repr(float(r.expectation)),
+                             r.shots])
 
 
 def read_qpt_csv(path):

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import logm
 
 from .liouville import factorize_bipartite, kron_superop
-from .ttm import _richardson, build_ttms
+from .ttm import _richardson, build_ttms, norm_profile
 
 __all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
            "SingularMapError", "collective_report"]
@@ -144,14 +144,13 @@ def collective_report(result, dl_dt=None, dk_dt2=None, threshold=3.0):
     Norm profiles of the separable and collective tensors ride along for
     plotting. All norms are Frobenius.
     """
-    profiles = {
-        "full_tensor_norms": np.array([np.linalg.norm(t) for t in result.full_tensors]),
-        "separable_tensor_norms": np.array(
-            [np.linalg.norm(t) for t in result.separable_tensors]),
-        "delta_tensor_norms": np.array([np.linalg.norm(t) for t in result.delta_tensors]),
-        "delta_map_norms": np.array([np.linalg.norm(d) for d in result.delta_maps]),
+    report = {
+        "full_tensor_norms": norm_profile(result.full_tensors, subtract_identity=False),
+        "separable_tensor_norms": norm_profile(result.separable_tensors,
+                                               subtract_identity=False),
+        "delta_tensor_norms": norm_profile(result.delta_tensors, subtract_identity=False),
+        "delta_map_norms": norm_profile(result.delta_maps, subtract_identity=False),
     }
-    report = dict(profiles)
     if dl_dt is None or dk_dt2 is None:
         report["verdict"] = "not attributed (no isolation inputs)"
         return report

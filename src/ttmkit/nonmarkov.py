@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import bloch_affine
+from .liouville import bloch_volume
 from .ttm import predict_maps
 
 __all__ = ["VolumeSeries", "volume_series", "volume_measure", "extended_volume_measure"]
@@ -35,10 +35,7 @@ def volume_series(maps, dt):
     """
     if np.asarray(maps[0]).shape[0] != 4:
         raise ValueError("volume series is defined for single-qubit maps")
-    values = [1.0]
-    for sop in maps:
-        m, _ = bloch_affine(sop)
-        values.append(float(np.linalg.det(m)))
+    values = [1.0] + [bloch_volume(sop) for sop in maps]
     times = dt * np.arange(len(maps) + 1)
     return VolumeSeries(times, np.array(values))
 

@@ -136,7 +136,7 @@ def run_fig1(out_dir, scale="full", seed=11):
     norms_path = os.path.join(out_dir, "fig1_ttm_norms.csv")
     io.write_series_csv(norms_path, {
         "n": np.arange(1, n_steps + 1),
-        "norm": np.array([np.linalg.norm(t) for t in tensors]),
+        "norm": norm_profile(tensors, subtract_identity=False),
         "norm_first_minus_identity": norm_profile(tensors),
     }, meta)
 

@@ -10,11 +10,13 @@ product of piecewise-constant steps. The ensemble-averaged dynamical maps
 are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
-Purely longitudinal models (diagonal Hamiltonian and couplings) take an
-exact fast path through accumulated phase integrals, which for commuting
-generators reproduces the substep product to machine precision. Qubit
-models with transverse terms carry each path's propagator as a unit
-quaternion (SU(2) up to the global phase, which cancels in the maps).
+Three step kernels take that product. Purely longitudinal models (diagonal
+Hamiltonian and couplings) take an exact fast path through accumulated
+phase integrals, which for commuting generators reproduces the substep
+product to machine precision. Other qubits carry each path's propagator as
+a unit quaternion (SU(2) up to the global phase, which cancels in the
+maps); larger models multiply per-path ``eigh`` steps. The last two also
+insert the instantaneous pulses of :func:`simulate_pulsed_process`.
 """
 
 from dataclasses import dataclass
@@ -145,19 +147,18 @@ def _su2_segment(v, dt_sub):
     return q[:, 0]
 
 
-def _superop_sum(u):
-    """sum_p U_p (x) conj(U_p) for a batch of unitaries (P, d, d)."""
-    d = u.shape[-1]
-    return np.einsum("pab,pcd->acbd", u, u.conj()).reshape(d * d, d * d)
+def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
+    """Per-chunk sums (not means) of the maps at the given substep boundaries.
 
-
-def _chunk_map_sums(model, b, dt_sub, boundary):
-    """Per-chunk sums (not means) of the maps at the given substep boundaries."""
+    ``pulses``, when given, holds one unitary or None per boundary, applied
+    right after it and included in its sum; ``dt_sub`` may then hold one
+    substep length per boundary segment. The diagonal-phase path takes no pulses.
+    """
     d = model.dim
     n_steps = boundary.size
     out = np.empty((n_steps, d * d, d * d), dtype=complex)
 
-    if model.is_diagonal:
+    if pulses is None and model.is_diagonal:
         hdiag, zdiag = _diag_parts(model)
         w = np.cumsum(b, axis=-1) * dt_sub
         wk = w[:, :, boundary]
@@ -170,13 +171,21 @@ def _chunk_map_sums(model, b, dt_sub, boundary):
             out[k] = np.diag(g.reshape(-1))
         return out
 
-    n_paths, _, n_sub = b.shape
+    n_paths = b.shape[0]
+    dt_seg = np.broadcast_to(dt_sub, boundary.shape)
+    pulses = [None] * n_steps if pulses is None else pulses
     if d == 2:
         # Hermitian op = a0 I + v . sigma with v = Re(B^H vec(op))[1:] / 2; a0
         # only adds a global phase, which cancels in U (x) conj(U)
         ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
         pv = 0.5 * np.real(ops @ _B.conj())[:, 1:]
         v_sys, v_coup = pv[0], pv[1:]
+        # a pulse c0 I + c . sigma = e^{i phi} (w I - i (x, y, z) . sigma) has
+        # (c0, i c) = e^{i phi} (w, x, y, z) and det = e^{2 i phi}; the sign the
+        # square root leaves open flips q, which leaves q q^T unchanged
+        quats = [None if p is None else np.real(np.array([0.5, 0.5j, 0.5j, 0.5j])
+                                                * (vec(p) @ _B.conj()) / np.sqrt(np.linalg.det(p)))
+                 for p in pulses]
         q_cum = np.zeros((4, n_paths))
         q_cum[0] = 1.0
         grams = np.empty((n_steps, 4, 4))
@@ -184,22 +193,26 @@ def _chunk_map_sums(model, b, dt_sub, boundary):
         for pos, end in enumerate(boundary):
             v = np.einsum("ak,paj->kjp", v_coup, b[:, :, start:end + 1])
             v += v_sys[:, None, None]
-            q_cum = _quat_mul(_su2_segment(v, dt_sub), q_cum)
+            q_cum = _quat_mul(_su2_segment(v, dt_seg[pos]), q_cum)
+            if quats[pos] is not None:
+                q_cum = _quat_mul(quats[pos], q_cum)
             grams[pos] = q_cum @ q_cum.T
             start = end + 1
         return (grams.reshape(n_steps, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_steps, 4, 4)
 
     u_cum = np.broadcast_to(np.eye(d, dtype=complex), (n_paths, d, d)).copy()
-    pos = 0
     ops = np.stack(model.couplings)
-    for j in range(n_sub):
-        h = model.h_system[None, :, :] + np.einsum("pa,aij->pij", b[:, :, j], ops)
-        w, v = np.linalg.eigh(h)
-        step = np.einsum("pij,pj,pkj->pik", v, np.exp(-1.0j * w * dt_sub), v.conj())
-        u_cum = step @ u_cum
-        if pos < n_steps and j == boundary[pos]:
-            out[pos] = _superop_sum(u_cum)
-            pos += 1
+    start = 0
+    for pos, end in enumerate(boundary):
+        for j in range(start, end + 1):
+            h = model.h_system[None, :, :] + np.einsum("pa,aij->pij", b[:, :, j], ops)
+            w, v = np.linalg.eigh(h)
+            step = np.einsum("pij,pj,pkj->pik", v, np.exp(-1.0j * w * dt_seg[pos]), v.conj())
+            u_cum = step @ u_cum
+        if pulses[pos] is not None:
+            u_cum = pulses[pos] @ u_cum
+        out[pos] = np.einsum("pab,pcd->acbd", u_cum, u_cum.conj()).reshape(d * d, d * d)
+        start = end + 1
     return out
 
 
@@ -366,44 +379,34 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
 
     ``segments`` is a sequence of ``(duration, pulse)`` pairs run in order
     within each cycle: free evolution under the noisy Hamiltonian for
-    ``duration``, then the instantaneous unitary ``pulse`` (or None). Only
-    purely longitudinal models are supported; segment propagators are then
-    exact diagonal phases given the sampled noise integrals. Chunks are
-    seeded as in :func:`simulate_process`.
+    ``duration`` in ``substeps`` frozen-noise substeps, then the
+    instantaneous ``pulse`` (or None). Any noise model is accepted; each
+    pulse must be a d x d unitary. The segments run on the step kernels of
+    :func:`simulate_process` (quaternions for a qubit, ``eigh`` steps
+    otherwise) and chunks are seeded as there.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """
-    if not model.is_diagonal:
-        raise NotImplementedError("pulsed simulation expects a diagonal noise model")
     d = model.dim
-    hdiag, zdiag = _diag_parts(model)
-    durations = np.array([float(s[0]) for s in segments])
+    seg_durs = np.tile([float(s[0]) for s in segments], n_cycles)
     pulses = [None if s[1] is None else np.asarray(s[1], dtype=complex) for s in segments]
+    for i, pulse in enumerate(pulses):
+        if pulse is not None and not (pulse.shape == (d, d) and np.linalg.norm(
+                pulse @ pulse.conj().T - np.eye(d)) <= 1e-10):
+            raise ValueError(f"segment {i}: pulse must be a {d}x{d} unitary")
     n_seg = len(segments)
 
     # Global midpoint grid: `substeps` per segment, all cycles concatenated.
-    starts = np.concatenate([[0.0], np.cumsum(np.tile(durations, n_cycles))])[:-1]
-    seg_durs = np.tile(durations, n_cycles)
-    mids = []
-    for t0, tau in zip(starts, seg_durs):
-        mids.append(t0 + (np.arange(substeps) + 0.5) * (tau / substeps))
-    midpoints = np.concatenate(mids)
+    starts = np.concatenate([[0.0], np.cumsum(seg_durs)])[:-1]
+    midpoints = np.concatenate([t0 + (np.arange(substeps) + 0.5) * (tau / substeps)
+                                for t0, tau in zip(starts, seg_durs)])
     sampler = GaussianPathSampler(model.noise, midpoints)
+    boundary = substeps * np.arange(1, n_seg * n_cycles + 1) - 1
 
     acc = np.zeros((n_cycles, d * d, d * d), dtype=complex)
     for _, b in _chunks(sampler, n_traj, seed, chunk_size):
-        u_cum = np.broadcast_to(np.eye(d, dtype=complex), (b.shape[0], d, d)).copy()
-        for s in range(n_seg * n_cycles):
-            tau = seg_durs[s]
-            sl = slice(s * substeps, (s + 1) * substeps)
-            w_seg = b[:, :, sl].sum(axis=-1) * (tau / substeps)
-            phi = hdiag[None, :] * tau + w_seg @ zdiag
-            u_cum = np.exp(-1.0j * phi)[:, :, None] * u_cum
-            pulse = pulses[s % n_seg]
-            if pulse is not None:
-                u_cum = np.einsum("ab,pbc->pac", pulse, u_cum)
-            if (s + 1) % n_seg == 0:
-                acc[(s + 1) // n_seg - 1] += _superop_sum(u_cum)
+        sums = _chunk_map_sums(model, b, seg_durs / substeps, boundary, pulses * n_cycles)
+        acc += sums[n_seg - 1::n_seg]
     return [acc[k] / n_traj for k in range(n_cycles)]
 
 

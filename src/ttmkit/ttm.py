@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liouville import identity_superop, unvec, vec
+from .liouville import unvec, vec
 
 __all__ = [
     "build_ttms",
@@ -49,19 +49,17 @@ def predict_maps(tensors, n_total, k_trunc=None):
     """Extend a map series to n_total steps using at most k_trunc tensors.
 
     E_n = sum_{m=1}^{min(n, k_trunc)} T_m E_{n-m} with E_0 = I. For
-    n <= k_trunc this reproduces the maps the tensors came from.
+    n <= k_trunc this reproduces the maps the tensors came from. Each step is
+    one product of [T_k ... T_1] with the last k maps, zero-padded before E_0.
     """
     k_trunc = _check_trunc(tensors, k_trunc)
-    dim = tensors[0].shape[0]
-    history = [identity_superop(int(round(np.sqrt(dim))))]
-    out = []
+    d2 = tensors[0].shape[0]
+    t_cat = np.concatenate(tensors[k_trunc - 1::-1], axis=1)
+    buf = np.zeros((k_trunc + n_total, d2, d2), dtype=complex)
+    buf[k_trunc - 1] = np.eye(d2)
     for n in range(1, n_total + 1):
-        acc = np.zeros(tensors[0].shape, dtype=complex)
-        for m in range(1, min(n, k_trunc) + 1):
-            acc += tensors[m - 1] @ history[n - m]
-        history.append(acc)
-        out.append(acc)
-    return out
+        buf[k_trunc - 1 + n] = t_cat @ buf[n - 1:n - 1 + k_trunc].reshape(-1, d2)
+    return list(buf[k_trunc:])
 
 
 def predict_states(tensors, rho0, n_steps, k_trunc=None):

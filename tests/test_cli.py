@@ -272,11 +272,15 @@ def test_ingest_mode_roundtrip(tmp_path):
 
 
 def test_xy4_mode(tmp_path):
-    written = run_config(_xy4_cfg(), str(tmp_path))
-    assert written[0].endswith("xy4_norms.csv")
-    cols, _ = read_series_csv(tmp_path / "xy4_norms.csv")
-    assert set(cols) == {"n", "free", "xy4"}
-    assert cols["n"].size == 3
+    # a z channel, and an x channel off the diagonal-phase path
+    transverse = _xy4_cfg()
+    transverse["system"]["channels"] = [{"axis": "x", "qubit": 1}]
+    for cfg in (_xy4_cfg(), transverse):
+        written = run_config(cfg, str(tmp_path))
+        assert written[0].endswith("xy4_norms.csv")
+        cols, _ = read_series_csv(tmp_path / "xy4_norms.csv")
+        assert set(cols) == {"n", "free", "xy4"}
+        assert cols["n"].size == 3
 
 
 def test_main_exit_codes_and_subcommands(tmp_path, capsys):

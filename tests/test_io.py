@@ -17,7 +17,7 @@ from ttmkit.io import (
     write_report,
     write_series_csv,
 )
-from ttmkit.qpt import simulate_qpt
+from ttmkit.qpt import QptRecord, simulate_qpt
 
 from conftest import random_cptp
 
@@ -78,6 +78,10 @@ def test_qpt_csv_roundtrip(tmp_path):
     write_qpt_csv(path, records)
     back = read_qpt_csv(path)
     assert back == records  # dataclass equality, expectations via repr
+    # a numpy scalar is written as a plain float, not as "np.float64(0.5)"
+    scalar = [QptRecord(1, "psi0", "Z", np.float64(0.5), 0)]
+    write_qpt_csv(path, scalar)
+    assert read_qpt_csv(path) == scalar
 
 
 def test_qpt_csv_error_lines(tmp_path):

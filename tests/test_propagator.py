@@ -16,7 +16,7 @@ from ttmkit.liouville import (
     vec,
 )
 from ttmkit.noisegen import NoiseModel, NoisePath, sample_paths
-from ttmkit.presets import dd_demo_model, revival_demo_model
+from ttmkit.presets import dd_demo_model, revival_demo_model, transverse_noise_model
 from ttmkit.propagator import (
     SystemModel,
     _chunk_map_sums,
@@ -131,7 +131,7 @@ def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
 def test_pulsed_process_without_pulses_matches_simulate_process():
     # one pulse-free segment per cycle is the plain map grid: both drivers
     # must draw the same noise chunk by chunk and give the same maps
-    for model in (dd_demo_model(), revival_demo_model()):
+    for model in (dd_demo_model(), revival_demo_model(), transverse_noise_model()):
         for dt, n_steps, substeps in ((0.2, 6, 4), (0.5, 3, 2)):
             plain = simulate_process(model, dt, n_steps, n_traj=600, substeps=substeps,
                                      seed=21, chunk_size=256)
@@ -282,6 +282,51 @@ def test_su2_kernel_matches_per_path_expm_products():
                 want[list(boundary).index(j)] += unitary_superop(u)
     got = _chunk_map_sums(model, b, dt_sub, boundary)
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pulsed_kernels_match_per_path_expm_products():
+    # a transverse qubit (quaternion kernel) and a non-diagonal pair (eigh
+    # kernel) with uneven substep lengths per segment and a pulse carrying
+    # a global phase: pulses act right after their boundary, inside its sum
+    eye = np.eye(2)
+    hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
+    qubit = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_X, SIGMA_Y),
+                        noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                                         cross=np.eye(2)))
+    pair = SystemModel(h_system=0.1 * np.kron(SIGMA_Z, eye) + 0.05 * np.kron(SIGMA_Z, SIGMA_Z),
+                       couplings=(np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Z)),
+                       noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
+                                        cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+    rng = np.random.default_rng(8)
+    boundary = np.array([2, 5, 6, 11])
+    dt_seg = np.array([0.1, 0.25, 0.05, 0.15])
+    for model, pulses in ((qubit, [hadamard, None, SIGMA_Y, hadamard]),
+                          (pair, [np.kron(hadamard, eye), None, np.kron(eye, SIGMA_Y),
+                                  np.kron(SIGMA_X, hadamard)])):
+        d, n_paths = model.dim, 6
+        b = rng.normal(scale=2.0, size=(n_paths, 2, boundary[-1] + 1))
+        want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
+        for p in range(n_paths):
+            u = np.eye(d, dtype=complex)
+            start = 0
+            for pos, end in enumerate(boundary):
+                for j in range(start, end + 1):
+                    h = model.h_system + sum(b[p, a, j] * c
+                                             for a, c in enumerate(model.couplings))
+                    u = expm(-1.0j * h * dt_seg[pos]) @ u
+                if pulses[pos] is not None:
+                    u = pulses[pos] @ u
+                want[pos] += unitary_superop(u)
+                start = end + 1
+        got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pulsed_process_rejects_non_unitary_pulses():
+    model = dd_demo_model()
+    for pulse in (0.5 * SIGMA_X, np.eye(4), np.ones(2)):
+        with pytest.raises(ValueError, match="segment 1: pulse must be a 2x2 unitary"):
+            simulate_pulsed_process(model, [(0.5, SIGMA_X), (0.5, pulse)], 1, n_traj=8)
 
 
 def test_chunk_means_average_to_the_estimate():

@@ -47,6 +47,25 @@ def test_recursion_inverts_exactly():
         assert worst < 1e-12
 
 
+def test_recursion_and_prediction_match_the_double_sums():
+    # the written-out sums on non-commuting maps, with a truncated prediction
+    rng = np.random.default_rng(6)
+    for d in (2, 4):
+        maps = _random_map_series(d, 6, rng)
+        tensors = build_ttms(maps)
+        want = []
+        for n in range(1, 7):
+            want.append(maps[n - 1] - sum(want[n - m - 1] @ maps[m - 1] for m in range(1, n)))
+        npt.assert_allclose(np.stack(tensors), np.stack(want), rtol=0, atol=1e-12)
+        k_trunc, n_total = 3, 9
+        history = [np.eye(d * d)]
+        for n in range(1, n_total + 1):
+            history.append(sum(tensors[m - 1] @ history[n - m]
+                               for m in range(1, min(n, k_trunc) + 1)))
+        npt.assert_allclose(np.stack(predict_maps(tensors, n_total, k_trunc)),
+                            np.stack(history[1:]), rtol=0, atol=1e-12)
+
+
 def test_semigroup_has_no_memory():
     rng = np.random.default_rng(3)
     e1 = random_lindblad_step(2, rng, dt=0.4)
