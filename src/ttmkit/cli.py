@@ -71,6 +71,15 @@ def _integer(cfg, path, required=True, default=None, minimum=None):
     return val
 
 
+def _positive_list(cfg, path, n):
+    val = _get(cfg, path, required=False)
+    if val is not None and not (isinstance(val, list) and len(val) == n and all(
+            not isinstance(x, bool) and isinstance(x, (int, float)) and x > 0 for x in val)):
+        raise ConfigError(f"field '{path}': expected {n} positive numbers (one per input), "
+                          f"got {val!r}")
+    return val
+
+
 def _string(cfg, path, required=True, default=None, choices=None):
     val = _get(cfg, path, required, default)
     if val is None:
@@ -163,11 +172,11 @@ def _grid(cfg, substeps, n_channels):
     return dt, n_steps
 
 
-def _load_maps(cfg, out_dir, field="input"):
-    path = _string(cfg, field)
+def _read_input(cfg, out_dir, reader=io.read_map_series):
+    path = _string(cfg, "input")
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    return _stage("io", io.read_map_series, path)
+    return _stage("io", reader, path)
 
 
 def _meta_for(cfg, extra=None):
@@ -199,7 +208,7 @@ def _mode_simulate(cfg, out_dir):
 
 
 def _mode_ttm(cfg, out_dir):
-    maps, info = _load_maps(cfg, out_dir)
+    maps, info = _read_input(cfg, out_dir)
     tensors = _stage("ttm", build_ttms, maps)
     out = os.path.join(out_dir, "ttm_norms.csv")
     io.write_series_csv(out, {
@@ -216,7 +225,7 @@ def _mode_ttm(cfg, out_dir):
 
 
 def _mode_nonmarkov(cfg, out_dir):
-    maps, info = _load_maps(cfg, out_dir)
+    maps, info = _read_input(cfg, out_dir)
     series = _stage("nonmarkov", volume_series, maps, info["dt"])
     out = os.path.join(out_dir, "volume.csv")
     io.write_series_csv(out, {"time": series.times, "volume": series.values},
@@ -247,24 +256,27 @@ def _mode_spectroscopy(cfg, out_dir):
     if inputs is not None:
         if not isinstance(inputs, list) or len(inputs) < 2:
             raise ConfigError("field 'inputs': expected two or more map files")
-        loaded = [_load_maps({"input": p}, out_dir) for p in inputs]
+        gammas = _positive_list(cfg, "gammas", len(inputs))
+        biases = _positive_list(cfg, "protocol_biases", len(inputs))
+        loaded = [_read_input({"input": p}, out_dir) for p in inputs]
         dt = loaded[0][1]["dt"]
         ls = hamiltonian_liouvillian(model.h_system)
         kernel_runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m),
                               ls, dt) for m, _ in loaded]
-        gammas = _get(cfg, "gammas", required=False)
-        biases = _get(cfg, "protocol_biases", required=False)
         combined, diag = _stage("spectroscopy", combine_scaled_kernels, kernel_runs,
                                 gammas=gammas, biases=biases, dt=dt)
         kernels = list(combined)
         cond = diag["condition"]
     else:
-        maps, info = _load_maps(cfg, out_dir)
+        maps, info = _read_input(cfg, out_dir)
         dt = info["dt"]
         ls = hamiltonian_liouvillian(model.h_system)
         kernels = _stage("ttm", extract_kernel, _stage("ttm", build_ttms, maps), ls, dt)
         cond = None
     n_fit = _integer(cfg, "n_fit", required=False, default=len(kernels), minimum=1)
+    if n_fit > len(kernels):
+        raise ConfigError(f"field 'n_fit': must be <= {len(kernels)}, the number of "
+                          f"kernels, got {n_fit}")
     channels = _get(cfg, "channels", required=False, default=[["z", "z"]])
     try:
         active = tuple((a, b) for a, b in channels)
@@ -294,7 +306,7 @@ def _mode_spectroscopy(cfg, out_dir):
 
 
 def _mode_twoqubit(cfg, out_dir):
-    maps, info = _load_maps(cfg, out_dir)
+    maps, info = _read_input(cfg, out_dir)
     if info["dim"] != 4:
         raise ConfigError("field 'input': twoqubit mode needs dim-4 maps")
     written = _stage("multiqubit", presets._pair_study, out_dir, "twoqubit", maps,
@@ -303,10 +315,7 @@ def _mode_twoqubit(cfg, out_dir):
 
 
 def _mode_ingest(cfg, out_dir):
-    path = _string(cfg, "input")
-    if not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
-    records = _stage("io", io.read_qpt_csv, path)
+    records = _read_input(cfg, out_dir, io.read_qpt_csv)
     maps = _stage("qpt", reconstruct_maps, records)
     if _get(cfg, "project_cptp", required=False, default=False):
         maps = [_stage("qpt", project_cptp, m) for m in maps]

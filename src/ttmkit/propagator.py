@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import _B, commutator_superop, unitary_superop, vec
+from .liouville import _B, commutator_superop, vec
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -68,12 +68,17 @@ class SystemModel:
         return all(np.allclose(op, np.diag(np.diagonal(op)), atol=1e-14) for op in ops)
 
 
+def _free_superops(h, times):
+    """Superoperators U(t) (x) conj(U(t)) of U(t) = exp(-i h t), one per time."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    u = (v * np.exp(-1.0j * w * np.reshape(times, (-1, 1)))[:, None, :]) @ v.conj().T
+    d = w.size
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
+
+
 def free_evolution_superop(h, t):
     """Superoperator of the noiseless evolution exp(-i h t) rho exp(+i h t)."""
-    h = np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1.0j * w * t)) @ v.conj().T
-    return unitary_superop(u)
+    return _free_superops(h, [t])[0]
 
 
 def evolve_trajectory(model, path, rho0):
@@ -219,55 +224,38 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
 def _cv_generators(model, dt_sub, midpoints):
     """Interaction-picture noise generators, one per (channel, substep).
 
-    g[a, j] = dt_sub * S_free(-s_j) (-i [sigma_a, .]) S_free(s_j) with s_j
+    g[a, j] = dt_sub * S_free(s_j)^H (-i [sigma_a, .]) S_free(s_j) with s_j
     the substep midpoint. These are the linear-response coefficients of the
     exact per-path map with respect to the frozen noise values.
     """
-    d = model.dim
-    lv = [-1.0j * commutator_superop(c) for c in model.couplings]
-    w, v = np.linalg.eigh(model.h_system)
-    g = np.empty((len(lv), midpoints.size, d * d, d * d), dtype=complex)
-    for j, s in enumerate(midpoints):
-        u = (v * np.exp(-1.0j * w * s)) @ v.conj().T
-        sf = unitary_superop(u)
-        sb = unitary_superop(u.conj().T)
-        for a in range(len(lv)):
-            g[a, j] = dt_sub * (sb @ lv[a] @ sf)
-    return g
+    lv = np.stack([-1.0j * commutator_superop(c) for c in model.couplings])
+    s = _free_superops(model.h_system, midpoints)
+    return dt_sub * (s.conj().swapaxes(-1, -2) @ lv[:, None] @ s)
 
 
 def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
     """Second-order map functional evaluated on the sampled-moment excess.
 
-    Accumulates, substep by substep in time order,
+    Sums, over substeps up to each boundary,
 
         sum_J bbar_J g_J
       + sum_{j > j'} sum_{a a'} dM[(a,j),(a',j')] g_{a j} g_{a' j'}
       + (1/2) sum_j sum_{a a'} dM[(a,j),(a',j)] g_{a j} g_{a' j}
 
-    and left-multiplies by the free map at each boundary. Subtracting this
-    from the raw ensemble mean removes the sampling fluctuation of the first
-    and second noise moments while leaving the expectation untouched.
+    and left-multiplies by the free map at dt, 2 dt, ... for the successive
+    boundaries. Subtracting this from the raw ensemble mean removes the
+    sampling fluctuation of the first and second noise moments while leaving
+    the expectation untouched. ``delta_m``, shaped (n_ch, n_sub, n_ch, n_sub),
+    is overwritten by its time-ordered weighting.
     """
     n_ch, n_sub = g.shape[:2]
-    d2 = g.shape[-1]
-    acc = np.zeros((d2, d2), dtype=complex)
-    out = np.empty((len(boundary), d2, d2), dtype=complex)
-    pos = 0
-    for j in range(n_sub):
-        gj = g[:, j]
-        if j > 0:
-            inner = np.einsum("abk,bkuv->auv", delta_m[:, j, :, :j], g[:, :j])
-            for a in range(n_ch):
-                acc += gj[a] @ inner[a]
-        inner_same = np.einsum("ab,buv->auv", delta_m[:, j, :, j], gj)
-        for a in range(n_ch):
-            acc += 0.5 * (gj[a] @ inner_same[a])
-        acc += np.einsum("a,auv->uv", bbar[:, j], gj)
-        if pos < len(boundary) and j == boundary[pos]:
-            out[pos] = free_evolution_superop(model.h_system, dt * (pos + 1)) @ acc
-            pos += 1
-    return out
+    delta_m *= (np.tril(np.ones((n_sub, n_sub)), -1) + 0.5 * np.eye(n_sub))[:, None, :]
+    # real weights act on the real and imaginary parts alike, so the
+    # (n_ch n_sub)^2 weight matrix is never copied to complex
+    g_flat = g.reshape(n_ch * n_sub, -1).view(float)
+    inner = (delta_m.reshape(g_flat.shape[0], -1) @ g_flat).view(complex).reshape(g.shape)
+    acc = np.cumsum((g @ inner + bbar[:, :, None, None] * g).sum(axis=0), axis=0)
+    return _free_superops(model.h_system, dt * np.arange(1, len(boundary) + 1)) @ acc[boundary]
 
 
 def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
@@ -315,9 +303,10 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     collect_chunk_means : bool
         Also return the per-chunk map means, shaped
         (n_chunks, n_steps, d^2, d^2), for Monte Carlo error estimates.
-        Chunks are equal-weight in that array; choose n_traj divisible by
-        chunk_size when using it. Chunk means are raw, without the
-        control-variate correction.
+        Chunks are equal-weight in that array; when using it, make the
+        drawn paths (n_traj, or n_traj / 2 with ``antithetic`` pairs)
+        divisible by chunk_size, or the last chunk holds fewer paths. Chunk
+        means are raw, without the control-variate correction.
     control_variate : bool
         Subtract the second-order moment-matching control variate: the
         known response of the maps to the first and second sample moments
@@ -360,17 +349,16 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         if collect_chunk_means:
             chunk_means.append(contrib / b.shape[0])
 
-    maps = [acc[k] / n_traj for k in range(n_steps)]
+    maps = acc / n_traj
     if control_variate:
         bbar = (sum_b / n_traj).reshape(n_ch, n_sub)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape(
             n_ch, n_sub, n_ch, n_sub)
         g = _cv_generators(model, dt_sub, midpoints)
-        corrections = _cv_corrections(model, g, bbar, delta_m, boundary, dt)
-        maps = [m - c for m, c in zip(maps, corrections)]
+        maps -= _cv_corrections(model, g, bbar, delta_m, boundary, dt)
     if collect_chunk_means:
-        return maps, np.array(chunk_means)
-    return maps
+        return list(maps), np.array(chunk_means)
+    return list(maps)
 
 
 def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,

@@ -265,7 +265,7 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
     - biases: system frequencies w_i with w_0 the reference; g_i = w_0/w_i.
       Runs are compared on the dimensionless grid tau = w_i t, so the
       kernels are rescaled by 1/w_i^2 and linearly interpolated onto the
-      reference grid (requires dt and w_i >= w_0).
+      reference grid (requires dt and w_i >= w_0 > 0).
 
     Returns
     -------
@@ -285,6 +285,8 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
         w = np.asarray(biases, dtype=float)
         if dt is None:
             raise ValueError("biases route needs dt to build the dimensionless grids")
+        if not np.all(w > 0):
+            raise ValueError(f"bias frequencies must be positive, got {w.tolist()}")
         if np.any(w[1:] < w[0]):
             raise ValueError("bias frequencies must not fall below the reference w_0")
         g = w[0] / w

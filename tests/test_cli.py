@@ -214,6 +214,43 @@ def test_spectroscopy_mode_scaled_inputs(tmp_path):
     assert abs(corr["c_re"][0] - lam0) < 0.002
 
 
+def _spectroscopy_cfg(tmp_path, n_maps=10, **over):
+    model = SystemModel(h_system=0.02 * SIGMA_Z, couplings=(SIGMA_Z,),
+                        noise=NoiseModel.single(0.01, 1.0))
+    for tag in ("a", "b"):
+        write_map_series(tmp_path / f"maps_{tag}.json",
+                         dephasing_map_series(model, 0.04, n_maps), dt=0.04)
+    cfg = {"mode": "spectroscopy", "input": "maps_a.json",
+           "system": {"n_qubits": 1, "biases": [0.02],
+                      "channels": [{"axis": "z", "qubit": 1}]},
+           "noise": {"variances": [0.01], "decay_rates": [1.0]}}
+    cfg.update(over)
+    return _write_cfg(tmp_path, cfg)
+
+
+def test_spectroscopy_n_fit_above_kernel_count_is_config_error(tmp_path, capsys):
+    cfg_path = _spectroscopy_cfg(tmp_path, n_fit=50)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'n_fit'" in err and "10" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("protocol_biases", [0.0, 0.1]),
+    ("protocol_biases", [-0.1, 0.2]),
+    ("protocol_biases", [0.1]),
+    ("gammas", [1.0, -0.5]),
+    ("gammas", [1.0, True]),
+])
+def test_spectroscopy_scales_must_be_positive_one_per_input(tmp_path, capsys, field, value):
+    cfg_path = _spectroscopy_cfg(tmp_path, inputs=["maps_a.json", "maps_b.json"],
+                                 **{field: value})
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}'" in err
+
+
 def test_twoqubit_mode(tmp_path):
     z1 = np.kron(SIGMA_Z, np.eye(2))
     z2 = np.kron(np.eye(2), SIGMA_Z)

@@ -20,6 +20,8 @@ from ttmkit.presets import dd_demo_model, revival_demo_model, transverse_noise_m
 from ttmkit.propagator import (
     SystemModel,
     _chunk_map_sums,
+    _cv_corrections,
+    _cv_generators,
     dephasing_map,
     dephasing_map_series,
     evolve_trajectory,
@@ -259,6 +261,47 @@ def test_control_variate_transverse_channel():
     raw_err = max(map_distance(a, b) for a, b in zip(raw, ref))
     cv_err = max(map_distance(a, b) for a, b in zip(cv, ref))
     assert cv_err < raw_err / 10.0
+
+
+def test_control_variate_helpers_match_written_out_sums():
+    # two qubits with x noise on qubit 1 and y noise on qubit 2: generators
+    # g[a, j] = dt_sub S(s_j)^H L_a S(s_j) and the time-ordered second-order
+    # sum, taken pair by pair, on three uneven boundaries
+    eye = np.eye(2)
+    h = 0.3 * np.kron(SIGMA_Z, eye) - 0.7 * np.kron(eye, SIGMA_Z)
+    ops = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y))
+    model = SystemModel(h_system=h, couplings=ops,
+                        noise=NoiseModel.independent([1.0, 0.5], [1.0, 2.0]))
+    n_ch, n_sub, dt_sub, dt = 2, 12, 0.05, 0.2
+    midpoints = (np.arange(n_sub) + 0.5) * dt_sub
+    boundary = np.array([2, 3, 11])
+    rng = np.random.default_rng(8)
+    dm = rng.normal(size=(n_ch * n_sub, n_ch * n_sub))
+    dm = (dm + dm.T).reshape(n_ch, n_sub, n_ch, n_sub)
+    bbar = rng.normal(size=(n_ch, n_sub))
+
+    def s_free(t):
+        return unitary_superop(expm(-1.0j * h * t))
+
+    lv = [-1.0j * (np.kron(c, np.eye(4)) - np.kron(np.eye(4), c.T)) for c in ops]
+    g_want = np.array([[dt_sub * s_free(s).conj().T @ lv[a] @ s_free(s) for s in midpoints]
+                       for a in range(n_ch)])
+    g = _cv_generators(model, dt_sub, midpoints)
+    npt.assert_allclose(g, g_want, rtol=0, atol=1e-13)
+
+    want = np.zeros((boundary.size, 16, 16), dtype=complex)
+    for pos, end in enumerate(boundary):
+        acc = np.zeros((16, 16), dtype=complex)
+        for a in range(n_ch):
+            for j in range(end + 1):
+                acc += bbar[a, j] * g_want[a, j]
+                for a2 in range(n_ch):
+                    for j2 in range(j + 1):
+                        weight = 0.5 if j2 == j else 1.0
+                        acc += weight * dm[a, j, a2, j2] * g_want[a, j] @ g_want[a2, j2]
+        want[pos] = s_free(dt * (pos + 1)) @ acc
+    got = _cv_corrections(model, g, bbar, dm.copy(), boundary, dt)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_su2_kernel_matches_per_path_expm_products():

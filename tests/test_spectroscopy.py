@@ -271,3 +271,6 @@ def test_combine_scaled_kernels_argument_checks():
         combine_scaled_kernels(stack, biases=[2.0, 1.0], dt=0.1)
     with pytest.raises(ValueError, match="stack"):
         combine_scaled_kernels(np.zeros((3, 4, 4)), gammas=[1.0])
+    for biases in ([0.0, 0.1], [-0.1, 0.2]):
+        with pytest.raises(ValueError, match="must be positive"):
+            combine_scaled_kernels(stack, biases=biases, dt=0.1)
