@@ -260,6 +260,10 @@ def _mode_spectroscopy(cfg, out_dir):
         biases = _positive_list(cfg, "protocol_biases", len(inputs))
         loaded = [_read_input({"input": p}, out_dir) for p in inputs]
         dt = loaded[0][1]["dt"]
+        for path, (_, info) in zip(inputs[1:], loaded[1:]):
+            if info["dt"] != dt:
+                raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
+                                  f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
         ls = hamiltonian_liouvillian(model.h_system)
         kernel_runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m),
                               ls, dt) for m, _ in loaded]

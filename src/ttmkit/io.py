@@ -40,14 +40,15 @@ def write_map_series(path, maps, dt, n_traj=0, meta=None):
         "maps": [
             {
                 "time_index": k + 1,
-                "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+                "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
             }
             for k, m in enumerate(maps)
         ],
     }
+    # json.dumps runs the C encoder; json.dump to a file does not
+    text = json.dumps(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_map_series(path):

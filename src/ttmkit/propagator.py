@@ -15,10 +15,14 @@ Hamiltonian and couplings) take an exact fast path through accumulated
 phase integrals, which for commuting generators reproduces the substep
 product to machine precision. Other qubits carry each path's propagator as
 a unit quaternion (SU(2) up to the global phase, which cancels in the
-maps); larger models multiply per-path ``eigh`` steps. The last two also
-insert the instantaneous pulses of :func:`simulate_pulsed_process`.
+maps). Larger models keep all propagators of a chunk in one (d, d, P)
+array, path axis last, and take each substep's exp(-i H tau) for every path
+at once as a scaled-and-squared degree-15 Taylor polynomial, with no
+eigendecomposition; each step is unitary to rounding. The last two kernels
+also insert the instantaneous pulses of :func:`simulate_pulsed_process`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +156,58 @@ def _su2_segment(v, dt_sub):
     return q[:, 0]
 
 
+def _mm(a, b):
+    """Per-path products a @ b of (d, d, P) stacks, the path axis last."""
+    out = a[:, 0, None] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[j]
+    return out
+
+
+# For |A|_1 <= theta, theta^16 / 16! = 2^-53, the degree-15 Taylor polynomial
+# of exp(A) is truncated below double-precision rounding. Row i of the block matrix holds
+# the coefficients 1/(4i + k)!, k = 0..3, of A^k in the i-th power of A^4.
+_TAYLOR_THETA = (2.0**-53 * math.factorial(16)) ** (1 / 16)
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * i + k) for k in range(4)]
+                           for i in range(4)])
+
+
+def _expm_paths(a, powers):
+    """exp(a) for a (d, d, P) stack, by scaling and squaring a Taylor polynomial.
+
+    One scaling 2^-s serves the whole stack, set by its largest 1-norm nu
+    so that 2^-s nu <= theta (for a = -i H tau with H Hermitian, nu bounds
+    the spectral norm of H tau). The polynomial sum_i B_i (A^4)^i with
+    B_i = sum_k A^k / (4i + k)! is evaluated by Paterson and Stockmeyer's
+    scheme: A^2, A^3, A^4 and three Horner products in A^4, the four B_i
+    from one real product with ``_TAYLOR_BLOCKS``; s squarings follow.
+    ``powers`` is a (4, d, d, P) work buffer whose slot 0 holds the identity.
+    """
+    nu = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(nu / _TAYLOR_THETA)) if nu > _TAYLOR_THETA else 0
+    np.multiply(a, 0.5**s, out=powers[1])
+    powers[2] = _mm(powers[1], powers[1])
+    powers[3] = _mm(powers[2], powers[1])
+    a4 = _mm(powers[2], powers[2])
+    blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1).view(float)).view(complex)
+    blocks = blocks.reshape(powers.shape)
+    e = blocks[3]
+    for i in (2, 1, 0):
+        e = _mm(e, a4)
+        e += blocks[i]
+    for _ in range(s):
+        e = _mm(e, e)
+    return e
+
+
 def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     """Per-chunk sums (not means) of the maps at the given substep boundaries.
+
+    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub). Three step
+    kernels: diagonal models sum phases, qubits multiply unit quaternions,
+    and any other model carries its (d, d, P) propagators with the path
+    axis last, multiplied by one :func:`_expm_paths` step per substep. Each
+    step is unitary to rounding, so the summed maps stay trace preserving.
 
     ``pulses``, when given, holds one unitary or None per boundary, applied
     right after it and included in its sum; ``dt_sub`` may then hold one
@@ -205,18 +259,22 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
             start = end + 1
         return (grams.reshape(n_steps, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_steps, 4, 4)
 
-    u_cum = np.broadcast_to(np.eye(d, dtype=complex), (n_paths, d, d)).copy()
-    ops = np.stack(model.couplings)
+    ops = np.stack(model.couplings).reshape(-1, d * d).T
+    h = model.h_system.reshape(-1, 1)
+    u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
+    powers = np.empty((4, d, d, n_paths), dtype=complex)
+    powers[0] = np.eye(d)[:, :, None]
     start = 0
     for pos, end in enumerate(boundary):
         for j in range(start, end + 1):
-            h = model.h_system[None, :, :] + np.einsum("pa,aij->pij", b[:, :, j], ops)
-            w, v = np.linalg.eigh(h)
-            step = np.einsum("pij,pj,pkj->pik", v, np.exp(-1.0j * w * dt_seg[pos]), v.conj())
-            u_cum = step @ u_cum
+            a = (-1.0j * dt_seg[pos]) * (h + ops @ b[:, :, j].T)
+            u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
         if pulses[pos] is not None:
-            u_cum = pulses[pos] @ u_cum
-        out[pos] = np.einsum("pab,pcd->acbd", u_cum, u_cum.conj()).reshape(d * d, d * d)
+            u = (pulses[pos] @ u.reshape(d, -1)).reshape(u.shape)
+        # sum_p U (x) conj(U) is the Gram matrix of the vec(U_p), reordered
+        flat = u.reshape(d * d, n_paths)
+        gram = (flat @ flat.conj().T).reshape(d, d, d, d)
+        out[pos] = gram.transpose(0, 2, 1, 3).reshape(d * d, d * d)
         start = end + 1
     return out
 
@@ -370,8 +428,8 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     ``duration`` in ``substeps`` frozen-noise substeps, then the
     instantaneous ``pulse`` (or None). Any noise model is accepted; each
     pulse must be a d x d unitary. The segments run on the step kernels of
-    :func:`simulate_process` (quaternions for a qubit, ``eigh`` steps
-    otherwise) and chunks are seeded as there.
+    :func:`simulate_process` (quaternions for a qubit, Taylor exponential
+    steps otherwise) and chunks are seeded as there.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """

@@ -277,6 +277,8 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
     n_runs, n_times = stack.shape[:2]
     if (gammas is None) == (biases is None):
         raise ValueError("pass exactly one of gammas or biases")
+    if len(gammas if biases is None else biases) != n_runs:
+        raise ValueError("need one scale factor per kernel series")
 
     if gammas is not None:
         g = np.asarray(gammas, dtype=float)
@@ -304,8 +306,6 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
                 )
             tilde[i] = interp.reshape(stack[i].shape)
 
-    if len(g) != n_runs:
-        raise ValueError("need one scale factor per kernel series")
     powers = np.arange(1, n_runs + 1)
     vand = g[:, None] ** (2 * powers[None, :])
     unit = np.zeros(n_runs)

@@ -251,6 +251,17 @@ def test_spectroscopy_scales_must_be_positive_one_per_input(tmp_path, capsys, fi
     assert "config error" in err and f"'{field}'" in err
 
 
+def test_spectroscopy_inputs_must_share_dt(tmp_path, capsys):
+    cfg_path = _spectroscopy_cfg(tmp_path, inputs=["maps_a.json", "maps_b.json"],
+                                 gammas=[1.0, 0.5])
+    maps, _ = read_map_series(tmp_path / "maps_b.json")
+    write_map_series(tmp_path / "maps_b.json", maps, dt=0.4)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'inputs'" in err and "0.04" in err and "0.4 " in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_twoqubit_mode(tmp_path):
     z1 = np.kron(SIGMA_Z, np.eye(2))
     z2 = np.kron(np.eye(2), SIGMA_Z)

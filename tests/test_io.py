@@ -45,6 +45,19 @@ def test_map_series_json_layout(tmp_path):
     assert all(len(e) == 2 for e in doc["maps"][0]["entries"])
 
 
+def test_map_series_bytes_are_pinned(tmp_path):
+    # signed zeros, subnormal-range and shortest-repr values written as before
+    path = tmp_path / "maps.json"
+    maps = [np.array([[1.0 + 0.0j]]), np.array([[complex(-0.0, 1e-300)]]),
+            np.array([[complex(0.1 + 0.2, -2.5e-17)]])]
+    write_map_series(path, maps, dt=0.1, n_traj=3, meta={"seed": 7})
+    assert path.read_bytes() == (
+        b'{"dim": 1, "dt": 0.1, "n_traj": 3, "convention": "row-major-vec", '
+        b'"meta": {"seed": "7"}, "maps": [{"time_index": 1, "entries": [[1.0, 0.0]]}, '
+        b'{"time_index": 2, "entries": [[-0.0, 1e-300]]}, '
+        b'{"time_index": 3, "entries": [[0.30000000000000004, -2.5e-17]]}]}\n')
+
+
 def test_map_series_validates_document(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "maps.json"

@@ -18,6 +18,7 @@ from ttmkit.liouville import (
 from ttmkit.noisegen import NoiseModel, NoisePath, sample_paths
 from ttmkit.presets import dd_demo_model, revival_demo_model, transverse_noise_model
 from ttmkit.propagator import (
+    _TAYLOR_THETA,
     SystemModel,
     _chunk_map_sums,
     _cv_corrections,
@@ -103,9 +104,19 @@ def test_evolve_trajectory_validation():
         evolve_trajectory(model, two, np.eye(2) / 2)
 
 
+def _random_hermitian(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (g + g.conj().T)
+
+
+def _random_unitary(d, rng):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
 def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
-    # a transverse qubit (quaternion kernel) and a non-diagonal pair
-    # (eigh kernel) against per-step expm products applied to rho0
+    # a transverse qubit (quaternion kernel), a non-diagonal pair and a
+    # strongly driven qutrit whose steps take several squarings (Taylor
+    # kernel) against per-step expm products applied to rho0
     rng = np.random.default_rng(17)
     eye = np.eye(2)
     qubit = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_X, SIGMA_Y),
@@ -116,7 +127,11 @@ def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
                        couplings=(np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y)),
                        noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
                                         cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
-    for model in (qubit, pair):
+    qutrit = SystemModel(h_system=_random_hermitian(3, rng),
+                         couplings=(10.0 * _random_hermitian(3, rng),
+                                    10.0 * _random_hermitian(3, rng)),
+                         noise=pair.noise)
+    for model in (qubit, pair, qutrit):
         d = model.dim
         dt, n_steps = 0.15, 9
         path = NoisePath(dt, rng.normal(scale=2.0, size=(2, n_steps)))
@@ -328,7 +343,7 @@ def test_su2_kernel_matches_per_path_expm_products():
 
 
 def test_pulsed_kernels_match_per_path_expm_products():
-    # a transverse qubit (quaternion kernel) and a non-diagonal pair (eigh
+    # a transverse qubit (quaternion kernel) and a non-diagonal pair (Taylor
     # kernel) with uneven substep lengths per segment and a pulse carrying
     # a global phase: pulses act right after their boundary, inside its sum
     eye = np.eye(2)
@@ -363,6 +378,44 @@ def test_pulsed_kernels_match_per_path_expm_products():
                 start = end + 1
         got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("squarings, outlier", [(0, 1.0), (1, 1.0), (4, 1.0), (4, 100.0)])
+def test_taylor_kernel_matches_per_path_expm_products(d, squarings, outlier):
+    # general-d kernel on random non-commuting operators with pulses and
+    # uneven substep lengths. Each segment's length puts the largest 1-norm
+    # of H dt_seg at 0.75 2^s theta, so the chunk takes s squarings there;
+    # with an outlier path, the other paths alone would need none
+    rng = np.random.default_rng(10 * d + squarings)
+    noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
+                       cross=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    model = SystemModel(h_system=_random_hermitian(d, rng),
+                        couplings=(_random_hermitian(d, rng), _random_hermitian(d, rng)),
+                        noise=noise)
+    n_paths, boundary = 5, np.array([1, 3, 4, 7])
+    b = rng.normal(size=(n_paths, 2, boundary[-1] + 1))
+    b[0] *= outlier
+    hams = model.h_system + np.einsum("paj,aik->pjik", b, np.stack(model.couplings))
+    norms = np.abs(hams).sum(axis=-2).max(axis=-1)
+    starts = np.concatenate([[0], boundary[:-1] + 1])
+    dt_seg = np.array([0.75 * 2.0**squarings * _TAYLOR_THETA / norms[:, i:e + 1].max()
+                       for i, e in zip(starts, boundary)])
+    if outlier > 1:
+        bulk = max(norms[1:, i:e + 1].max() * t for i, e, t in zip(starts, boundary, dt_seg))
+        assert bulk < _TAYLOR_THETA
+    pulses = [_random_unitary(d, rng), None, _random_unitary(d, rng), None]
+    want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
+    for p in range(n_paths):
+        u = np.eye(d, dtype=complex)
+        for pos, (i, e) in enumerate(zip(starts, boundary)):
+            for j in range(i, e + 1):
+                u = expm(-1.0j * hams[p, j] * dt_seg[pos]) @ u
+            if pulses[pos] is not None:
+                u = pulses[pos] @ u
+            want[pos] += unitary_superop(u)
+    got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pulsed_process_rejects_non_unitary_pulses():

@@ -265,6 +265,8 @@ def test_combine_scaled_kernels_argument_checks():
         combine_scaled_kernels(stack)
     with pytest.raises(ValueError, match="one scale factor"):
         combine_scaled_kernels(stack, gammas=[1.0])
+    with pytest.raises(ValueError, match="one scale factor"):
+        combine_scaled_kernels(np.zeros((3, 3, 4, 4)), biases=[1.0, 2.0], dt=0.1)
     with pytest.raises(ValueError, match="needs dt"):
         combine_scaled_kernels(stack, biases=[1.0, 2.0])
     with pytest.raises(ValueError, match="below the reference"):
