@@ -226,6 +226,8 @@ def _mode_ttm(cfg, out_dir):
 
 def _mode_nonmarkov(cfg, out_dir):
     maps, info = _read_input(cfg, out_dir)
+    if info["dim"] != 2:
+        raise ConfigError("field 'input': nonmarkov mode needs dim-2 maps")
     series = _stage("nonmarkov", volume_series, maps, info["dt"])
     out = os.path.join(out_dir, "volume.csv")
     io.write_series_csv(out, {"time": series.times, "volume": series.values},

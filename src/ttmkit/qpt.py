@@ -99,17 +99,21 @@ def _infer_qubits(dim_sq):
     return n, d
 
 
+def _blocks(n_qubits):
+    # Pauli block (rows vec(P^T), Pv Pv^H = d I) and preparation block (rows vec(rho)).
+    paulis = all_pauli_labels(n_qubits)
+    states = prep_states(n_qubits)
+    p_vecs = np.array([vec(pauli_string(p).T) for p in paulis])
+    rho_vecs = np.array([vec(rho) for rho in states.values()])
+    return p_vecs, rho_vecs, [(lab, p) for lab in states for p in paulis]
+
+
 def _design_matrix(n_qubits):
     # Row (prep, P) is kron(vec(P^T), vec(rho)), so that its dot product with
     # vec(E) is vec(P^T) . E vec(rho) = Tr(P E(rho)). Rows run over preps, then
     # Paulis: the emission order of simulate_qpt.
-    states = prep_states(n_qubits)
-    paulis = all_pauli_labels(n_qubits)
-    p_vecs = np.array([vec(pauli_string(p).T) for p in paulis])
-    rho_vecs = np.array([vec(rho) for rho in states.values()])
-    a = np.einsum("pi,sj->spij", p_vecs, rho_vecs)
-    keys = [(lab, p) for lab in states for p in paulis]
-    return a.reshape(len(keys), -1), keys
+    p_vecs, rho_vecs, keys = _blocks(n_qubits)
+    return np.einsum("pi,sj->spij", p_vecs, rho_vecs).reshape(len(keys), -1), keys
 
 
 def basis_condition(n_qubits):
@@ -161,10 +165,11 @@ def reconstruct_maps(records):
     """Invert tomography records back into a map series.
 
     Expects a complete (prep, Pauli) grid for every time index and
-    consecutive indices starting at 1. The inversion is one least-squares
-    solve, for all time indices at once, on the design matrix that
-    :func:`simulate_qpt` applies; it is exact when the records came from
-    shots=0.
+    consecutive indices starting at 1. The design matrix that
+    :func:`simulate_qpt` applies is then square, the Kronecker product of
+    the Pauli block Pv and the preparation block Rv, so with Y_k the
+    (prep, Pauli) records of index k, E_k = (Pv^H / d) Y_k^T Rv^{-T}: one
+    solve against Rv for all time indices. Exact when shots=0.
 
     Returns
     -------
@@ -181,8 +186,7 @@ def reconstruct_maps(records):
 
     first_label = next(iter(by_time[indices[0]]))[0]
     n_qubits = 1 if first_label in _SINGLE else 2
-    a, keys = _design_matrix(n_qubits)
-    d2 = int(round(np.sqrt(a.shape[1])))
+    p_vecs, rho_vecs, keys = _blocks(n_qubits)
 
     columns = []
     for k in indices:
@@ -194,8 +198,9 @@ def reconstruct_maps(records):
                 + ("..." if len(missing) > 8 else "")
             )
         columns.append([got[key] for key in keys])
-    x, *_ = np.linalg.lstsq(a, np.array(columns).T, rcond=None)
-    return list(x.T.reshape(len(indices), d2, d2))
+    y = np.array(columns).reshape(len(indices), len(rho_vecs), len(p_vecs))
+    e_t = np.linalg.solve(rho_vecs, y @ p_vecs.conj() / 2**n_qubits)  # Rv E_k^T = Y_k Pv^* / d
+    return list(e_t.swapaxes(1, 2))
 
 
 def _project_trace_preserving(x4, d):

@@ -6,14 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouville import (
-    PAULIS,
-    commutator_superop,
-    hamiltonian_liouvillian,
-    left_multiply,
-    right_multiply,
-    vec,
-)
+from .liouville import PAULIS, commutator_superop, hamiltonian_liouvillian, vec
 
 __all__ = [
     "CorrelationSeries",
@@ -24,7 +17,6 @@ __all__ = [
 ]
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-_AXIS_NAMES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -51,11 +43,32 @@ class CorrelationSeries:
         return self.values[:, _AXES[a], _AXES[b]]
 
 
-def _heisenberg_paulis(hs, t):
-    hs = np.asarray(hs, dtype=complex)
-    w, v = np.linalg.eigh(hs)
-    u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
-    return {a: u @ PAULIS[a.upper()] @ u.conj().T for a in _AXIS_NAMES}
+_SIGMAS = np.array([PAULIS[a] for a in "XYZ"])
+_COMMUTATORS = np.array([commutator_superop(p) for p in _SIGMAS])
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _interaction_superops(hs, times):
+    # sigma_b(t) = U(t) sigma_b U(t)^dag with U(t) = e^{-i hs t}, for every t of
+    # the grid from one eigh of hs. Returns the left- and right-multiplication
+    # superoperators kron(sigma_b(t), I) and kron(I, sigma_b(t)^T), each (T, 3, 4, 4).
+    w, v = np.linalg.eigh(np.asarray(hs, dtype=complex))
+    phases = np.zeros((len(times), 2, 2), dtype=complex)
+    phases[:, [0, 1], [0, 1]] = np.exp(-1j * w * np.asarray(times, dtype=float)[:, None])
+    u = (v @ phases @ v.conj().T)[:, None]
+    sig = u @ _SIGMAS @ u.conj().swapaxes(-1, -2)
+    left = sig[..., :, None, :, None] * _EYE2[:, None, :]
+    right = _EYE2[:, None, :, None] * sig.swapaxes(-1, -2)[..., None, :, None, :]
+    return left.reshape(-1, 3, 4, 4), right.reshape(-1, 3, 4, 4)
+
+
+def _k2_stack(corr, left, right):
+    # K2 = -sum_{aa'} [sigma^a, C_{aa'} sigma^{a'}(t) (.) - C*_{aa'} (.) sigma^{a'}(t)]
+    # for (..., 3, 3) channel matrices against a (T, 3, 4, 4) superoperator stack;
+    # returns (..., T, 4, 4).
+    inner = (np.einsum("...ab,tbij->...taij", corr, left)
+             - np.einsum("...ab,tbij->...taij", corr.conj(), right))
+    return np.einsum("aij,...tajk->...tik", -_COMMUTATORS, inner)
 
 
 def k2_model(corr_at_t, hs, t):
@@ -70,26 +83,7 @@ def k2_model(corr_at_t, hs, t):
     corr = np.asarray(corr_at_t, dtype=complex)
     if corr.shape != (3, 3):
         raise ValueError("corr_at_t must be a 3x3 channel matrix")
-    sig_t = _heisenberg_paulis(hs, t)
-    out = np.zeros((4, 4), dtype=complex)
-    for a in _AXIS_NAMES:
-        comm_a = commutator_superop(PAULIS[a.upper()])
-        for b in _AXIS_NAMES:
-            c = corr[_AXES[a], _AXES[b]]
-            if c == 0:
-                continue
-            out -= comm_a @ (c * left_multiply(sig_t[b]) - np.conj(c) * right_multiply(sig_t[b]))
-    return out
-
-
-def _design_columns(hs, t, channels):
-    cols = []
-    for a, b in channels:
-        unit = np.zeros((3, 3))
-        unit[_AXES[a], _AXES[b]] = 1.0
-        g = k2_model(unit, hs, t)
-        cols.append(np.concatenate([vec(g).real, vec(g).imag]))
-    return np.column_stack(cols)
+    return _k2_stack(corr, *_interaction_superops(hs, [t]))[0]
 
 
 def _solve_one(a_mat, b_vec, lam, c_prev, c_start, knee, max_iter):
@@ -158,11 +152,12 @@ def fit_correlations(
     """
     kernels = [np.asarray(k, dtype=complex) for k in kernels]
     n_points = len(kernels)
-    hs = np.asarray(hs, dtype=complex)
     channels = [(a, b) for a, b in active]
-    for a, b in channels:
+    units = np.zeros((len(channels), 3, 3), dtype=complex)
+    for j, (a, b) in enumerate(channels):
         if a not in _AXES or b not in _AXES:
             raise ValueError(f"unknown channel ({a}, {b})")
+        units[j, _AXES[a], _AXES[b]] = 1.0
 
     if correct_first_point:
         ls = hamiltonian_liouvillian(hs)
@@ -176,28 +171,26 @@ def fit_correlations(
         lambdas = 0.1 * float(np.linalg.norm(kernels[0]))
     lam_seq = np.broadcast_to(np.asarray(lambdas, dtype=float), (n_points,))
 
+    # Column j of design[n] is [Re vec, Im vec] of K2(t_n) for a unit C on channel j;
+    # the copy makes every design[n] a C-ordered (32, n_ch) matrix for the solver.
+    g = _k2_stack(units, *_interaction_superops(hs, t0 + np.arange(n_points) * dt))
+    g = g.reshape(len(channels), n_points, -1)
+    design = np.concatenate([g.real, g.imag], axis=2).transpose(1, 2, 0).copy()
+
     values = np.zeros((n_points, 3, 3), dtype=complex)
     residuals = np.zeros(n_points)
     iterations = np.zeros(n_points, dtype=int)
-    c_prev = None
-    c_warm = np.zeros(len(channels))
+    c_prev = None  # also the warm start of the next point
     for n in range(n_points):
-        t_n = t0 + n * dt
-        a_mat = _design_columns(hs, t_n, channels)
         b_vec = np.concatenate([vec(data[n]).real, vec(data[n]).imag])
         lam = 0.0 if n == 0 else float(lam_seq[n])
-        c, res, iters = _solve_one(a_mat, b_vec, lam, c_prev, c_warm, knee, max_iter)
+        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev, c_prev, knee, max_iter)
         for (a, b), value in zip(channels, c):
             values[n, _AXES[a], _AXES[b]] = value
         residuals[n] = res
         iterations[n] = iters
         c_prev = c
-        c_warm = c
-
-    mask = np.zeros((3, 3), dtype=bool)
-    for a, b in channels:
-        mask[_AXES[a], _AXES[b]] = True
-    return CorrelationSeries(dt, t0, values, mask, residuals, iterations)
+    return CorrelationSeries(dt, t0, values, units.any(axis=0), residuals, iterations)
 
 
 def spectral_density(series, channel=("z", "z"), kind="classical", pad_factor=4):

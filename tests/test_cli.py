@@ -289,6 +289,16 @@ def test_twoqubit_mode(tmp_path):
         run_config(bad, str(tmp_path))
 
 
+def test_nonmarkov_mode_rejects_two_qubit_maps(tmp_path, capsys):
+    maps = [kron_superop(identity_superop(2), identity_superop(2))] * 3
+    write_map_series(tmp_path / "pair.json", maps, dt=0.2)
+    cfg_path = _write_cfg(tmp_path, {"mode": "nonmarkov", "input": "pair.json"})
+    assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'input'" in err and "dim-2" in err
+    assert not (tmp_path / "volume.csv").exists()
+
+
 def test_twoqubit_mode_reports_singular_maps_unattributed(tmp_path):
     # full dephasing of qubit 1 zeroes its coherences, so the maps have no
     # logarithm; the norms and the verdict must still be written

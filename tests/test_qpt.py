@@ -16,6 +16,7 @@ from ttmkit.liouville import (
 )
 from ttmkit.qpt import (
     QptRecord,
+    _design_matrix,
     basis_condition,
     prep_labels,
     prep_states,
@@ -119,6 +120,18 @@ def test_shot_error_shrinks_like_inverse_sqrt():
     ratio = errs[0] / errs[1]
     want = np.sqrt(shots_grid[1] / shots_grid[0])
     assert want / 2.0 < ratio < want * 2.0
+
+
+def test_kronecker_inversion_matches_least_squares_on_the_design():
+    rng = np.random.default_rng(37)
+    for n_qubits in (1, 2):
+        maps = [random_cptp(2**n_qubits, rng) for _ in range(3)]
+        records = simulate_qpt(maps, shots=400, seed=5)
+        a, keys = _design_matrix(n_qubits)
+        y = np.array([r.expectation for r in records]).reshape(len(maps), len(keys))
+        x, *_ = np.linalg.lstsq(a, y.T, rcond=None)
+        want = x.T.reshape(np.shape(maps))
+        npt.assert_allclose(reconstruct_maps(records), want, rtol=0, atol=1e-13)
 
 
 def test_reconstruct_validates_grid():

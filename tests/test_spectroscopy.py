@@ -3,10 +3,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import expm
 
-from ttmkit.liouville import SIGMA_Z, hamiltonian_liouvillian, unvec, vec
+from ttmkit.liouville import PAULIS, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
 from ttmkit.spectroscopy import (
     CorrelationSeries,
+    _interaction_superops,
+    _k2_stack,
     combine_scaled_kernels,
     fit_correlations,
     k2_model,
@@ -44,6 +47,44 @@ def test_k2_model_preserves_hermiticity_and_trace():
 def test_k2_model_validates_shape():
     with pytest.raises(ValueError, match="3x3"):
         k2_model(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+
+
+def _random_hamiltonian(rng):
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return 0.5 * (h + h.conj().T)
+
+
+def test_batched_design_matches_k2_model_on_every_channel():
+    # the fit builds every K2 design matrix of its grid in one batched pass
+    hs = _random_hamiltonian(np.random.default_rng(8))
+    times = 0.35 * np.arange(7)  # starts at t = 0
+    units = np.zeros((9, 3, 3), dtype=complex)
+    units[np.arange(9), np.arange(9) // 3, np.arange(9) % 3] = 1.0
+    stack = _k2_stack(units, *_interaction_superops(hs, times))
+    assert stack.shape == (9, 7, 4, 4)
+    for j, unit in enumerate(units):
+        for n, t in enumerate(times):
+            npt.assert_allclose(stack[j, n], k2_model(unit, hs, t), rtol=0, atol=1e-15)
+
+
+def test_k2_model_matches_written_out_double_commutator():
+    rng = np.random.default_rng(12)
+    hs = _random_hamiltonian(rng)
+    corr = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    sig = [PAULIS[a] for a in "XYZ"]
+    for t in (0.0, 0.45, 2.3):
+        u = expm(-1j * hs * t)
+        sig_t = [u @ s @ u.conj().T for s in sig]
+        want = np.zeros((4, 4), dtype=complex)
+        for col in range(4):
+            rho = unvec(np.eye(4)[col])
+            out = np.zeros((2, 2), dtype=complex)
+            for a in range(3):
+                for b in range(3):
+                    inner = corr[a, b] * sig_t[b] @ rho - np.conj(corr[a, b]) * rho @ sig_t[b]
+                    out -= sig[a] @ inner - inner @ sig[a]
+            want[:, col] = vec(out)
+        npt.assert_allclose(k2_model(corr, hs, t), want, rtol=0, atol=1e-14)
 
 
 def _synthetic_kernels(c_of_t, channel, hs, dt, n_points):
