@@ -288,6 +288,11 @@ def _mode_spectroscopy(cfg, out_dir):
         active = tuple((a, b) for a, b in channels)
     except (TypeError, ValueError):
         raise ConfigError("field 'channels': expected pairs like [[\"z\", \"z\"]]") from None
+    if not active:
+        raise ConfigError("field 'channels': expected at least one pair")
+    repeated = [list(pair) for j, pair in enumerate(active) if pair in active[:j]]
+    if repeated:
+        raise ConfigError(f"field 'channels': pairs given more than once: {repeated}")
     lambdas = _get(cfg, "lambdas", required=False)
     series = _stage("spectroscopy", fit_correlations, kernels[:n_fit], model.h_system,
                     dt, active=active, lambdas=lambdas)

@@ -11,15 +11,16 @@ are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
 Three step kernels take that product. Purely longitudinal models (diagonal
-Hamiltonian and couplings) take an exact fast path through accumulated
-phase integrals, which for commuting generators reproduces the substep
-product to machine precision. Other qubits carry each path's propagator as
-a unit quaternion (SU(2) up to the global phase, which cancels in the
-maps). Larger models keep all propagators of a chunk in one (d, d, P)
-array, path axis last, and take each substep's exp(-i H tau) for every path
-at once as a scaled-and-squared degree-15 Taylor polynomial, with no
-eigendecomposition; each step is unitary to rounding. The last two kernels
-also insert the instantaneous pulses of :func:`simulate_pulsed_process`.
+Hamiltonian and couplings) take an exact fast path through phase integrals,
+which for commuting generators reproduces the substep product to machine
+precision; with pulses, each segment between pulses is one diagonal phase
+factor. Other qubits carry each path's propagator as a unit quaternion
+(SU(2) up to the global phase, which cancels in the maps). Larger models
+keep all propagators of a chunk in one (d, d, P) array, path axis last, and
+take each substep's exp(-i H tau) for every path at once as a
+scaled-and-squared degree-15 Taylor polynomial, with no eigendecomposition;
+each step is unitary to rounding. All three kernels insert the
+instantaneous pulses of :func:`simulate_pulsed_process`.
 """
 
 import math
@@ -204,20 +205,23 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     """Per-chunk sums (not means) of the maps at the given substep boundaries.
 
     ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub). Three step
-    kernels: diagonal models sum phases, qubits multiply unit quaternions,
-    and any other model carries its (d, d, P) propagators with the path
-    axis last, multiplied by one :func:`_expm_paths` step per substep. Each
-    step is unitary to rounding, so the summed maps stay trace preserving.
+    kernels: diagonal models sum phases, other qubits multiply unit
+    quaternions, and any other model carries its (d, d, P) propagators with
+    the path axis last, multiplied by one :func:`_expm_paths` step per
+    substep. Each step is unitary to rounding, so the summed maps stay trace
+    preserving.
 
     ``pulses``, when given, holds one unitary or None per boundary, applied
     right after it and included in its sum; ``dt_sub`` may then hold one
-    substep length per boundary segment. The diagonal-phase path takes no pulses.
+    substep length per boundary segment. Diagonal models then carry (d, d, P)
+    propagators too, each segment scaling their rows by one phase factor.
     """
     d = model.dim
     n_steps = boundary.size
     out = np.empty((n_steps, d * d, d * d), dtype=complex)
+    diagonal = model.is_diagonal
 
-    if pulses is None and model.is_diagonal:
+    if pulses is None and diagonal:
         hdiag, zdiag = _diag_parts(model)
         w = np.cumsum(b, axis=-1) * dt_sub
         wk = w[:, :, boundary]
@@ -233,7 +237,7 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     n_paths = b.shape[0]
     dt_seg = np.broadcast_to(dt_sub, boundary.shape)
     pulses = [None] * n_steps if pulses is None else pulses
-    if d == 2:
+    if d == 2 and not diagonal:
         # Hermitian op = a0 I + v . sigma with v = Re(B^H vec(op))[1:] / 2; a0
         # only adds a global phase, which cancels in U (x) conj(U)
         ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
@@ -259,16 +263,33 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
             start = end + 1
         return (grams.reshape(n_steps, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_steps, 4, 4)
 
-    ops = np.stack(model.couplings).reshape(-1, d * d).T
-    h = model.h_system.reshape(-1, 1)
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
-    powers = np.empty((4, d, d, n_paths), dtype=complex)
-    powers[0] = np.eye(d)[:, :, None]
+    if diagonal:
+        # segment k multiplies row r of every U by exp(-i dphi[k, r]), with
+        # dphi the segment's phase integral: hdiag times its duration plus
+        # the couplings applied to its noise integral. Row 0's factor is a
+        # global phase of the path, which cancels in U (x) conj(U), so it is
+        # divided out of every row and row 0 is never scaled
+        hdiag, zdiag = _diag_parts(model)
+        starts = np.concatenate([[0], boundary[:-1] + 1])
+        seg = np.add.reduceat(b[:, :, :boundary[-1] + 1], starts, axis=-1) * dt_seg
+        durations = dt_seg * (boundary + 1 - starts)
+        dphi = np.einsum("pak,ar->krp", seg, zdiag[:, 1:] - zdiag[:, :1]) \
+            + np.multiply.outer(durations, hdiag[1:] - hdiag[0])[:, :, None]
+        factors = np.exp(-1.0j * dphi)
+    else:
+        ops = np.stack(model.couplings).reshape(-1, d * d).T
+        h = model.h_system.reshape(-1, 1)
+        powers = np.empty((4, d, d, n_paths), dtype=complex)
+        powers[0] = np.eye(d)[:, :, None]
     start = 0
     for pos, end in enumerate(boundary):
-        for j in range(start, end + 1):
-            a = (-1.0j * dt_seg[pos]) * (h + ops @ b[:, :, j].T)
-            u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
+        if diagonal:
+            u[1:] *= factors[pos][:, None, :]
+        else:
+            for j in range(start, end + 1):
+                a = (-1.0j * dt_seg[pos]) * (h + ops @ b[:, :, j].T)
+                u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
         if pulses[pos] is not None:
             u = (pulses[pos] @ u.reshape(d, -1)).reshape(u.shape)
         # sum_p U (x) conj(U) is the Gram matrix of the vec(U_p), reordered
@@ -334,6 +355,12 @@ def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
         yield draws, np.concatenate([draws, -draws], axis=0) if antithetic else draws
 
 
+def _check_counts(**counts):
+    for name, value in counts.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
                      antithetic=False, chunk_size=1024, collect_chunk_means=False,
                      control_variate=False):
@@ -381,6 +408,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         n_steps superoperators of shape (d^2, d^2).
     chunk_means : ndarray, only when ``collect_chunk_means``
     """
+    _check_counts(n_steps=n_steps, n_traj=n_traj, substeps=substeps)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     d = model.dim
     n_sub = n_steps * substeps
     dt_sub = dt / substeps
@@ -428,11 +458,18 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     ``duration`` in ``substeps`` frozen-noise substeps, then the
     instantaneous ``pulse`` (or None). Any noise model is accepted; each
     pulse must be a d x d unitary. The segments run on the step kernels of
-    :func:`simulate_process` (quaternions for a qubit, Taylor exponential
-    steps otherwise) and chunks are seeded as there.
+    :func:`simulate_process` (phase factors for a diagonal model, quaternions
+    for any other qubit, Taylor exponential steps otherwise) and chunks are
+    seeded as there.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """
+    _check_counts(n_cycles=n_cycles, n_traj=n_traj, substeps=substeps)
+    if not segments:
+        raise ValueError("segments must hold at least one (duration, pulse) pair")
+    for i, (duration, _) in enumerate(segments):
+        if not duration >= 0:
+            raise ValueError(f"segment {i}: duration must be >= 0, got {duration}")
     d = model.dim
     seg_durs = np.tile([float(s[0]) for s in segments], n_cycles)
     pulses = [None if s[1] is None else np.asarray(s[1], dtype=complex) for s in segments]

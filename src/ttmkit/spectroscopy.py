@@ -136,7 +136,8 @@ def fit_correlations(
         System Hamiltonian, needed for the interaction-picture rotation
         and the first-point correction.
     active : sequence of (a, b) axis-label pairs
-        Channels allowed to be nonzero; everything else is pinned to 0.
+        Channels allowed to be nonzero, at least one and each at most once;
+        everything else is pinned to 0.
     lambdas : scalar or length-K sequence, optional
         Continuity weights. Default 0.1 |K_exp(t_1)|_F at every point.
     correct_first_point : bool
@@ -153,10 +154,14 @@ def fit_correlations(
     kernels = [np.asarray(k, dtype=complex) for k in kernels]
     n_points = len(kernels)
     channels = [(a, b) for a, b in active]
+    if not channels:
+        raise ValueError("active must name at least one channel pair")
     units = np.zeros((len(channels), 3, 3), dtype=complex)
     for j, (a, b) in enumerate(channels):
         if a not in _AXES or b not in _AXES:
             raise ValueError(f"unknown channel ({a}, {b})")
+        if (a, b) in channels[:j]:
+            raise ValueError(f"active names channel ({a}, {b}) more than once")
         units[j, _AXES[a], _AXES[b]] = 1.0
 
     if correct_first_point:

@@ -262,6 +262,19 @@ def test_spectroscopy_inputs_must_share_dt(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("channels, detail", [
+    ([], "at least one pair"),
+    ([["z", "z"], ["z", "z"]], "[['z', 'z']]"),
+], ids=["empty", "repeated"])
+def test_spectroscopy_channels_must_be_distinct_and_nonempty(tmp_path, capsys,
+                                                             channels, detail):
+    cfg_path = _spectroscopy_cfg(tmp_path, channels=channels)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'channels'" in err and detail in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
 def test_twoqubit_mode(tmp_path):
     z1 = np.kron(SIGMA_Z, np.eye(2))
     z2 = np.kron(np.eye(2), SIGMA_Z)

@@ -343,24 +343,36 @@ def test_su2_kernel_matches_per_path_expm_products():
 
 
 def test_pulsed_kernels_match_per_path_expm_products():
-    # a transverse qubit (quaternion kernel) and a non-diagonal pair (Taylor
-    # kernel) with uneven substep lengths per segment and a pulse carrying
-    # a global phase: pulses act right after their boundary, inside its sum
+    # a transverse qubit (quaternion kernel), a non-diagonal pair (Taylor
+    # kernel) and two diagonal models (phase kernel): a biased z qubit with two
+    # cross-correlated z channels and a pair with zz and per-qubit biases.
+    # Uneven substep lengths per segment and a pulse carrying a global phase:
+    # pulses act right after their boundary, inside its sum
     eye = np.eye(2)
     hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
+    cross = np.array([[1.0, 0.5], [0.5, 1.0]])
     qubit = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_X, SIGMA_Y),
                         noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
                                          cross=np.eye(2)))
     pair = SystemModel(h_system=0.1 * np.kron(SIGMA_Z, eye) + 0.05 * np.kron(SIGMA_Z, SIGMA_Z),
                        couplings=(np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Z)),
-                       noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
-                                        cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+                       noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=cross))
+    z_qubit = SystemModel(h_system=0.3 * SIGMA_Z,
+                          couplings=(SIGMA_Z, 0.5 * SIGMA_Z + 0.2 * eye),
+                          noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0), cross=cross))
+    z_pair = SystemModel(h_system=0.1 * np.kron(SIGMA_Z, eye) - 0.2 * np.kron(eye, SIGMA_Z)
+                         + 0.05 * np.kron(SIGMA_Z, SIGMA_Z),
+                         couplings=(np.kron(SIGMA_Z, eye), np.kron(eye, SIGMA_Z)),
+                         noise=pair.noise)
+    assert z_qubit.is_diagonal and z_pair.is_diagonal
+    qubit_pulses = [hadamard, None, SIGMA_Y, hadamard]
+    pair_pulses = [np.kron(hadamard, eye), None, np.kron(eye, SIGMA_Y),
+                   np.kron(SIGMA_X, hadamard)]
     rng = np.random.default_rng(8)
     boundary = np.array([2, 5, 6, 11])
     dt_seg = np.array([0.1, 0.25, 0.05, 0.15])
-    for model, pulses in ((qubit, [hadamard, None, SIGMA_Y, hadamard]),
-                          (pair, [np.kron(hadamard, eye), None, np.kron(eye, SIGMA_Y),
-                                  np.kron(SIGMA_X, hadamard)])):
+    for model, pulses in ((qubit, qubit_pulses), (pair, pair_pulses),
+                          (z_qubit, qubit_pulses), (z_pair, pair_pulses)):
         d, n_paths = model.dim, 6
         b = rng.normal(scale=2.0, size=(n_paths, 2, boundary[-1] + 1))
         want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
@@ -423,6 +435,46 @@ def test_pulsed_process_rejects_non_unitary_pulses():
     for pulse in (0.5 * SIGMA_X, np.eye(4), np.ones(2)):
         with pytest.raises(ValueError, match="segment 1: pulse must be a 2x2 unitary"):
             simulate_pulsed_process(model, [(0.5, SIGMA_X), (0.5, pulse)], 1, n_traj=8)
+
+
+def test_simulations_reject_empty_ensembles():
+    model = _z_model()
+    with pytest.raises(ValueError, match="n_traj must be >= 1, got 0"):
+        simulate_process(model, 0.1, 2, n_traj=0)
+    with pytest.raises(ValueError, match="n_traj must be >= 1, got -2"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 1, n_traj=-2)
+
+
+def test_simulations_reject_substeps_below_one():
+    model = _z_model()
+    with pytest.raises(ValueError, match="substeps must be >= 1, got 0"):
+        simulate_process(model, 0.1, 2, n_traj=8, substeps=0)
+    with pytest.raises(ValueError, match="substeps must be >= 1, got 0"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 1, n_traj=8, substeps=0)
+
+
+def test_simulations_reject_empty_grids():
+    model = _z_model()
+    with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
+        simulate_process(model, 0.1, 0, n_traj=8)
+    with pytest.raises(ValueError, match="n_cycles must be >= 1, got 0"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 0, n_traj=8)
+
+
+def test_pulsed_process_rejects_empty_segments():
+    with pytest.raises(ValueError, match="segments must hold at least one"):
+        simulate_pulsed_process(_z_model(), [], 2, n_traj=8)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_simulate_process_rejects_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        simulate_process(_z_model(), dt, 2, n_traj=8)
+
+
+def test_pulsed_process_rejects_negative_durations():
+    with pytest.raises(ValueError, match="segment 1: duration must be >= 0, got -0.5"):
+        simulate_pulsed_process(_z_model(), [(0.5, SIGMA_X), (-0.5, SIGMA_X)], 1, n_traj=8)
 
 
 def test_chunk_means_average_to_the_estimate():

@@ -163,6 +163,16 @@ def test_fit_rejects_unknown_channels():
                          active=(("z", "q"),))
 
 
+@pytest.mark.parametrize("active, match", [
+    ((), "at least one channel pair"),
+    ((("z", "z"), ("x", "x"), ("z", "z")), r"channel \(z, z\) more than once"),
+], ids=["empty", "repeated"])
+def test_fit_rejects_empty_and_repeated_channels(active, match):
+    # a repeated pair splits its value between two identical design columns
+    with pytest.raises(ValueError, match=match):
+        fit_correlations([np.zeros((4, 4))], np.zeros((2, 2)), 0.1, active=active)
+
+
 def test_spectral_density_lorentzian_recovery():
     lam, kappa = 4.0, 1.0
     dt, n = 0.05, 200
