@@ -80,6 +80,13 @@ def _positive_list(cfg, path, n):
     return val
 
 
+def _boolean(cfg, path, default):
+    val = _get(cfg, path, required=False, default=default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"field '{path}': expected true or false, got {val!r}")
+    return val
+
+
 def _string(cfg, path, required=True, default=None, choices=None):
     val = _get(cfg, path, required, default)
     if val is None:
@@ -146,6 +153,9 @@ def build_model(cfg):
         if cross.shape != (len(channels), len(channels)):
             raise ConfigError("field 'noise.cross': must be a square matrix "
                               "over the noise channels")
+        if not np.array_equal(np.diag(cross), np.asarray(variances, dtype=float)):
+            raise ConfigError(f"field 'noise.cross': its diagonal {np.diag(cross).tolist()} "
+                              f"must equal noise.variances {variances}")
 
     h, couplings = presets._qubit_operators(biases, placed, zz)
     noise = _stage("noisegen", NoiseModel, kappas=tuple(decay), omegas=tuple(mods),
@@ -158,8 +168,11 @@ def _sampling(cfg):
     n_traj = _integer(cfg, "sampling.n_traj", minimum=1)
     seed = _integer(cfg, "sampling.seed")  # mandatory for stochastic modes
     substeps = _integer(cfg, "sampling.substeps", required=False, default=8, minimum=1)
-    antithetic = bool(_get(cfg, "sampling.antithetic", required=False, default=True))
-    cv = bool(_get(cfg, "sampling.control_variate", required=False, default=False))
+    antithetic = _boolean(cfg, "sampling.antithetic", default=True)
+    cv = _boolean(cfg, "sampling.control_variate", default=False)
+    if antithetic and n_traj % 2:
+        raise ConfigError(f"field 'sampling.n_traj': antithetic sampling needs an even "
+                          f"count, got {n_traj}")
     return n_traj, seed, substeps, antithetic, cv
 
 
@@ -208,6 +221,7 @@ def _mode_simulate(cfg, out_dir):
 
 
 def _mode_ttm(cfg, out_dir):
+    save_tensors = _boolean(cfg, "save_tensors", default=False)
     maps, info = _read_input(cfg, out_dir)
     tensors = _stage("ttm", build_ttms, maps)
     out = os.path.join(out_dir, "ttm_norms.csv")
@@ -217,7 +231,7 @@ def _mode_ttm(cfg, out_dir):
         "norm_first_minus_identity": _stage("ttm", norm_profile, tensors),
     }, _meta_for(cfg, {"dt": info["dt"]}))
     written = [out]
-    if _get(cfg, "save_tensors", required=False, default=False):
+    if save_tensors:
         tpath = os.path.join(out_dir, "tensors.json")
         io.write_map_series(tpath, tensors, info["dt"], meta=_meta_for(cfg))
         written.append(tpath)
@@ -326,9 +340,10 @@ def _mode_twoqubit(cfg, out_dir):
 
 
 def _mode_ingest(cfg, out_dir):
+    project = _boolean(cfg, "project_cptp", default=False)
     records = _read_input(cfg, out_dir, io.read_qpt_csv)
     maps = _stage("qpt", reconstruct_maps, records)
-    if _get(cfg, "project_cptp", required=False, default=False):
+    if project:
         maps = [_stage("qpt", project_cptp, m) for m in maps]
     dt = _number(cfg, "grid.dt", positive=True)
     out = os.path.join(out_dir, "maps.json")

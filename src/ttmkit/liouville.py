@@ -71,15 +71,15 @@ def apply_superop(sop, rho):
 
 
 def left_multiply(a):
-    """Superoperator for rho -> a @ rho."""
+    """Superoperator for rho -> a @ rho; a stack of matrices gives a stack."""
     a = np.asarray(a, dtype=complex)
-    return np.kron(a, np.eye(a.shape[0], dtype=complex))
+    return np.kron(a, np.eye(a.shape[-1], dtype=complex))
 
 
 def right_multiply(b):
-    """Superoperator for rho -> rho @ b."""
+    """Superoperator for rho -> rho @ b; a stack of matrices gives a stack."""
     b = np.asarray(b, dtype=complex)
-    return np.kron(np.eye(b.shape[0], dtype=complex), b.T)
+    return np.kron(np.eye(b.shape[-1], dtype=complex), b.swapaxes(-1, -2))
 
 
 def commutator_superop(h):
@@ -98,6 +98,14 @@ def unitary_superop(u):
     """Superoperator for conjugation rho -> u rho u^dagger."""
     u = np.asarray(u, dtype=complex)
     return np.kron(u, u.conj())
+
+
+def _free_superops(h, times):
+    """Superoperators U(t) (x) conj(U(t)) of U(t) = exp(-i h t), one per time."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    u = (v * np.exp(-1.0j * w * np.reshape(times, (-1, 1)))[:, None, :]) @ v.conj().T
+    d = w.size
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
 
 
 def superop_dim(sop):

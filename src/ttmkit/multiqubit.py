@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
 
 from .liouville import factorize_bipartite, kron_superop
 from .ttm import _richardson, build_ttms, norm_profile
@@ -100,6 +99,9 @@ def _logm(sop):
     if mag.min() <= 1e-12 * mag.max():
         raise SingularMapError(f"the map is singular (smallest |eigenvalue| {mag.min():.1e}); "
                                f"it has no logarithm")
+    # imported here: scipy.linalg would add most of the package's import time
+    from scipy.linalg import logm
+
     return logm(sop)
 
 

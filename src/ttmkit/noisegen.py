@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 # eigh of the space-time covariance scales cubically; this cap keeps a
 # misconfigured grid from silently eating minutes.
@@ -100,15 +99,6 @@ class NoiseModel:
         """One channel with C(tau) = coupling * exp(-kappa|tau|) cos(omega tau)."""
         return cls(kappas=(kappa,), omegas=(omega,), cross=np.array([[float(coupling)]]))
 
-    @classmethod
-    def independent(cls, couplings, kappas, omegas=None):
-        """Uncorrelated channels with per-channel damped-cosine correlations."""
-        couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
-        if omegas is None:
-            omegas = np.zeros_like(couplings)
-        return cls(kappas=tuple(np.atleast_1d(kappas)), omegas=tuple(np.atleast_1d(omegas)),
-                   cross=np.diag(couplings))
-
     def correlation(self, tau):
         """Correlation matrix C(tau), shape ``tau.shape + (n, n)``."""
         tau = np.asarray(tau, dtype=float)
@@ -147,6 +137,10 @@ class NoiseModel:
                 return amp * t * t
             val = t / mu - (1.0 - np.exp(-mu * t)) / mu**2
             return 2.0 * amp * np.real(val)
+
+        # imported here: only custom correlations need quadrature, and
+        # scipy.integrate would add most of the package's import time
+        from scipy import integrate
 
         def one(tt):
             f = lambda s: (tt - s) * self.correlation_entry(a, b, np.asarray(s))

@@ -10,15 +10,16 @@ product of piecewise-constant steps. The ensemble-averaged dynamical maps
 are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
-Three step kernels take that product. Purely longitudinal models (diagonal
-Hamiltonian and couplings) take an exact fast path through phase integrals,
-which for commuting generators reproduces the substep product to machine
-precision; with pulses, each segment between pulses is one diagonal phase
-factor. Other qubits carry each path's propagator as a unit quaternion
-(SU(2) up to the global phase, which cancels in the maps). Larger models
-keep all propagators of a chunk in one (d, d, P) array, path axis last, and
-take each substep's exp(-i H tau) for every path at once as a
-scaled-and-squared degree-15 Taylor polynomial, with no eigendecomposition;
+The model's structure alone picks one of three step kernels for that
+product. A purely longitudinal model (diagonal Hamiltonian and couplings)
+scales each path's propagator by one diagonal phase factor per segment
+between map boundaries or pulses; its generators commute, so the factor,
+built from the segment's phase integral, reproduces the substep product to
+machine precision. Other qubits carry each path's propagator as a unit
+quaternion (SU(2) up to the global phase, which cancels in the maps). Any
+other model keeps all propagators of a chunk in one (d, d, P) array, path
+axis last, and takes each substep's exp(-i H tau) for every path at once as
+a scaled-and-squared degree-15 Taylor polynomial, with no eigendecomposition;
 each step is unitary to rounding. All three kernels insert the
 instantaneous pulses of :func:`simulate_pulsed_process`.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import _B, commutator_superop, vec
+from .liouville import _B, _free_superops, commutator_superop, vec
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -71,14 +72,6 @@ class SystemModel:
     def is_diagonal(self):
         ops = (self.h_system,) + self.couplings
         return all(np.allclose(op, np.diag(np.diagonal(op)), atol=1e-14) for op in ops)
-
-
-def _free_superops(h, times):
-    """Superoperators U(t) (x) conj(U(t)) of U(t) = exp(-i h t), one per time."""
-    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    u = (v * np.exp(-1.0j * w * np.reshape(times, (-1, 1)))[:, None, :]) @ v.conj().T
-    d = w.size
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
 
 
 def free_evolution_superop(h, t):
@@ -204,36 +197,22 @@ def _expm_paths(a, powers):
 def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     """Per-chunk sums (not means) of the maps at the given substep boundaries.
 
-    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub). Three step
-    kernels: diagonal models sum phases, other qubits multiply unit
-    quaternions, and any other model carries its (d, d, P) propagators with
-    the path axis last, multiplied by one :func:`_expm_paths` step per
-    substep. Each step is unitary to rounding, so the summed maps stay trace
-    preserving.
+    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub). The model's
+    structure alone picks one of three step kernels: a diagonal model scales
+    the rows of its (d, d, P) propagators by one phase factor per segment,
+    any other qubit multiplies unit quaternions, and any other model carries
+    its (d, d, P) propagators with the path axis last, multiplied by one
+    :func:`_expm_paths` step per substep. Each step is unitary to rounding,
+    so the summed maps stay trace preserving.
 
     ``pulses``, when given, holds one unitary or None per boundary, applied
-    right after it and included in its sum; ``dt_sub`` may then hold one
-    substep length per boundary segment. Diagonal models then carry (d, d, P)
-    propagators too, each segment scaling their rows by one phase factor.
+    right after it and included in its sum. ``dt_sub`` may hold one substep
+    length per boundary segment.
     """
     d = model.dim
     n_steps = boundary.size
     out = np.empty((n_steps, d * d, d * d), dtype=complex)
     diagonal = model.is_diagonal
-
-    if pulses is None and diagonal:
-        hdiag, zdiag = _diag_parts(model)
-        w = np.cumsum(b, axis=-1) * dt_sub
-        wk = w[:, :, boundary]
-        tk = dt_sub * (boundary + 1.0)
-        phases = hdiag[None, :, None] * tk[None, None, :] \
-            + np.einsum("pak,ar->prk", wk, zdiag)
-        for k in range(n_steps):
-            dvals = np.exp(-1.0j * phases[:, :, k])
-            g = dvals.T @ dvals.conj()
-            out[k] = np.diag(g.reshape(-1))
-        return out
-
     n_paths = b.shape[0]
     dt_seg = np.broadcast_to(dt_sub, boundary.shape)
     pulses = [None] * n_steps if pulses is None else pulses

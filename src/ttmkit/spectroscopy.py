@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouville import PAULIS, commutator_superop, hamiltonian_liouvillian, vec
+from .liouville import (PAULIS, _free_superops, commutator_superop, hamiltonian_liouvillian,
+                        left_multiply, right_multiply, vec)
 
 __all__ = [
     "CorrelationSeries",
@@ -45,21 +46,15 @@ class CorrelationSeries:
 
 _SIGMAS = np.array([PAULIS[a] for a in "XYZ"])
 _COMMUTATORS = np.array([commutator_superop(p) for p in _SIGMAS])
-_EYE2 = np.eye(2, dtype=complex)
 
 
 def _interaction_superops(hs, times):
-    # sigma_b(t) = U(t) sigma_b U(t)^dag with U(t) = e^{-i hs t}, for every t of
-    # the grid from one eigh of hs. Returns the left- and right-multiplication
-    # superoperators kron(sigma_b(t), I) and kron(I, sigma_b(t)^T), each (T, 3, 4, 4).
-    w, v = np.linalg.eigh(np.asarray(hs, dtype=complex))
-    phases = np.zeros((len(times), 2, 2), dtype=complex)
-    phases[:, [0, 1], [0, 1]] = np.exp(-1j * w * np.asarray(times, dtype=float)[:, None])
-    u = (v @ phases @ v.conj().T)[:, None]
-    sig = u @ _SIGMAS @ u.conj().swapaxes(-1, -2)
-    left = sig[..., :, None, :, None] * _EYE2[:, None, :]
-    right = _EYE2[:, None, :, None] * sig.swapaxes(-1, -2)[..., None, :, None, :]
-    return left.reshape(-1, 3, 4, 4), right.reshape(-1, 3, 4, 4)
+    # left- and right-multiplication superoperators of sigma_b(t) = U(t) sigma_b U(t)^dag,
+    # U(t) = e^{-i hs t}, each (T, 3, 4, 4); vec(sigma_b(t)) = S(t) vec(sigma_b) with
+    # S(t) = U(t) (x) conj(U(t))
+    sig = _free_superops(hs, times)[:, None] @ _SIGMAS.reshape(3, 4, 1)
+    sig = sig.reshape(-1, 3, 2, 2)
+    return left_multiply(sig), right_multiply(sig)
 
 
 def _k2_stack(corr, left, right):
@@ -86,14 +81,14 @@ def k2_model(corr_at_t, hs, t):
     return _k2_stack(corr, *_interaction_superops(hs, [t]))[0]
 
 
-def _solve_one(a_mat, b_vec, lam, c_prev, c_start, knee, max_iter):
+def _solve_one(a_mat, b_vec, lam, c_prev, knee, max_iter):
     # minimize |A c - b|_2 + lam * sum_i |c_i - c_prev_i| over real c,
     # by iteratively reweighted least squares with a Huber knee on both terms.
-    if lam == 0 or c_prev is None:
+    if lam == 0:
         c, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
         return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1
     eps_data = 1e-12 * max(1.0, float(np.linalg.norm(b_vec)))
-    c = c_start.copy()
+    c = c_prev.copy()
     ata = a_mat.T @ a_mat
     atb = a_mat.T @ b_vec
     iters = 0
@@ -189,7 +184,7 @@ def fit_correlations(
     for n in range(n_points):
         b_vec = np.concatenate([vec(data[n]).real, vec(data[n]).imag])
         lam = 0.0 if n == 0 else float(lam_seq[n])
-        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev, c_prev, knee, max_iter)
+        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev, knee, max_iter)
         for (a, b), value in zip(channels, c):
             values[n, _AXES[a], _AXES[b]] = value
         residuals[n] = res

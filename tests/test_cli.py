@@ -87,6 +87,41 @@ def test_booleans_are_not_numbers(tmp_path):
         run_config(cfg, str(tmp_path))
 
 
+def test_cross_diagonal_must_equal_variances(tmp_path, capsys):
+    cfg = _sim_cfg(noise={"variances": [1.0], "decay_rates": [1.0], "cross": [[9.0]]})
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise.cross" in err
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    ("simulate", "sampling.antithetic", "false"),
+    ("simulate", "sampling.control_variate", 1),
+    ("ttm", "save_tensors", "yes"),
+    ("ingest", "project_cptp", 0),
+])
+def test_switches_take_only_json_booleans(tmp_path, mode, field, value):
+    cfg = _sim_cfg(mode=mode, input="absent.json")
+    section, _, key = field.rpartition(".")
+    (cfg[section] if section else cfg)[key] = value
+    with pytest.raises(ConfigError, match=field):
+        run_config(cfg, str(tmp_path))
+
+
+def test_antithetic_runs_need_an_even_trajectory_count(tmp_path, capsys):
+    xy4 = _xy4_cfg()
+    xy4["sampling"]["n_traj"] = 401
+    for cfg in (_sim_cfg(sampling={"n_traj": 127, "seed": 7}), xy4):
+        assert main(["run", "--config", _write_cfg(tmp_path, cfg),
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sampling.n_traj" in err
+    plain = _sim_cfg(sampling={"n_traj": 127, "seed": 7, "antithetic": False})
+    run_config(plain, str(tmp_path))
+    assert read_map_series(tmp_path / "maps.json")[1]["n_traj"] == 127
+
+
 def test_seed_is_mandatory_for_stochastic_modes(tmp_path):
     cfg = _sim_cfg()
     del cfg["sampling"]["seed"]

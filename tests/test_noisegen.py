@@ -1,10 +1,15 @@
 """Noise models, exact Gaussian path sampling, spectral closed forms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import integrate
 
+import ttmkit
 from ttmkit.noisegen import GaussianPathSampler, NoiseModel, NoisePath, sample_paths
 
 from conftest import double_integral_correlation, ou_correlation
@@ -155,3 +160,14 @@ def test_correlated_channels_sample_together():
     # unit cross amplitude with equal rates means identical channels up to
     # the eigh factorization noise of the singular covariance
     npt.assert_allclose(paths[:, 0], paths[:, 1], atol=1e-5)
+
+
+def test_package_import_leaves_scipy_integrate_and_linalg_unloaded():
+    # quadrature (custom corr_fn) and logm (pair split) import them on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttmkit.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import ttmkit, ttmkit.cli, ttmkit.presets; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

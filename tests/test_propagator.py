@@ -286,7 +286,8 @@ def test_control_variate_helpers_match_written_out_sums():
     h = 0.3 * np.kron(SIGMA_Z, eye) - 0.7 * np.kron(eye, SIGMA_Z)
     ops = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y))
     model = SystemModel(h_system=h, couplings=ops,
-                        noise=NoiseModel.independent([1.0, 0.5], [1.0, 2.0]))
+                        noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                                         cross=np.diag([1.0, 0.5])))
     n_ch, n_sub, dt_sub, dt = 2, 12, 0.05, 0.2
     midpoints = (np.arange(n_sub) + 0.5) * dt_sub
     boundary = np.array([2, 3, 11])
@@ -345,9 +346,10 @@ def test_su2_kernel_matches_per_path_expm_products():
 def test_pulsed_kernels_match_per_path_expm_products():
     # a transverse qubit (quaternion kernel), a non-diagonal pair (Taylor
     # kernel) and two diagonal models (phase kernel): a biased z qubit with two
-    # cross-correlated z channels and a pair with zz and per-qubit biases.
-    # Uneven substep lengths per segment and a pulse carrying a global phase:
-    # pulses act right after their boundary, inside its sum
+    # cross-correlated z channels and a pair with zz and per-qubit biases,
+    # each also run without pulses. Uneven substep lengths per segment and a
+    # pulse carrying a global phase: pulses act right after their boundary,
+    # inside its sum
     eye = np.eye(2)
     hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
     cross = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -372,7 +374,8 @@ def test_pulsed_kernels_match_per_path_expm_products():
     boundary = np.array([2, 5, 6, 11])
     dt_seg = np.array([0.1, 0.25, 0.05, 0.15])
     for model, pulses in ((qubit, qubit_pulses), (pair, pair_pulses),
-                          (z_qubit, qubit_pulses), (z_pair, pair_pulses)):
+                          (z_qubit, qubit_pulses), (z_pair, pair_pulses),
+                          (z_qubit, None), (z_pair, None)):
         d, n_paths = model.dim, 6
         b = rng.normal(scale=2.0, size=(n_paths, 2, boundary[-1] + 1))
         want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
@@ -384,7 +387,7 @@ def test_pulsed_kernels_match_per_path_expm_products():
                     h = model.h_system + sum(b[p, a, j] * c
                                              for a, c in enumerate(model.couplings))
                     u = expm(-1.0j * h * dt_seg[pos]) @ u
-                if pulses[pos] is not None:
+                if pulses is not None and pulses[pos] is not None:
                     u = pulses[pos] @ u
                 want[pos] += unitary_superop(u)
                 start = end + 1
