@@ -12,14 +12,11 @@ from .liouville import (
     apply_superop,
     bloch_affine,
     bloch_volume,
-    choi_trace_defect,
     commutator_superop,
     factorize_bipartite,
     from_choi,
     hamiltonian_liouvillian,
-    hermiticity_defect,
     identity_superop,
-    is_density_matrix,
     kron_superop,
     min_choi_eigenvalue,
     to_choi,
@@ -36,7 +33,7 @@ from .multiqubit import (
     isolate_generator_kernel,
     unravel,
 )
-from .noisegen import GaussianPathSampler, NoiseModel, NoisePath, sample_paths
+from .noisegen import GaussianPathSampler, NoiseModel
 from .nonmarkov import (
     VolumeSeries,
     extended_volume_measure,
@@ -47,14 +44,12 @@ from .propagator import (
     SystemModel,
     dephasing_map,
     dephasing_map_series,
-    evolve_trajectory,
     free_evolution_superop,
     simulate_process,
     simulate_pulsed_process,
 )
 from .qpt import (
     QptRecord,
-    basis_condition,
     prep_labels,
     prep_states,
     project_cptp,
@@ -65,16 +60,13 @@ from .spectroscopy import (
     CorrelationSeries,
     combine_scaled_kernels,
     fit_correlations,
-    k2_model,
     spectral_density,
 )
 from .ttm import (
     build_ttms,
     choose_truncation,
     count_above_threshold,
-    estimate_liouvillian,
     extract_kernel,
-    kernel_to_ttms,
     norm_profile,
     predict_maps,
     predict_states,
@@ -84,20 +76,17 @@ __all__ = [
     "__version__",
     "vec", "unvec", "apply_superop", "unitary_superop", "commutator_superop",
     "hamiltonian_liouvillian", "identity_superop", "to_choi", "from_choi",
-    "trace_preservation_defect", "hermiticity_defect", "min_choi_eigenvalue",
-    "choi_trace_defect", "is_density_matrix", "bloch_affine", "bloch_volume",
+    "trace_preservation_defect", "min_choi_eigenvalue", "bloch_affine", "bloch_volume",
     "kron_superop", "factorize_bipartite",
-    "NoiseModel", "NoisePath", "GaussianPathSampler", "sample_paths",
-    "SystemModel", "evolve_trajectory", "simulate_process",
-    "simulate_pulsed_process", "dephasing_map", "dephasing_map_series",
-    "free_evolution_superop",
-    "QptRecord", "prep_labels", "prep_states", "basis_condition",
+    "NoiseModel", "GaussianPathSampler",
+    "SystemModel", "simulate_process", "simulate_pulsed_process",
+    "dephasing_map", "dephasing_map_series", "free_evolution_superop",
+    "QptRecord", "prep_labels", "prep_states",
     "simulate_qpt", "reconstruct_maps", "project_cptp",
     "build_ttms", "predict_maps", "predict_states", "extract_kernel",
-    "kernel_to_ttms", "estimate_liouvillian", "norm_profile",
-    "count_above_threshold", "choose_truncation",
+    "norm_profile", "count_above_threshold", "choose_truncation",
     "VolumeSeries", "volume_series", "volume_measure", "extended_volume_measure",
-    "CorrelationSeries", "k2_model", "fit_correlations", "spectral_density",
+    "CorrelationSeries", "fit_correlations", "spectral_density",
     "combine_scaled_kernels",
     "UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
     "SingularMapError", "collective_report",

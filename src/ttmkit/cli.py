@@ -12,6 +12,7 @@ every file carries the config hash, seed, and package version.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -49,12 +50,21 @@ def _get(cfg, path, required=True, default=None):
     return cur
 
 
+def _is_number(val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(cfg, path, required=True, default=None, positive=False):
     val = _get(cfg, path, required, default)
     if val is None:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"field '{path}': expected a number, got {val!r}")
+    if not _is_number(val):
+        raise ConfigError(f"field '{path}': expected a finite number, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"field '{path}': must be positive, got {val!r}")
     return float(val)
@@ -71,13 +81,17 @@ def _integer(cfg, path, required=True, default=None, minimum=None):
     return val
 
 
-def _positive_list(cfg, path, n):
-    val = _get(cfg, path, required=False)
-    if val is not None and not (isinstance(val, list) and len(val) == n and all(
-            not isinstance(x, bool) and isinstance(x, (int, float)) and x > 0 for x in val)):
-        raise ConfigError(f"field '{path}': expected {n} positive numbers (one per input), "
+def _number_list(val, path, n, minimum=None, positive=False):
+    """``val`` as n finite numbers, each >= minimum or > 0 when asked; None passes."""
+    if val is None:
+        return None
+    if not (isinstance(val, list) and len(val) == n and all(
+            _is_number(x) and (minimum is None or x >= minimum) and (not positive or x > 0)
+            for x in val)):
+        bound = " > 0" if positive else "" if minimum is None else f" >= {minimum:g}"
+        raise ConfigError(f"field '{path}': expected a list of {n} finite numbers{bound}, "
                           f"got {val!r}")
-    return val
+    return [float(x) for x in val]
 
 
 def _boolean(cfg, path, default):
@@ -112,9 +126,7 @@ def build_model(cfg):
     n_qubits = _integer(cfg, "system.n_qubits", minimum=1)
     if n_qubits not in (1, 2):
         raise ConfigError(f"field 'system.n_qubits': must be 1 or 2, got {n_qubits}")
-    biases = _get(cfg, "system.biases")
-    if not isinstance(biases, list) or len(biases) != n_qubits:
-        raise ConfigError(f"field 'system.biases': expected a list of {n_qubits} numbers")
+    biases = _number_list(_get(cfg, "system.biases"), "system.biases", n_qubits)
     zz = _number(cfg, "system.zz_coupling", required=False, default=0.0)
     if zz and n_qubits == 1:
         raise ConfigError("field 'system.zz_coupling': needs n_qubits = 2")
@@ -136,24 +148,23 @@ def build_model(cfg):
                               f"in [1, {n_qubits}] (qubits are labeled from 1)")
         placed.append((axis, qubit))
 
-    variances = _get(cfg, "noise.variances")
-    decay = _get(cfg, "noise.decay_rates")
-    mods = _get(cfg, "noise.modulations", required=False,
-                default=[0.0] * len(channels))
-    for name, seq in (("variances", variances), ("decay_rates", decay),
-                      ("modulations", mods)):
-        if not isinstance(seq, list) or len(seq) != len(channels):
-            raise ConfigError(f"field 'noise.{name}': expected a list of "
-                              f"{len(channels)} numbers (one per channel)")
+    n_ch = len(channels)
+    variances = _number_list(_get(cfg, "noise.variances"), "noise.variances", n_ch,
+                             minimum=0)
+    decay = _number_list(_get(cfg, "noise.decay_rates"), "noise.decay_rates", n_ch,
+                         minimum=0)
+    mods = _number_list(_get(cfg, "noise.modulations", required=False, default=[0.0] * n_ch),
+                        "noise.modulations", n_ch)
     cross = _get(cfg, "noise.cross", required=False)
     if cross is None:
-        cross = np.diag(np.asarray(variances, dtype=float))
+        cross = np.diag(variances)
     else:
-        cross = np.asarray(cross, dtype=float)
-        if cross.shape != (len(channels), len(channels)):
+        if not isinstance(cross, list) or len(cross) != n_ch:
             raise ConfigError("field 'noise.cross': must be a square matrix "
                               "over the noise channels")
-        if not np.array_equal(np.diag(cross), np.asarray(variances, dtype=float)):
+        cross = np.array([_number_list(row, f"noise.cross[{i}]", n_ch)
+                          for i, row in enumerate(cross)])
+        if not np.array_equal(np.diag(cross), variances):
             raise ConfigError(f"field 'noise.cross': its diagonal {np.diag(cross).tolist()} "
                               f"must equal noise.variances {variances}")
 
@@ -272,8 +283,10 @@ def _mode_spectroscopy(cfg, out_dir):
     if inputs is not None:
         if not isinstance(inputs, list) or len(inputs) < 2:
             raise ConfigError("field 'inputs': expected two or more map files")
-        gammas = _positive_list(cfg, "gammas", len(inputs))
-        biases = _positive_list(cfg, "protocol_biases", len(inputs))
+        gammas = _number_list(_get(cfg, "gammas", required=False), "gammas", len(inputs),
+                              positive=True)
+        biases = _number_list(_get(cfg, "protocol_biases", required=False),
+                              "protocol_biases", len(inputs), positive=True)
         loaded = [_read_input({"input": p}, out_dir) for p in inputs]
         dt = loaded[0][1]["dt"]
         for path, (_, info) in zip(inputs[1:], loaded[1:]):
@@ -434,6 +447,10 @@ def main(argv=None):
             except json.JSONDecodeError as exc:
                 print(f"config error - {args.config} is not valid JSON: {exc}",
                       file=sys.stderr)
+                return 2
+            if not isinstance(cfg, dict):
+                print(f"config error - {args.config}: expected a JSON object, got "
+                      f"{type(cfg).__name__}", file=sys.stderr)
                 return 2
             if args.command != "run":
                 stated = cfg.get("mode")

@@ -133,12 +133,6 @@ def from_choi(choi):
     return to_choi(choi)
 
 
-def choi_trace_defect(sop):
-    """|Tr X - d| for the Choi matrix X of the map; zero for trace-preserving maps."""
-    d = superop_dim(sop)
-    return abs(np.trace(to_choi(sop)) - d)
-
-
 def trace_preservation_defect(sop):
     """Frobenius norm of (sum of rows that should give Tr E(rho) = Tr rho).
 
@@ -153,12 +147,6 @@ def trace_preservation_defect(sop):
     return np.linalg.norm(s - np.eye(d))
 
 
-def hermiticity_defect(sop):
-    """How far the map is from preserving Hermiticity; zero iff Choi is Hermitian."""
-    x = to_choi(sop)
-    return np.linalg.norm(x - x.conj().T)
-
-
 def min_choi_eigenvalue(sop):
     """Smallest eigenvalue of the Hermitized Choi matrix.
 
@@ -171,16 +159,6 @@ def min_choi_eigenvalue(sop):
 
 def identity_superop(d):
     return np.eye(d * d, dtype=complex)
-
-
-def is_density_matrix(rho, tol=1e-9):
-    """Check trace one, Hermiticity, and positive semidefiniteness."""
-    rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho) - 1.0) > tol:
-        return False
-    if np.linalg.norm(rho - rho.conj().T) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +189,6 @@ def bloch_affine(sop):
         raise ValueError("Bloch representation is defined for single-qubit maps")
     r = np.real(_B.conj().T @ (sop @ _B)) / 2.0
     return r[1:, 1:], r[1:, 0]
-
-
-def affine_to_superop(M, c):
-    """Rebuild the 4 x 4 superoperator from its affine Bloch action.
-
-    Inverse of :func:`bloch_affine`: E = B R B^H / 2 with the Pauli
-    transfer matrix R = [[1, 0], [c, M]] of a trace-preserving map.
-    """
-    r = np.zeros((4, 4))
-    r[0, 0] = 1.0
-    r[1:, 0] = np.asarray(c, dtype=float)
-    r[1:, 1:] = np.asarray(M, dtype=float)
-    return _B @ r @ _B.conj().T / 2.0
 
 
 def bloch_volume(sop):

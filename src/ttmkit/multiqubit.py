@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import factorize_bipartite, kron_superop
-from .ttm import _richardson, build_ttms, norm_profile
+from .ttm import build_ttms, norm_profile
 
 __all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
            "SingularMapError", "collective_report"]
@@ -83,10 +83,13 @@ def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt, noise=None):
     Hausdorff) and is booked as kernel. Pass the noise model to get a
     warning when kappa dt is not small.
     """
-    split = _richardson(delta_t1_dt, delta_t1_2dt)
+    g1 = np.asarray(delta_t1_dt, dtype=complex)
+    g2 = np.asarray(delta_t1_2dt, dtype=complex)
+    if g1.shape != g2.shape:
+        raise ValueError("the dt and 2 dt inputs must share a shape")
     if noise is not None:
         _warn_coarse_step(dt, noise, stacklevel=3)
-    return split
+    return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
 
 
 class SingularMapError(ValueError):

@@ -17,33 +17,6 @@ _MAX_COV_SIDE = 4096
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """One realization of the noise vector on a uniform step grid.
-
-    values[a, k] is channel a frozen over step k, sampled at the step
-    midpoint (k + 1/2) dt. Stationarity makes the sample covariance between
-    steps m and n equal to C(|m - n| dt) regardless of the half-step shift.
-    """
-
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("noise path contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_channels(self):
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self):
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean stationary Gaussian noise on one or more channels.
 
@@ -214,21 +187,3 @@ class GaussianPathSampler:
         """
         return self._factor @ self._factor.T
 
-
-def sample_paths(model, dt, n_steps, seed, n_paths=None):
-    """Draw jointly Gaussian noise paths on a uniform step grid.
-
-    Values are taken at step midpoints (k + 1/2) dt, matching how the
-    propagator freezes noise within a step. Deterministic given seed.
-
-    Returns a :class:`NoisePath` by default; with ``n_paths`` set, an
-    array of shape (n_paths, n_channels, n_steps).
-    """
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and n_steps >= 1")
-    times = (np.arange(n_steps) + 0.5) * dt
-    sampler = GaussianPathSampler(model, times)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if n_paths is None:
-        return NoisePath(dt, sampler.sample(rng, 1)[0])
-    return sampler.sample(rng, n_paths)

@@ -79,30 +79,6 @@ def free_evolution_superop(h, t):
     return _free_superops(h, [t])[0]
 
 
-def evolve_trajectory(model, path, rho0):
-    """Propagate one state along one noise realization.
-
-    Each step applies U_k = exp(-i H_k dt) with H_k the Hamiltonian frozen
-    at the step midpoint value stored in ``path``; the per-path evolution is
-    exactly unitary, so purity and trace survive to machine precision. The
-    steps are taken by the ensemble kernel on a single path.
-
-    Returns the states at t_1 .. t_n as an (n_steps, d, d) array.
-    """
-    values = np.asarray(path.values, dtype=float)
-    if values.shape[0] != model.noise.n_channels:
-        raise ValueError("path channel count does not match the model")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("noise path contains non-finite values")
-    rho = np.asarray(rho0, dtype=complex)
-    d = model.dim
-    if rho.shape != (d, d):
-        raise ValueError("rho0 dimension does not match the model")
-    n_steps = values.shape[1]
-    maps = _chunk_map_sums(model, values[None], path.dt, np.arange(n_steps))
-    return (maps @ rho.reshape(-1)).reshape(n_steps, d, d)
-
-
 def _diag_parts(model):
     h = np.real(np.diagonal(model.h_system))
     z = np.stack([np.real(np.diagonal(c)) for c in model.couplings])

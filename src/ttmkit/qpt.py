@@ -13,7 +13,6 @@ __all__ = [
     "QptRecord",
     "prep_labels",
     "prep_states",
-    "basis_condition",
     "simulate_qpt",
     "reconstruct_maps",
     "project_cptp",
@@ -114,12 +113,6 @@ def _design_matrix(n_qubits):
     # Paulis: the emission order of simulate_qpt.
     p_vecs, rho_vecs, keys = _blocks(n_qubits)
     return np.einsum("pi,sj->spij", p_vecs, rho_vecs).reshape(len(keys), -1), keys
-
-
-def basis_condition(n_qubits):
-    """Condition number of the linear-inversion design matrix."""
-    a, _ = _design_matrix(n_qubits)
-    return float(np.linalg.cond(a))
 
 
 def simulate_qpt(maps, shots=0, seed=None):

@@ -11,7 +11,6 @@ from .liouville import (PAULIS, _free_superops, commutator_superop, hamiltonian_
 
 __all__ = [
     "CorrelationSeries",
-    "k2_model",
     "fit_correlations",
     "spectral_density",
     "combine_scaled_kernels",
@@ -60,25 +59,10 @@ def _interaction_superops(hs, times):
 def _k2_stack(corr, left, right):
     # K2 = -sum_{aa'} [sigma^a, C_{aa'} sigma^{a'}(t) (.) - C*_{aa'} (.) sigma^{a'}(t)]
     # for (..., 3, 3) channel matrices against a (T, 3, 4, 4) superoperator stack;
-    # returns (..., T, 4, 4).
+    # returns (..., T, 4, 4). The sign convention is stated on fit_correlations.
     inner = (np.einsum("...ab,tbij->...taij", corr, left)
              - np.einsum("...ab,tbij->...taij", corr.conj(), right))
     return np.einsum("aij,...tajk->...tik", -_COMMUTATORS, inner)
-
-
-def k2_model(corr_at_t, hs, t):
-    """Second-order memory kernel for a single qubit at one time point.
-
-    K2(t) = -sum_{aa'} [sigma^a, C_{aa'}(t) sigma^{a'}(t) (.)
-                        - C*_{aa'}(t) (.) sigma^{a'}(t)]
-    with sigma^{a'}(t) = e^{-iH_s t} sigma^{a'} e^{iH_s t}. The overall
-    minus puts the kernel on the +int K rho side of the master equation,
-    so pure z dephasing gives rhodot_12 = -4 C_zz(0) rho_12 at t = 0.
-    """
-    corr = np.asarray(corr_at_t, dtype=complex)
-    if corr.shape != (3, 3):
-        raise ValueError("corr_at_t must be a 3x3 channel matrix")
-    return _k2_stack(corr, *_interaction_superops(hs, [t]))[0]
 
 
 def _solve_one(a_mat, b_vec, lam, c_prev, knee, max_iter):
@@ -121,7 +105,15 @@ def fit_correlations(
     Solves, sequentially in n, min_C |K2(t_n; C) - K_exp(t_n)|_F
     + lambda_n * sum over active channels of |C(t_n) - C(t_{n-1})|,
     warm-starting each point at the previous solution. The continuity
-    term uses a Huber knee so it stays differentiable near zero.
+    term uses a Huber knee so it stays differentiable near zero. The model
+    is the second-order kernel
+
+        K2(t) = -sum_{aa'} [sigma^a, C_{aa'}(t) sigma^{a'}(t) (.)
+                            - C*_{aa'}(t) (.) sigma^{a'}(t)]
+
+    with sigma^{a'}(t) = e^{-iH_s t} sigma^{a'} e^{iH_s t}. The overall
+    minus puts the kernel on the +int K rho side of the master equation,
+    so pure z dephasing gives rhodot_12 = -4 C_zz(0) rho_12 at t = 0.
 
     Parameters
     ----------

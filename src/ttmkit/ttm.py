@@ -11,8 +11,6 @@ __all__ = [
     "predict_maps",
     "predict_states",
     "extract_kernel",
-    "kernel_to_ttms",
-    "estimate_liouvillian",
     "norm_profile",
     "count_above_threshold",
     "choose_truncation",
@@ -89,36 +87,6 @@ def extract_kernel(tensors, liouvillian, dt):
     for t_n in tensors[1:]:
         out.append(np.asarray(t_n, dtype=complex) / dt**2)
     return out
-
-
-def kernel_to_ttms(kernels, liouvillian, dt):
-    """Inverse of extract_kernel, mostly for synthesizing test fixtures."""
-    d2 = kernels[0].shape[0]
-    eye = np.eye(d2, dtype=complex)
-    out = [eye + np.asarray(liouvillian) * dt + np.asarray(kernels[0]) * dt**2]
-    for k_n in kernels[1:]:
-        out.append(np.asarray(k_n, dtype=complex) * dt**2)
-    return out
-
-
-def _richardson(g_dt, g_2dt):
-    """(a dt, b dt^2) of g(dt) = a dt + b dt^2 from its values at dt and 2 dt."""
-    g1 = np.asarray(g_dt, dtype=complex)
-    g2 = np.asarray(g_2dt, dtype=complex)
-    if g1.shape != g2.shape:
-        raise ValueError("the dt and 2 dt inputs must share a shape")
-    return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
-
-
-def estimate_liouvillian(e1_dt, e1_2dt, dt):
-    """Richardson estimate of the time-local generator from two step sizes.
-
-    L = (4(E(dt) - I) - (E(2dt) - I)) / (2 dt) cancels the quadratic terms
-    shared by the two one-step maps.
-    """
-    e1_dt = np.asarray(e1_dt, dtype=complex)
-    eye = np.eye(e1_dt.shape[0], dtype=complex)
-    return _richardson(e1_dt - eye, np.asarray(e1_2dt) - eye)[0] / dt
 
 
 def norm_profile(tensors, subtract_identity=True):

@@ -104,5 +104,13 @@ def toggled_variance(signs, seg, lam, kappa):
     return 4.0 * var
 
 
+def is_density_matrix(rho, tol=1e-9):
+    """Trace one, Hermitian and positive semidefinite, each within tol."""
+    rho = np.asarray(rho, dtype=complex)
+    return bool(abs(np.trace(rho) - 1.0) <= tol
+                and np.linalg.norm(rho - rho.conj().T) <= tol
+                and np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] > -tol)
+
+
 def map_distance(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))

@@ -95,6 +95,36 @@ def test_cross_diagonal_must_equal_variances(tmp_path, capsys):
     assert "config error" in err and "noise.cross" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise.variances", ["x"]),
+    ("system.biases", ["x"]),
+    ("system.biases", [None]),
+    ("noise.cross", [["a"]]),
+    (None, [1, 2]),
+    ("noise.variances", [-1.0]),
+    ("noise.decay_rates", ["fast"]),
+    ("noise.decay_rates", [-1.0]),
+    ("noise.variances", [float("nan")]),
+    ("noise.modulations", [True]),
+    ("grid.dt", float("nan")),
+    ("system.biases", [10**400]),
+], ids=["variance-string", "bias-string", "bias-null", "cross-string", "top-level-list",
+        "variance-negative", "decay-string", "decay-negative", "variance-nan",
+        "modulation-bool", "dt-nan", "bias-huge-integer"])
+def test_numeric_fields_take_only_finite_numbers(tmp_path, capsys, field, value):
+    cfg = _sim_cfg()
+    if field is None:
+        cfg = value
+    else:
+        section, key = field.split(".")
+        cfg[section][key] = value
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and (field is None or field in err)
+    assert not (tmp_path / "maps.json").exists()
+
+
 @pytest.mark.parametrize("mode, field, value", [
     ("simulate", "sampling.antithetic", "false"),
     ("simulate", "sampling.control_variate", 1),

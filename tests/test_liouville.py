@@ -9,19 +9,15 @@ from ttmkit.liouville import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    affine_to_superop,
     all_pauli_labels,
     apply_superop,
     bloch_affine,
     bloch_volume,
-    choi_trace_defect,
     commutator_superop,
     factorize_bipartite,
     from_choi,
     hamiltonian_liouvillian,
-    hermiticity_defect,
     identity_superop,
-    is_density_matrix,
     kron_superop,
     left_multiply,
     min_choi_eigenvalue,
@@ -36,7 +32,7 @@ from ttmkit.liouville import (
     vec,
 )
 
-from conftest import random_cptp, random_density
+from conftest import is_density_matrix, random_cptp, random_density
 
 
 def test_vec_row_major_ordering():
@@ -103,9 +99,10 @@ def test_choi_roundtrip_and_cptp_diagnostics():
         npt.assert_allclose(from_choi(to_choi(sop)), sop, atol=1e-12)
         assert superop_dim(sop) == d
         assert trace_preservation_defect(sop) < 1e-12
-        assert hermiticity_defect(sop) < 1e-12
+        choi = to_choi(sop)
+        assert np.linalg.norm(choi - choi.conj().T) < 1e-12  # Hermiticity preserving
         assert min_choi_eigenvalue(sop) > -1e-12
-        assert choi_trace_defect(sop) < 1e-12
+        assert abs(np.trace(choi) - d) < 1e-12
         rho = random_density(d, rng)
         assert is_density_matrix(apply_superop(sop, rho))
 
@@ -140,7 +137,12 @@ def test_bloch_affine_roundtrip():
         want_c = [0.5 * np.trace(a @ apply_superop(sop, PAULIS["I"])).real for a in paulis]
         npt.assert_allclose(m, want_m, rtol=0, atol=1e-15)
         npt.assert_allclose(c, want_c, rtol=0, atol=1e-15)
-        npt.assert_allclose(affine_to_superop(m, c), sop, atol=1e-12)
+        # (M, c) fix the map: E(I) = I + c . sigma and E(sigma_j) = sum_i M_ij sigma_i
+        images = [PAULIS["I"] + sum(ci * p for ci, p in zip(c, paulis))]
+        images += [sum(m[i, j] * paulis[i] for i in range(3)) for j in range(3)]
+        rebuilt = sum(np.outer(vec(e), vec(p).conj())
+                      for e, p in zip(images, [PAULIS["I"]] + paulis)) / 2.0
+        npt.assert_allclose(rebuilt, sop, atol=1e-12)
     with pytest.raises(ValueError, match="single-qubit"):
         bloch_affine(identity_superop(4))
 

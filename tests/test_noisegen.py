@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 import ttmkit
-from ttmkit.noisegen import GaussianPathSampler, NoiseModel, NoisePath, sample_paths
+from ttmkit.noisegen import GaussianPathSampler, NoiseModel
 
 from conftest import double_integral_correlation, ou_correlation
 
@@ -82,34 +82,17 @@ def test_spectral_density_is_lorentzian_pair():
     assert abs(power - model.correlation_entry(0, 0, 0.0)) < 1e-2
 
 
-def test_noise_path_container():
-    path = NoisePath(0.1, np.arange(6.0))
-    assert path.n_channels == 1 and path.n_steps == 6
-    two = NoisePath(0.1, np.arange(6.0).reshape(2, 3))
-    assert two.n_channels == 2 and two.n_steps == 3
-    with pytest.raises(ValueError, match="finite"):
-        NoisePath(0.1, np.array([0.0, np.nan]))
+def _midpoints(dt, n_steps):
+    return (np.arange(n_steps) + 0.5) * dt
 
 
 def test_sample_paths_deterministic_and_shaped():
-    model = NoiseModel.single(4.0, 1.0)
-    one = sample_paths(model, 0.2, 10, seed=42)
-    assert isinstance(one, NoisePath)
-    assert one.values.shape == (1, 10)
-    again = sample_paths(model, 0.2, 10, seed=42)
-    npt.assert_array_equal(one.values, again.values)
-    other = sample_paths(model, 0.2, 10, seed=43)
-    assert np.max(np.abs(one.values - other.values)) > 1e-3
-
-    batch = sample_paths(model, 0.2, 10, seed=42, n_paths=5)
-    assert batch.shape == (5, 1, 10)
-    # same normal draws; BLAS shape dispatch may flip the last bit
-    npt.assert_allclose(batch[0], one.values, atol=1e-12)
-
-    with pytest.raises(ValueError):
-        sample_paths(model, -0.1, 10, seed=0)
-    with pytest.raises(ValueError):
-        sample_paths(model, 0.1, 0, seed=0)
+    sampler = GaussianPathSampler(NoiseModel.single(4.0, 1.0), _midpoints(0.2, 10))
+    one = sampler.sample(np.random.default_rng(42), 5)
+    assert one.shape == (5, 1, 10)
+    npt.assert_array_equal(one, sampler.sample(np.random.default_rng(42), 5))
+    other = sampler.sample(np.random.default_rng(43), 5)
+    assert np.max(np.abs(one - other)) > 1e-3
 
 
 def test_sampled_covariance_matches_model():
@@ -117,10 +100,10 @@ def test_sampled_covariance_matches_model():
     model = NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 1.0),
                        cross=np.array([[4.0, 1.0], [1.0, 2.0]]))
     dt, n_steps, n_paths = 0.3, 8, 120_000
-    paths = sample_paths(model, dt, n_steps, seed=7, n_paths=n_paths)
+    times = _midpoints(dt, n_steps)
+    paths = GaussianPathSampler(model, times).sample(np.random.default_rng(7), n_paths)
     flat = paths.reshape(n_paths, -1)
     emp = flat.T @ flat / n_paths
-    times = (np.arange(n_steps) + 0.5) * dt
     lags = times[:, None] - times[None, :]
     want = model.correlation(lags).transpose(2, 0, 3, 1).reshape(16, 16)
     scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
@@ -156,7 +139,7 @@ def test_sampler_grid_cap():
 def test_correlated_channels_sample_together():
     cross = np.array([[1.0, 1.0], [1.0, 1.0]])
     model = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=cross)
-    paths = sample_paths(model, 0.2, 5, seed=3, n_paths=2000)
+    paths = GaussianPathSampler(model, _midpoints(0.2, 5)).sample(np.random.default_rng(3), 2000)
     # unit cross amplitude with equal rates means identical channels up to
     # the eigh factorization noise of the singular covariance
     npt.assert_allclose(paths[:, 0], paths[:, 1], atol=1e-5)

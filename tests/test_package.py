@@ -1,0 +1,33 @@
+"""The public surface of the package and the README quick start."""
+
+import re
+from pathlib import Path
+
+import ttmkit
+from ttmkit.liouville import apply_superop
+from ttmkit.propagator import dephasing_map_series
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_public_names_resolve_once():
+    names = ttmkit.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(ttmkit, name)]
+    assert missing == []
+    star = {}
+    exec("from ttmkit import *", star)
+    star.pop("__builtins__")
+    assert sorted(star) == sorted(names)
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(blocks[0], scope)
+    states = scope["states"]
+    assert len(states) == 50
+    exact = dephasing_map_series(scope["model"], scope["dt"], 8)[7]
+    want = apply_superop(exact, scope["rho0"])[0, 1]
+    assert abs(states[7][0, 1] - want) < 0.01

@@ -15,7 +15,7 @@ from ttmkit.liouville import (
     unitary_superop,
     vec,
 )
-from ttmkit.noisegen import NoiseModel, NoisePath, sample_paths
+from ttmkit.noisegen import GaussianPathSampler, NoiseModel
 from ttmkit.presets import dd_demo_model, revival_demo_model, transverse_noise_model
 from ttmkit.propagator import (
     _TAYLOR_THETA,
@@ -25,7 +25,6 @@ from ttmkit.propagator import (
     _cv_generators,
     dephasing_map,
     dephasing_map_series,
-    evolve_trajectory,
     free_evolution_superop,
     simulate_process,
     simulate_pulsed_process,
@@ -69,11 +68,24 @@ def test_free_evolution_superop():
                         u @ rho @ u.conj().T, atol=1e-12)
 
 
+def _draw_paths(model, dt, n_steps, seed, n_paths):
+    """Noise values (n_paths, n_channels, n_steps) at the step midpoints."""
+    sampler = GaussianPathSampler(model.noise, (np.arange(n_steps) + 0.5) * dt)
+    return sampler.sample(np.random.default_rng(seed), n_paths)
+
+
+def _mean_states(model, b, dt, rho0):
+    """Path-averaged states at every step of the noise values b (P, n_ch, n_steps)."""
+    maps = _chunk_map_sums(model, b, dt, np.arange(b.shape[-1])) / b.shape[0]
+    return (maps @ vec(rho0)).reshape(-1, model.dim, model.dim)
+
+
 def test_evolve_trajectory_is_unitary_per_path():
+    # one path through the ensemble kernel, a map boundary at every step
     model = _z_model()
-    path = sample_paths(model.noise, 0.2, 25, seed=5)
+    b = _draw_paths(model, 0.2, 25, seed=5, n_paths=1)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    states = evolve_trajectory(model, path, rho0)
+    states = _mean_states(model, b, 0.2, rho0)
     assert states.shape == (25, 2, 2)
     for rho in states:
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -86,22 +98,11 @@ def test_evolve_trajectory_constant_path_phase():
     bias, b = 0.1, 0.35
     model = _z_model(bias=bias)
     dt, n = 0.2, 12
-    path = NoisePath(dt, np.full((1, n), b))
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    states = evolve_trajectory(model, path, rho0)
+    states = _mean_states(model, np.full((1, 1, n), b), dt, rho0)
     for k, rho in enumerate(states, start=1):
         want = 0.5 * np.exp(2j * (bias + b) * k * dt)
         assert abs(rho[1, 0] - want) < 1e-12
-
-
-def test_evolve_trajectory_validation():
-    model = _z_model()
-    path = sample_paths(model.noise, 0.2, 4, seed=1)
-    with pytest.raises(ValueError, match="dimension"):
-        evolve_trajectory(model, path, np.eye(3) / 3)
-    two = NoisePath(0.2, np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="channel count"):
-        evolve_trajectory(model, two, np.eye(2) / 2)
 
 
 def _random_hermitian(d, rng):
@@ -134,12 +135,12 @@ def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
     for model in (qubit, pair, qutrit):
         d = model.dim
         dt, n_steps = 0.15, 9
-        path = NoisePath(dt, rng.normal(scale=2.0, size=(2, n_steps)))
+        values = rng.normal(scale=2.0, size=(2, n_steps))
         rho0 = random_density(d, rng)
-        states = evolve_trajectory(model, path, rho0)
+        states = _mean_states(model, values[None], dt, rho0)
         u = np.eye(d, dtype=complex)
         for k in range(n_steps):
-            h = model.h_system + sum(path.values[a, k] * c
+            h = model.h_system + sum(values[a, k] * c
                                      for a, c in enumerate(model.couplings))
             u = expm(-1.0j * h * dt) @ u
             npt.assert_allclose(states[k], u @ rho0 @ u.conj().T, rtol=0, atol=1e-12)
@@ -492,11 +493,8 @@ def test_ensemble_average_of_trajectories_matches_maps():
     model = _z_model(4.0, 1.0)
     dt, n_steps, n = 0.2, 5, 3000
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    paths = sample_paths(model.noise, dt, n_steps, seed=31, n_paths=n)
-    acc = np.zeros((n_steps, 2, 2), dtype=complex)
-    for p in range(n):
-        acc += evolve_trajectory(model, NoisePath(dt, paths[p]), rho0)
-    mean_states = acc / n
+    mean_states = _mean_states(model, _draw_paths(model, dt, n_steps, seed=31, n_paths=n),
+                               dt, rho0)
     exact = dephasing_map_series(model, dt, n_steps)
     for k in range(n_steps):
         want = apply_superop(exact[k], rho0)

@@ -9,7 +9,6 @@ from ttmkit.liouville import (
     all_pauli_labels,
     apply_superop,
     identity_superop,
-    is_density_matrix,
     min_choi_eigenvalue,
     pauli_string,
     trace_preservation_defect,
@@ -17,7 +16,6 @@ from ttmkit.liouville import (
 from ttmkit.qpt import (
     QptRecord,
     _design_matrix,
-    basis_condition,
     prep_labels,
     prep_states,
     project_cptp,
@@ -25,7 +23,7 @@ from ttmkit.qpt import (
     simulate_qpt,
 )
 
-from conftest import map_distance, random_cptp
+from conftest import is_density_matrix, map_distance, random_cptp
 
 
 def test_prep_states_are_valid_and_informationally_complete():
@@ -38,8 +36,8 @@ def test_prep_states_are_valid_and_informationally_complete():
         # the span of the preparations must be the full operator space
         stack = np.array([rho.reshape(-1) for rho in states.values()])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 4**n_qubits
-    assert np.isfinite(basis_condition(1))
-    assert np.isfinite(basis_condition(2))
+    for n_qubits in (1, 2):
+        assert np.isfinite(np.linalg.cond(_design_matrix(n_qubits)[0]))
     with pytest.raises(ValueError):
         prep_labels(3)
 

@@ -12,11 +12,32 @@ from ttmkit.spectroscopy import (
     _k2_stack,
     combine_scaled_kernels,
     fit_correlations,
-    k2_model,
     spectral_density,
 )
 
 from conftest import ou_correlation
+
+
+def _k2_written_out(corr, hs, t):
+    """K2(t) column by column from the double commutator, with expm for U(t)."""
+    sig = [PAULIS[a] for a in "XYZ"]
+    u = expm(-1j * hs * t)
+    sig_t = [u @ s @ u.conj().T for s in sig]
+    out = np.zeros((4, 4), dtype=complex)
+    for col in range(4):
+        rho = unvec(np.eye(4)[col])
+        k_rho = np.zeros((2, 2), dtype=complex)
+        for a in range(3):
+            for b in range(3):
+                inner = corr[a, b] * sig_t[b] @ rho - np.conj(corr[a, b]) * rho @ sig_t[b]
+                k_rho -= sig[a] @ inner - inner @ sig[a]
+        out[:, col] = vec(k_rho)
+    return out
+
+
+def _k2(corr, hs, t):
+    """The fit's K2 stack at one channel matrix and one time."""
+    return _k2_stack(np.asarray(corr, dtype=complex), *_interaction_superops(hs, [t]))[0]
 
 
 def test_k2_model_dephasing_rate_sign():
@@ -24,7 +45,7 @@ def test_k2_model_dephasing_rate_sign():
     c0 = 0.25
     corr = np.zeros((3, 3))
     corr[2, 2] = c0
-    k2 = k2_model(corr, np.zeros((2, 2)), 0.0)
+    k2 = _k2(corr, np.zeros((2, 2)), 0.0)
     assert abs(k2[1, 1] - (-4.0 * c0)) < 1e-14
     assert abs(k2[2, 2] - (-4.0 * c0)) < 1e-14
     assert abs(k2[0, 0]) < 1e-14 and abs(k2[3, 3]) < 1e-14
@@ -36,17 +57,12 @@ def test_k2_model_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(3)
     corr = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     hs = 0.3 * SIGMA_Z
-    k2 = k2_model(corr, hs, 0.7)
+    k2 = _k2(corr, hs, 0.7)
     rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = rho + rho.conj().T
     out = unvec(k2 @ vec(rho))
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
     assert abs(np.trace(out)) < 1e-12  # kernel output is traceless
-
-
-def test_k2_model_validates_shape():
-    with pytest.raises(ValueError, match="3x3"):
-        k2_model(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
 
 def _random_hamiltonian(rng):
@@ -64,27 +80,15 @@ def test_batched_design_matches_k2_model_on_every_channel():
     assert stack.shape == (9, 7, 4, 4)
     for j, unit in enumerate(units):
         for n, t in enumerate(times):
-            npt.assert_allclose(stack[j, n], k2_model(unit, hs, t), rtol=0, atol=1e-15)
+            npt.assert_allclose(stack[j, n], _k2_written_out(unit, hs, t), rtol=0, atol=1e-14)
 
 
 def test_k2_model_matches_written_out_double_commutator():
     rng = np.random.default_rng(12)
     hs = _random_hamiltonian(rng)
     corr = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    sig = [PAULIS[a] for a in "XYZ"]
     for t in (0.0, 0.45, 2.3):
-        u = expm(-1j * hs * t)
-        sig_t = [u @ s @ u.conj().T for s in sig]
-        want = np.zeros((4, 4), dtype=complex)
-        for col in range(4):
-            rho = unvec(np.eye(4)[col])
-            out = np.zeros((2, 2), dtype=complex)
-            for a in range(3):
-                for b in range(3):
-                    inner = corr[a, b] * sig_t[b] @ rho - np.conj(corr[a, b]) * rho @ sig_t[b]
-                    out -= sig[a] @ inner - inner @ sig[a]
-            want[:, col] = vec(out)
-        npt.assert_allclose(k2_model(corr, hs, t), want, rtol=0, atol=1e-14)
+        npt.assert_allclose(_k2(corr, hs, t), _k2_written_out(corr, hs, t), rtol=0, atol=1e-14)
 
 
 def _synthetic_kernels(c_of_t, channel, hs, dt, n_points):
@@ -97,7 +101,7 @@ def _synthetic_kernels(c_of_t, channel, hs, dt, n_points):
     def k_true(t):
         corr = np.zeros((3, 3), dtype=complex)
         corr[idx[a], idx[b]] = c_of_t(t)
-        return k2_model(corr, hs, t)
+        return _k2_written_out(corr, hs, t)
 
     out = [0.5 * (ls @ ls + k_true(0.0))]
     for j in range(1, n_points):

@@ -12,9 +12,7 @@ from ttmkit.ttm import (
     build_ttms,
     choose_truncation,
     count_above_threshold,
-    estimate_liouvillian,
     extract_kernel,
-    kernel_to_ttms,
     norm_profile,
     predict_maps,
     predict_states,
@@ -128,8 +126,10 @@ def test_kernel_conversion_roundtrip():
     gen = hamiltonian_liouvillian(h)
     maps = _random_map_series(2, 5, rng)
     tensors = build_ttms(maps)
-    kernels = extract_kernel(tensors, gen, 0.2)
-    back = kernel_to_ttms(kernels, gen, 0.2)
+    dt = 0.2
+    kernels = extract_kernel(tensors, gen, dt)
+    # inverse: T_1 = I + L dt + K_1 dt^2 and T_n = K_n dt^2
+    back = [np.eye(4) + gen * dt + kernels[0] * dt**2] + [k * dt**2 for k in kernels[1:]]
     worst = max(map_distance(a, b) for a, b in zip(tensors, back))
     assert worst < 1e-12
 
@@ -147,18 +147,6 @@ def test_kernel_of_unitary_semigroup_vanishes_beyond_first_sample():
     npt.assert_allclose(kernels[0], gen @ gen / 2.0, atol=dt * np.linalg.norm(gen))
     for k_n in kernels[1:]:
         assert np.max(np.abs(k_n)) < 1e-10
-
-
-def test_estimate_liouvillian_richardson():
-    h = 0.4 * SIGMA_Z
-    gen = hamiltonian_liouvillian(h)
-    for dt in (0.1, 0.05):
-        est = estimate_liouvillian(expm(gen * dt), expm(gen * 2 * dt), dt)
-        # quadratic terms cancel; the dt^2 coefficient is |L|^3-sized
-        assert map_distance(est, gen) < np.linalg.norm(gen) ** 3 * dt**2
-    coarse = estimate_liouvillian(expm(gen * 0.1), expm(gen * 0.2), 0.1)
-    fine = estimate_liouvillian(expm(gen * 0.05), expm(gen * 0.1), 0.05)
-    assert map_distance(fine, gen) < map_distance(coarse, gen)
 
 
 def test_norm_profile_subtracts_identity_once():
