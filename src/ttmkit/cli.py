@@ -21,7 +21,7 @@ import numpy as np
 from . import io, presets
 from ._version import __version__
 from .liouville import hamiltonian_liouvillian
-from .noisegen import _MAX_COV_SIDE, NoiseModel
+from .noisegen import CovarianceCapError, NoiseModel
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
 from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
@@ -117,6 +117,8 @@ def _stage(module, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ConfigError:
         raise
+    except CovarianceCapError as exc:  # the sampler's limit on the time grid
+        raise ConfigError(f"field 'grid.n_steps': {exc}") from None
     except Exception as exc:
         raise PipelineError(f"[{module}] {type(exc).__name__}: {exc}") from exc
 
@@ -187,13 +189,8 @@ def _sampling(cfg):
     return n_traj, seed, substeps, antithetic, cv
 
 
-def _grid(cfg, substeps, n_channels):
-    dt = _number(cfg, "grid.dt", positive=True)
-    n_steps = _integer(cfg, "grid.n_steps", minimum=1)
-    if n_channels * n_steps * substeps > _MAX_COV_SIDE:
-        raise ConfigError("field 'grid.n_steps': channels * n_steps * substeps "
-                          f"exceeds the exact-sampler limit of {_MAX_COV_SIDE}")
-    return dt, n_steps
+def _grid(cfg):
+    return _number(cfg, "grid.dt", positive=True), _integer(cfg, "grid.n_steps", minimum=1)
 
 
 def _read_input(cfg, out_dir, reader=io.read_map_series):
@@ -215,7 +212,7 @@ def _meta_for(cfg, extra=None):
 def _mode_simulate(cfg, out_dir):
     model = build_model(cfg)
     n_traj, seed, substeps, antithetic, cv = _sampling(cfg)
-    dt, n_steps = _grid(cfg, substeps, model.noise.n_channels)
+    dt, n_steps = _grid(cfg)
     maps = _stage("propagator", simulate_process, model, dt, n_steps, n_traj,
                   substeps=substeps, seed=seed, antithetic=antithetic,
                   control_variate=cv)
@@ -253,15 +250,18 @@ def _mode_nonmarkov(cfg, out_dir):
     maps, info = _read_input(cfg, out_dir)
     if info["dim"] != 2:
         raise ConfigError("field 'input': nonmarkov mode needs dim-2 maps")
+    n_total = _integer(cfg, "extend.n_total", required=False, minimum=1)
+    k_trunc = _integer(cfg, "extend.k_trunc", required=False, minimum=1)
+    if k_trunc is not None and k_trunc > len(maps):
+        raise ConfigError(f"field 'extend.k_trunc': must be <= {len(maps)}, the number "
+                          f"of maps, got {k_trunc}")
     series = _stage("nonmarkov", volume_series, maps, info["dt"])
     out = os.path.join(out_dir, "volume.csv")
     io.write_series_csv(out, {"time": series.times, "volume": series.values},
                         _meta_for(cfg))
     written = [out]
     fields = {"nonmarkovianity": _stage("nonmarkov", volume_measure, series)}
-    n_total = _integer(cfg, "extend.n_total", required=False, minimum=1)
     if n_total:
-        k_trunc = _integer(cfg, "extend.k_trunc", required=False, minimum=1)
         tensors = _stage("ttm", build_ttms, maps)
         ext_series, measure = _stage("nonmarkov", extended_volume_measure, tensors,
                                      n_total, info["dt"], k_trunc=k_trunc)
@@ -317,10 +317,18 @@ def _mode_spectroscopy(cfg, out_dir):
         raise ConfigError("field 'channels': expected pairs like [[\"z\", \"z\"]]") from None
     if not active:
         raise ConfigError("field 'channels': expected at least one pair")
+    unknown = [list(pair) for pair in active if any(ax not in ("x", "y", "z") for ax in pair)]
+    if unknown:
+        raise ConfigError(f"field 'channels': axes must be x, y or z, got {unknown}")
     repeated = [list(pair) for j, pair in enumerate(active) if pair in active[:j]]
     if repeated:
         raise ConfigError(f"field 'channels': pairs given more than once: {repeated}")
     lambdas = _get(cfg, "lambdas", required=False)
+    if isinstance(lambdas, list):
+        lambdas = _number_list(lambdas, "lambdas", n_fit, minimum=0)
+    elif lambdas is not None and not (_is_number(lambdas) and lambdas >= 0):
+        raise ConfigError(f"field 'lambdas': expected a finite number >= 0 or a list of "
+                          f"{n_fit}, got {lambdas!r}")
     series = _stage("spectroscopy", fit_correlations, kernels[:n_fit], model.h_system,
                     dt, active=active, lambdas=lambdas)
     meta = _meta_for(cfg)
@@ -369,8 +377,7 @@ def _mode_xy4(cfg, out_dir):
     if model.dim != 2:
         raise ConfigError("field 'system.n_qubits': xy4 mode supports one qubit")
     n_traj, seed, substeps, antithetic, _ = _sampling(cfg)
-    # the free run samples 4 * substeps noise values per cycle
-    dt_cycle, n_cycles = _grid(cfg, 4 * substeps, model.noise.n_channels)
+    dt_cycle, n_cycles = _grid(cfg)
     free_profile, dd_profile = _stage("propagator", presets._xy4_profiles, model, dt_cycle,
                                       n_cycles, n_traj, substeps, seed, antithetic)
     out = os.path.join(out_dir, "xy4_norms.csv")

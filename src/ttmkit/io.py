@@ -8,6 +8,7 @@ metadata; outputs are byte-stable for a fixed configuration.
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -60,6 +61,9 @@ def read_map_series(path):
             raise ValueError(f"map series file is missing field {field!r}")
     if doc["convention"] != MAP_CONVENTION:
         raise ValueError(f"unsupported vectorization convention {doc['convention']!r}")
+    dt = float(doc["dt"])
+    if not 0 < dt < math.inf:
+        raise ValueError(f"map series file: dt must be finite and positive, got {doc['dt']!r}")
     dim = int(doc["dim"])
     side = dim * dim
     maps = []
@@ -73,7 +77,7 @@ def read_map_series(path):
             raise ValueError(f"maps[{k - 1}]: {len(entries)} entries, expected {side * side}")
         flat = np.array([complex(re, im) for re, im in entries])
         maps.append(flat.reshape(side, side))
-    info = {"dim": dim, "dt": float(doc["dt"]), "n_traj": int(doc.get("n_traj", 0))}
+    info = {"dim": dim, "dt": dt, "n_traj": int(doc.get("n_traj", 0))}
     return maps, info
 
 

@@ -12,6 +12,8 @@ from .ttm import build_ttms, norm_profile
 
 __all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
            "SingularMapError", "collective_report"]
+# norm ratio between dL dt and dK dt^2 beyond which one mechanism dominates
+_DOMINANCE_RATIO = 3.0
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,19 @@ def unravel(maps):
     return UnravelResult(full_t, sep_t, delta_t, separable, deltas, local)
 
 
-def _warn_coarse_step(dt, noise, stacklevel):
+def _warn_coarse_step(dt, noise):
+    # stacklevel 3 points past isolate_collective at its caller
     rate = float(np.max(np.abs(np.asarray(noise.kappas, dtype=float))))
     if rate > 0 and dt * rate > 0.1:
         warnings.warn(
             f"dt = {dt} is not small against the correlation time "
             f"{1.0 / rate:.3g}; the Richardson remainder O(kappa dt^3) makes "
             f"the L/K split order-of-magnitude only",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 
-def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt, noise=None):
+def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt):
     """Two-point Richardson split of a collective correction into generator and kernel.
 
     The inputs are one collective quantity measured on a grid of step dt and
@@ -80,15 +83,12 @@ def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt, noise=None):
     Richardson remainder is O(kappa dt^3) in both parts, with kappa the
     fastest correlation decay rate. When the local and collective generators
     do not commute, (1/2) [L_loc, dL] dt^2 also enters (Baker-Campbell-
-    Hausdorff) and is booked as kernel. Pass the noise model to get a
-    warning when kappa dt is not small.
+    Hausdorff) and is booked as kernel.
     """
     g1 = np.asarray(delta_t1_dt, dtype=complex)
     g2 = np.asarray(delta_t1_2dt, dtype=complex)
     if g1.shape != g2.shape:
         raise ValueError("the dt and 2 dt inputs must share a shape")
-    if noise is not None:
-        _warn_coarse_step(dt, noise, stacklevel=3)
     return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
 
 
@@ -121,7 +121,8 @@ def isolate_collective(result, dt, noise=None):
     term -dz1 dz2 Phi_12(t_n) of the phase variance plus the coupling phase.
     G_1 and G_2 then go through :func:`isolate_generator_kernel`. Returns
     (dL dt, dK dt^2); raises :class:`SingularMapError` when one of these maps
-    has a zero eigenvalue.
+    has a zero eigenvalue. Pass the noise model to get a warning when
+    kappa dt is not small.
     """
     if len(result.local_maps) < 2:
         raise ValueError("the split needs the maps at dt and 2 dt")
@@ -133,15 +134,15 @@ def isolate_collective(result, dt, noise=None):
         local = kron_superop(_logm(e1), eye) + kron_superop(eye, _logm(e2))
         logs.append(_logm(full) - local)
     if noise is not None:
-        _warn_coarse_step(dt, noise, stacklevel=3)
+        _warn_coarse_step(dt, noise)
     return isolate_generator_kernel(logs[0], logs[1], dt)
 
 
-def collective_report(result, dl_dt=None, dk_dt2=None, threshold=3.0):
+def collective_report(result, dl_dt=None, dk_dt2=None):
     """Attribute collective memory to direct coupling versus correlated noise.
 
     Compares |dL dt| against |dK dt^2| from :func:`isolate_collective`.
-    A ratio above ``threshold`` either way gives a coupling-dominated or
+    A ratio above 3 either way gives a coupling-dominated or
     noise-dominated verdict, anything in between is mixed. dL is uniquely a
     coupling signature; dK can be fed by both mechanisms, so a noise verdict
     is an attribution bound, not a proof, and the report says so.
@@ -154,7 +155,6 @@ def collective_report(result, dl_dt=None, dk_dt2=None, threshold=3.0):
         "separable_tensor_norms": norm_profile(result.separable_tensors,
                                                subtract_identity=False),
         "delta_tensor_norms": norm_profile(result.delta_tensors, subtract_identity=False),
-        "delta_map_norms": norm_profile(result.delta_maps, subtract_identity=False),
     }
     if dl_dt is None or dk_dt2 is None:
         report["verdict"] = "not attributed (no isolation inputs)"
@@ -166,9 +166,9 @@ def collective_report(result, dl_dt=None, dk_dt2=None, threshold=3.0):
     report["ratio"] = dl_norm / dk_norm if dk_norm > 0 else np.inf
     if dk_norm == 0 and dl_norm == 0:
         verdict = "no collective dynamics"
-    elif dl_norm >= threshold * dk_norm:
+    elif dl_norm >= _DOMINANCE_RATIO * dk_norm:
         verdict = "coupling-dominated"
-    elif dk_norm >= threshold * dl_norm:
+    elif dk_norm >= _DOMINANCE_RATIO * dl_norm:
         verdict = "noise-dominated (dK also admits coupling contributions)"
     else:
         verdict = "mixed"

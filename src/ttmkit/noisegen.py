@@ -14,6 +14,12 @@ import numpy as np
 # eigh of the space-time covariance scales cubically; this cap keeps a
 # misconfigured grid from silently eating minutes.
 _MAX_COV_SIDE = 4096
+# relative size of a negative covariance eigenvalue that counts as not PSD
+_PSD_TOL = 1e-10
+
+
+class CovarianceCapError(ValueError):
+    """A sampler grid with more (channel, time) points than the 4096 cap."""
 
 
 @dataclass(frozen=True)
@@ -150,14 +156,15 @@ class GaussianPathSampler:
     short (hundreds of points) while the path counts are large.
     """
 
-    def __init__(self, model, times, tol=1e-10):
+    def __init__(self, model, times):
         self.model = model
         self.times = np.asarray(times, dtype=float)
         n = model.n_channels
         m = self.times.size
         if n * m > _MAX_COV_SIDE:
-            raise ValueError(
-                f"covariance side {n * m} exceeds {_MAX_COV_SIDE}; coarsen the grid")
+            raise CovarianceCapError(
+                f"covariance side {n * m} (channels x time points) exceeds "
+                f"{_MAX_COV_SIDE}; coarsen the grid")
         # cov[(a, i), (b, j)] = C_ab(t_i - t_j)
         lags = self.times[:, None] - self.times[None, :]
         cmat = model.correlation(lags)  # (m, m, n, n)
@@ -165,7 +172,7 @@ class GaussianPathSampler:
         cov = 0.5 * (cov + cov.T)
         w, v = np.linalg.eigh(cov)
         scale = max(w[-1], 1.0)
-        if w[0] < -tol * scale:
+        if w[0] < -_PSD_TOL * scale:
             raise ValueError(
                 f"noise model covariance is not positive semidefinite "
                 f"(min eigenvalue {w[0]:.3e}); check the cross matrix")

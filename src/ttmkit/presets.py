@@ -385,7 +385,7 @@ def run_xy4(out_dir, scale="full", seed=29):
     meta = _meta(params, seed)
     free_profile, dd_profile = _xy4_profiles(dd_demo_model(), dt_cycle, n_cycles, n_traj,
                                              substeps, seed, antithetic=True)
-    threshold = 0.01 * free_profile[0]
+    threshold = ttm._THRESHOLD_FRACTION * free_profile[0]
     path = os.path.join(out_dir, "xy4_ttm_norms.csv")
     io.write_series_csv(path, {
         "n": np.arange(1, n_cycles + 1),

@@ -56,6 +56,9 @@ _TWO = {
 }
 
 _BASES = {1: _SINGLE, 2: _TWO}
+# iteration cap and target residual of the alternating CPTP projection
+_CPTP_ITERS = 200
+_CPTP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,19 +205,18 @@ def _project_trace_preserving(x4, d):
     return x4 - np.einsum("ij,rk->irjk", np.eye(d) / d, t2 - np.eye(d))
 
 
-def project_cptp(sop, max_iter=200, tol=1e-9):
+def project_cptp(sop):
     """Alternating projection of a superoperator onto the CPTP set.
 
     Alternates a positive-semidefinite clip of the Choi matrix with the
     affine trace-preservation correction, ending on the affine step so
-    trace preservation is exact. Warns if the residual stays above tol.
+    trace preservation is exact. Warns if the projection does not converge.
     """
     sop = np.asarray(sop, dtype=complex)
     d2 = sop.shape[0]
     d = int(round(np.sqrt(d2)))
     x = to_choi(sop)
-    residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_CPTP_ITERS):
         x = 0.5 * (x + x.conj().T)
         w, v = np.linalg.eigh(x)
         neg = float(-w.min()) if w.size else 0.0
@@ -224,11 +226,11 @@ def project_cptp(sop, max_iter=200, tol=1e-9):
         tp_shift = float(np.linalg.norm(x_new - x_psd))
         residual = max(neg, tp_shift)
         x = x_new
-        if residual < tol:
+        if residual < _CPTP_TOL:
             break
     else:
         warnings.warn(
-            f"CPTP projection stopped at residual {residual:.3e} after {max_iter} iterations",
+            f"CPTP projection stopped at residual {residual:.3e} after {_CPTP_ITERS} iterations",
             stacklevel=2,
         )
     return from_choi(x)

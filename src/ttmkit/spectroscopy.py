@@ -17,19 +17,20 @@ __all__ = [
 ]
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+# Huber knee of the continuity term and iteration cap of the reweighted solve
+_KNEE = 1e-6
+_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
 class CorrelationSeries:
     """Fitted correlation functions C_{aa'}(t_n) on a uniform grid.
 
-    values has shape (K, 3, 3) over the (x, y, z) channel grid; entries
-    outside the active mask are zero. t0 records where the grid starts:
-    0 when the first kernel sample was remapped to t = 0, dt otherwise.
+    values has shape (K, 3, 3) over the (x, y, z) channel grid at times
+    t_n = n dt, n = 0..K-1; entries outside the active mask are zero.
     """
 
     dt: float
-    t0: float
     values: np.ndarray
     active: np.ndarray
     residuals: np.ndarray = field(default=None)
@@ -37,7 +38,7 @@ class CorrelationSeries:
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.values.shape[0])
+        return self.dt * np.arange(self.values.shape[0])
 
     def channel(self, a, b):
         return self.values[:, _AXES[a], _AXES[b]]
@@ -65,7 +66,7 @@ def _k2_stack(corr, left, right):
     return np.einsum("aij,...tajk->...tik", -_COMMUTATORS, inner)
 
 
-def _solve_one(a_mat, b_vec, lam, c_prev, knee, max_iter):
+def _solve_one(a_mat, b_vec, lam, c_prev):
     # minimize |A c - b|_2 + lam * sum_i |c_i - c_prev_i| over real c,
     # by iteratively reweighted least squares with a Huber knee on both terms.
     if lam == 0:
@@ -75,11 +76,10 @@ def _solve_one(a_mat, b_vec, lam, c_prev, knee, max_iter):
     c = c_prev.copy()
     ata = a_mat.T @ a_mat
     atb = a_mat.T @ b_vec
-    iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         r = float(np.linalg.norm(a_mat @ c - b_vec))
         w_data = 1.0 / max(r, eps_data)
-        w_reg = lam / np.maximum(np.abs(c - c_prev), knee)
+        w_reg = lam / np.maximum(np.abs(c - c_prev), _KNEE)
         lhs = w_data * ata + np.diag(w_reg)
         rhs = w_data * atb + w_reg * c_prev
         c_new = np.linalg.solve(lhs, rhs)
@@ -90,16 +90,7 @@ def _solve_one(a_mat, b_vec, lam, c_prev, knee, max_iter):
     return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters
 
 
-def fit_correlations(
-    kernels,
-    hs,
-    dt,
-    active=(("z", "z"),),
-    lambdas=None,
-    correct_first_point=True,
-    knee=1e-6,
-    max_iter=60,
-):
+def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     """Recover real correlation functions from a sampled memory kernel.
 
     Solves, sequentially in n, min_C |K2(t_n; C) - K_exp(t_n)|_F
@@ -118,7 +109,9 @@ def fit_correlations(
     Parameters
     ----------
     kernels : sequence of (4, 4) arrays
-        Output of extract_kernel, i.e. samples at t_1..t_K.
+        Output of extract_kernel. Slot 0 holds (K(0) + L_s^2) / 2 and slot
+        j > 0 holds K(j dt), so the fit removes the L_s^2 half of slot 0,
+        doubles the rest, and puts slot j at t_j = j dt from t = 0.
     hs : (2, 2) Hermitian array
         System Hamiltonian, needed for the interaction-picture rotation
         and the first-point correction.
@@ -127,16 +120,12 @@ def fit_correlations(
         everything else is pinned to 0.
     lambdas : scalar or length-K sequence, optional
         Continuity weights. Default 0.1 |K_exp(t_1)|_F at every point.
-    correct_first_point : bool
-        The discrete kernel's first sample equals (K(0) + L_s^2) / 2, and
-        every later sample sits one slot late. When True (default) the
-        fit removes the L_s^2 half, doubles the remainder, and associates
-        slot j with time j dt. When False samples are taken at face value
-        at times (j + 1) dt.
 
     Returns
     -------
     CorrelationSeries
+        On the grid t_n = n dt, n = 0..K-1. The fit solves over real C, so
+        the values are real classical correlations.
     """
     kernels = [np.asarray(k, dtype=complex) for k in kernels]
     n_points = len(kernels)
@@ -151,13 +140,8 @@ def fit_correlations(
             raise ValueError(f"active names channel ({a}, {b}) more than once")
         units[j, _AXES[a], _AXES[b]] = 1.0
 
-    if correct_first_point:
-        ls = hamiltonian_liouvillian(hs)
-        data = [2.0 * kernels[0] - ls @ ls] + kernels[1:]
-        t0 = 0.0
-    else:
-        data = kernels
-        t0 = dt
+    ls = hamiltonian_liouvillian(hs)
+    data = [2.0 * kernels[0] - ls @ ls] + kernels[1:]
 
     if lambdas is None:
         lambdas = 0.1 * float(np.linalg.norm(kernels[0]))
@@ -165,7 +149,7 @@ def fit_correlations(
 
     # Column j of design[n] is [Re vec, Im vec] of K2(t_n) for a unit C on channel j;
     # the copy makes every design[n] a C-ordered (32, n_ch) matrix for the solver.
-    g = _k2_stack(units, *_interaction_superops(hs, t0 + np.arange(n_points) * dt))
+    g = _k2_stack(units, *_interaction_superops(hs, np.arange(n_points) * dt))
     g = g.reshape(len(channels), n_points, -1)
     design = np.concatenate([g.real, g.imag], axis=2).transpose(1, 2, 0).copy()
 
@@ -176,29 +160,24 @@ def fit_correlations(
     for n in range(n_points):
         b_vec = np.concatenate([vec(data[n]).real, vec(data[n]).imag])
         lam = 0.0 if n == 0 else float(lam_seq[n])
-        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev, knee, max_iter)
+        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev)
         for (a, b), value in zip(channels, c):
             values[n, _AXES[a], _AXES[b]] = value
         residuals[n] = res
         iterations[n] = iters
         c_prev = c
-    return CorrelationSeries(dt, t0, values, units.any(axis=0), residuals, iterations)
+    return CorrelationSeries(dt, values, units.any(axis=0), residuals, iterations)
 
 
-def spectral_density(series, channel=("z", "z"), kind="classical", pad_factor=4):
-    """Fourier transform of a fitted correlation function.
+def spectral_density(series, channel=("z", "z"), pad_factor=4):
+    """Classical spectral density of a fitted correlation function.
 
-    classical: S(w) = dt * sum_n C(t_n) e^{i w t_n} over the two-sided
-    extension C_ab(-t) = C_ba(t) (Wiener-Khinchin convention).
-    quantum: J(w) = (1/2) dt * sum_n (C(t_n) - C*(t_n)) e^{i w t_n} over
-    the extension C(-t) = C*(t); identically zero for real input.
-
-    The grid starts at t = 0, so require series.t0 == 0. Returns
-    (omega, s) with omega ascending and s real.
+    S(w) = dt * sum_n C(t_n) e^{i w t_n} over the two-sided extension
+    C_ab(-t) = C_ba(t) (Wiener-Khinchin convention) of the grid t_n = n dt
+    that starts at t = 0. A plain array input is C(t_n) itself, with dt as
+    the second argument. Returns (omega, s) with omega ascending and s real.
     """
     if isinstance(series, CorrelationSeries):
-        if series.t0 != 0.0:
-            raise ValueError("spectral grids need t0 = 0; fit with correct_first_point=True")
         a, b = channel
         fwd = series.channel(a, b)
         rev = series.channel(b, a)
@@ -213,16 +192,7 @@ def spectral_density(series, channel=("z", "z"), kind="classical", pad_factor=4)
             raise ValueError("pass dt as the second argument for plain arrays")
 
     k = len(fwd)
-    if kind == "classical":
-        neg = rev[1:][::-1]
-        full = np.concatenate([neg, fwd])
-    elif kind == "quantum":
-        fwd = 0.5 * (fwd - np.conj(fwd))
-        neg = np.conj(fwd[1:])[::-1]
-        full = np.concatenate([neg, fwd])
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
+    full = np.concatenate([rev[1:][::-1], fwd])
     n_full = 2 * k - 1
     n_pad = pad_factor * n_full
     if n_pad % 2 == 0:

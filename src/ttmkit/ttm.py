@@ -15,6 +15,8 @@ __all__ = [
     "count_above_threshold",
     "choose_truncation",
 ]
+# a tensor counts as memory while its norm exceeds this share of the reference
+_THRESHOLD_FRACTION = 0.01
 
 
 def build_ttms(maps):
@@ -104,14 +106,14 @@ def norm_profile(tensors, subtract_identity=True):
     return np.array(out)
 
 
-def count_above_threshold(profile, fraction=0.01, reference=None):
-    """How many profile entries exceed fraction * reference.
+def count_above_threshold(profile, reference=None):
+    """How many profile entries exceed 1% of reference.
 
     reference defaults to the first profile entry.
     """
     profile = np.asarray(profile, dtype=float)
     ref = float(profile[0]) if reference is None else float(reference)
-    return int(np.sum(profile > fraction * ref))
+    return int(np.sum(profile > _THRESHOLD_FRACTION * ref))
 
 
 def choose_truncation(tensors, threshold=1e-3):

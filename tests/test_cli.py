@@ -340,6 +340,34 @@ def test_spectroscopy_channels_must_be_distinct_and_nonempty(tmp_path, capsys,
     assert not (tmp_path / "correlation.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambdas", float("nan")),
+    ("lambdas", -1.0),
+    ("lambdas", "abc"),
+    ("lambdas", [0.1, 0.1]),
+    ("channels", [["z", "q"]]),
+], ids=["lambdas-nan", "lambdas-negative", "lambdas-string", "lambdas-wrong-length",
+        "channels-unknown-axis"])
+def test_spectroscopy_fit_fields_are_config_errors(tmp_path, capsys, field, value):
+    cfg_path = _spectroscopy_cfg(tmp_path, **{field: value})
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}'" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+def test_nonmarkov_k_trunc_above_map_count_is_config_error(tmp_path, capsys):
+    model = SystemModel(h_system=0.1 * SIGMA_Z, couplings=(SIGMA_Z,),
+                        noise=NoiseModel.single(4.0, 1.0))
+    write_map_series(tmp_path / "maps.json", dephasing_map_series(model, 0.2, 4), dt=0.2)
+    cfg_path = _write_cfg(tmp_path, {"mode": "nonmarkov", "input": "maps.json",
+                                     "extend": {"n_total": 8, "k_trunc": 5}})
+    assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'extend.k_trunc'" in err and "<= 4" in err
+    assert not (tmp_path / "volume.csv").exists()
+
+
 def test_twoqubit_mode(tmp_path):
     z1 = np.kron(SIGMA_Z, np.eye(2))
     z2 = np.kron(np.eye(2), SIGMA_Z)

@@ -83,6 +83,17 @@ def test_map_series_validates_document(tmp_path):
         read_map_series(tmp_path / "bad3.json")
 
 
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.04, float("inf")])
+def test_map_series_rejects_bad_dt(tmp_path, dt):
+    path = tmp_path / "maps.json"
+    write_map_series(path, [np.eye(4)], dt=0.04)
+    doc = json.loads(path.read_text())
+    doc["dt"] = dt
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        read_map_series(path)
+
+
 def test_qpt_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     maps = [random_cptp(2, rng) for _ in range(2)]

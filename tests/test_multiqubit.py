@@ -96,13 +96,9 @@ def test_isolation_recovers_synthetic_generator_and_kernel():
     npt.assert_allclose(dk_dt2, ker * dt**2, atol=1e-12)
 
 
-def test_isolation_shape_check_and_warning():
+def test_isolation_shape_check():
     with pytest.raises(ValueError, match="share a shape"):
         isolate_generator_kernel(np.zeros((16, 16)), np.zeros((4, 4)), 0.1)
-    noise = NoiseModel.single(1.0, 5.0)
-    with pytest.warns(UserWarning, match="order-of-magnitude"):
-        isolate_generator_kernel(np.zeros((4, 4)), np.zeros((4, 4)), 0.2,
-                                 noise=noise)
 
 
 def test_zz_coupling_lands_in_the_generator_slot():

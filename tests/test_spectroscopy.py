@@ -115,7 +115,6 @@ def test_fit_recovers_zz_correlation_exactly_without_regularizer():
     c_fn = lambda t: ou_correlation(0.01, 1.0, 0.0, t)
     kernels = _synthetic_kernels(c_fn, ("z", "z"), hs, dt, n)
     fit = fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=0.0)
-    assert fit.t0 == 0.0
     npt.assert_allclose(fit.times, dt * np.arange(n), atol=1e-14)
     want = c_fn(fit.times)
     npt.assert_allclose(fit.channel("z", "z").real, want, atol=1e-12)
@@ -147,20 +146,6 @@ def test_default_regularizer_stays_close_on_consistent_data():
     assert np.all(fit.iterations >= 1)
 
 
-def test_fit_without_first_point_correction_shifts_grid():
-    hs = 0.02 * SIGMA_Z
-    dt, n = 0.04, 6
-    c_fn = lambda t: ou_correlation(0.01, 1.0, 0.0, t)
-    kernels = _synthetic_kernels(c_fn, ("z", "z"), hs, dt, n)
-    fit = fit_correlations(kernels, hs, dt, active=(("z", "z"),),
-                           correct_first_point=False, lambdas=0.0)
-    assert fit.t0 == dt
-    npt.assert_allclose(fit.times, dt * np.arange(1, n + 1), atol=1e-14)
-    # beyond the contaminated first slot the raw samples sit one slot late
-    npt.assert_allclose(fit.channel("z", "z").real[1:],
-                        c_fn(dt * np.arange(1, n)), atol=1e-10)
-
-
 def test_fit_rejects_unknown_channels():
     with pytest.raises(ValueError, match="unknown channel"):
         fit_correlations([np.zeros((4, 4))], np.zeros((2, 2)), 0.1,
@@ -185,7 +170,7 @@ def test_spectral_density_lorentzian_recovery():
     values[:, 2, 2] = ou_correlation(lam, kappa, 0.0, times)
     active = np.zeros((3, 3), dtype=bool)
     active[2, 2] = True
-    series = CorrelationSeries(dt, 0.0, values, active)
+    series = CorrelationSeries(dt, values, active)
     omega, s = spectral_density(series, ("z", "z"), pad_factor=8)
     want = 2.0 * lam * kappa / (kappa**2 + omega**2)
     resolved = np.abs(omega) < 5.0
@@ -206,40 +191,14 @@ def test_spectral_density_plain_array_input():
         spectral_density(c, None)
 
 
-def test_spectral_density_quantum_kind():
-    dt, n = 0.05, 160
-    times = dt * np.arange(n)
-    c = np.exp(-times) * (np.cos(2 * times) + 0.3j * np.sin(2 * times))
-    values = np.zeros((n, 3, 3), dtype=complex)
-    values[:, 2, 2] = c
-    active = np.zeros((3, 3), dtype=bool)
-    active[2, 2] = True
-    series = CorrelationSeries(dt, 0.0, values, active)
-    omega, j = spectral_density(series, ("z", "z"), kind="quantum")
-    idx = np.argsort(omega)
-    npt.assert_allclose(j[idx], -j[idx][::-1], atol=1e-10 * np.max(np.abs(j)))
-    real_only = np.zeros((n, 3, 3), dtype=complex)
-    real_only[:, 2, 2] = c.real
-    flat = CorrelationSeries(dt, 0.0, real_only, active)
-    _, j0 = spectral_density(flat, ("z", "z"), kind="quantum")
-    assert np.max(np.abs(j0)) < 1e-14
-
-
 def test_spectral_density_guards():
-    values = np.zeros((4, 3, 3), dtype=complex)
     active = np.zeros((3, 3), dtype=bool)
     active[2, 2] = True
-    shifted = CorrelationSeries(0.1, 0.1, values, active)
-    with pytest.raises(ValueError, match="t0 = 0"):
-        spectral_density(shifted, ("z", "z"))
-    ok = CorrelationSeries(0.1, 0.0, values, active)
-    with pytest.raises(ValueError, match="kind"):
-        spectral_density(ok, ("z", "z"), kind="sideways")
     # a complex one-sided series has no real classical transform
     bad = np.zeros((4, 3, 3), dtype=complex)
     bad[:, 2, 2] = [1.0, 0.5 + 0.4j, 0.2, 0.1]
     with pytest.raises(ValueError, match="symmetry"):
-        spectral_density(CorrelationSeries(0.1, 0.0, bad, active), ("z", "z"))
+        spectral_density(CorrelationSeries(0.1, bad, active), ("z", "z"))
 
 
 def _poly_family(gammas, orders, rng, n_times=7):

@@ -163,7 +163,8 @@ def test_count_above_threshold_and_truncation_choice():
     profile = np.array([10.0, 0.5, 0.2, 0.05, 0.001])
     assert count_above_threshold(profile) == 3  # cut at 0.01 * profile[0]
     assert count_above_threshold(profile, reference=1000.0) == 0
-    assert count_above_threshold(profile, fraction=0.04) == 2
+    # a reference 4x the first entry cuts at 0.04 * profile[0]
+    assert count_above_threshold(profile, reference=4 * profile[0]) == 2
 
     tensors = [np.eye(4) * v for v in (1.0, 0.1, 0.01, 1e-5, 1e-7)]
     assert choose_truncation(tensors, threshold=1e-3) == 4
