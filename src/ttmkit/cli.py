@@ -21,7 +21,7 @@ import numpy as np
 from . import io, presets
 from ._version import __version__
 from .liouville import hamiltonian_liouvillian
-from .noisegen import CovarianceCapError, NoiseModel
+from .noisegen import _PSD_TOL, CovarianceCapError, NoiseModel
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
 from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
@@ -169,6 +169,14 @@ def build_model(cfg):
         if not np.array_equal(np.diag(cross), variances):
             raise ConfigError(f"field 'noise.cross': its diagonal {np.diag(cross).tolist()} "
                               f"must equal noise.variances {variances}")
+        if not np.allclose(cross, cross.T):
+            raise ConfigError("field 'noise.cross': must be symmetric")
+        # cross is the equal-time covariance C(0), which no Gaussian noise
+        # realizes unless it is positive semidefinite
+        low = np.linalg.eigvalsh(cross)
+        if low[0] < -_PSD_TOL * max(low[-1], 1.0):
+            raise ConfigError(f"field 'noise.cross': must be positive semidefinite, "
+                              f"min eigenvalue {low[0]:.3e}")
 
     h, couplings = presets._qubit_operators(biases, placed, zz)
     noise = _stage("noisegen", NoiseModel, kappas=tuple(decay), omegas=tuple(mods),

@@ -61,10 +61,12 @@ def read_map_series(path):
             raise ValueError(f"map series file is missing field {field!r}")
     if doc["convention"] != MAP_CONVENTION:
         raise ValueError(f"unsupported vectorization convention {doc['convention']!r}")
-    dt = float(doc["dt"])
+    dt = _number_field(doc, "dt", (int, float))
     if not 0 < dt < math.inf:
-        raise ValueError(f"map series file: dt must be finite and positive, got {doc['dt']!r}")
-    dim = int(doc["dim"])
+        raise ValueError(f"map series file: dt must be finite and positive, got {dt!r}")
+    dt = float(dt)
+    dim = _number_field(doc, "dim", int, minimum=1)
+    n_traj = _number_field(doc, "n_traj", int, minimum=0, default=0)
     side = dim * dim
     maps = []
     for rec in doc["maps"]:
@@ -77,8 +79,19 @@ def read_map_series(path):
             raise ValueError(f"maps[{k - 1}]: {len(entries)} entries, expected {side * side}")
         flat = np.array([complex(re, im) for re, im in entries])
         maps.append(flat.reshape(side, side))
-    info = {"dim": dim, "dt": dt, "n_traj": int(doc.get("n_traj", 0))}
+    info = {"dim": dim, "dt": dt, "n_traj": n_traj}
     return maps, info
+
+
+def _number_field(doc, field, kinds, minimum=None, default=None):
+    """``doc[field]`` as a JSON number of the given kinds, never a boolean or string."""
+    val = doc.get(field, default)
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"map series file: field {field!r} must be {kind}, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ValueError(f"map series file: field {field!r} must be >= {minimum}, got {val!r}")
+    return val
 
 
 def write_qpt_csv(path, records):

@@ -154,9 +154,14 @@ class GaussianPathSampler:
     factorizes it once; each draw is then a matrix product. Exactness on
     the grid matters more here than asymptotic cost because the grids are
     short (hundreds of points) while the path counts are large.
+
+    ``windows``, an (n_times, n_windows) matrix W, turns each draw into the
+    window sums x W of each channel's grid values x. W is folded into the
+    factor once, so a draw costs n_windows columns per channel and equals
+    the grid draw of the same generator times W in exact arithmetic.
     """
 
-    def __init__(self, model, times):
+    def __init__(self, model, times, windows=None):
         self.model = model
         self.times = np.asarray(times, dtype=float)
         n = model.n_channels
@@ -177,20 +182,23 @@ class GaussianPathSampler:
                 f"noise model covariance is not positive semidefinite "
                 f"(min eigenvalue {w[0]:.3e}); check the cross matrix")
         w = np.clip(w, 0.0, None)
+        # draws are z @ factor.T with z standard normal over the n * m grid
+        # points, so with windows the factor's rows become W^T F per channel
         self._factor = v * np.sqrt(w)
-        self._shape = (n, m)
+        if windows is not None:
+            self._factor = (windows.T @ self._factor.reshape(n, m, n * m)).reshape(-1, n * m)
+        self._shape = (n, self._factor.shape[0] // n)
 
     def sample(self, rng, n_paths):
-        """Draw paths, returned with shape (n_paths, n_channels, n_times)."""
-        n, m = self._shape
-        z = rng.standard_normal((n_paths, n * m))
-        return (z @ self._factor.T).reshape(n_paths, n, m)
+        """Draw paths, returned with shape (n_paths, n_channels, n_times or n_windows)."""
+        z = rng.standard_normal((n_paths, self._factor.shape[1]))
+        return (z @ self._factor.T).reshape((n_paths,) + self._shape)
 
     def covariance(self):
         """The exact covariance realized by :meth:`sample`, channel-major.
 
-        Index (a, i) flattens to a * n_times + i. Equals the model covariance
-        up to the PSD eigenvalue clip applied at construction.
+        Index (a, i) flattens to a * n_times + i (n_windows with windows).
+        Equals the model covariance C, or W^T C W per channel pair with
+        windows, up to the PSD eigenvalue clip applied at construction.
         """
         return self._factor @ self._factor.T
-

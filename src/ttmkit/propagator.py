@@ -15,13 +15,17 @@ product. A purely longitudinal model (diagonal Hamiltonian and couplings)
 scales each path's propagator by one diagonal phase factor per segment
 between map boundaries or pulses; its generators commute, so the factor,
 built from the segment's phase integral, reproduces the substep product to
-machine precision. Other qubits carry each path's propagator as a unit
-quaternion (SU(2) up to the global phase, which cancels in the maps). Any
-other model keeps all propagators of a chunk in one (d, d, P) array, path
-axis last, and takes each substep's exp(-i H tau) for every path at once as
-a scaled-and-squared degree-15 Taylor polynomial, with no eigendecomposition;
-each step is unitary to rounding. All three kernels insert the
-instantaneous pulses of :func:`simulate_pulsed_process`.
+machine precision. Such a model's maps depend on the noise only through
+each segment's integral, so its runs draw those integrals directly: the
+sampler folds the midpoint-rule sum over the segment's substeps into its
+factor. ``substeps`` still sets that midpoint rule, and with it a phase
+variance bias of order dt_sub^2. Other qubits carry each path's propagator
+as a unit quaternion (SU(2) up to the global phase, which cancels in the
+maps). Any other model keeps all propagators of a chunk in one (d, d, P)
+array, path axis last, and takes each substep's exp(-i H tau) for every
+path at once as a scaled-and-squared degree-15 Taylor polynomial, with no
+eigendecomposition; each step is unitary to rounding. All three kernels
+insert the instantaneous pulses of :func:`simulate_pulsed_process`.
 """
 
 import math
@@ -173,10 +177,12 @@ def _expm_paths(a, powers):
 def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     """Per-chunk sums (not means) of the maps at the given substep boundaries.
 
-    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub). The model's
-    structure alone picks one of three step kernels: a diagonal model scales
-    the rows of its (d, d, P) propagators by one phase factor per segment,
-    any other qubit multiplies unit quaternions, and any other model carries
+    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub); for a
+    diagonal model it holds each segment's noise integral instead, shaped
+    (P, n_ch, n_seg) with one segment per boundary. The model's structure
+    alone picks one of three step kernels: a diagonal model scales the rows
+    of its (d, d, P) propagators by one phase factor per segment, any other
+    qubit multiplies unit quaternions, and any other model carries
     its (d, d, P) propagators with the path axis last, multiplied by one
     :func:`_expm_paths` step per substep. Each step is unitary to rounding,
     so the summed maps stay trace preserving.
@@ -222,14 +228,14 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     if diagonal:
         # segment k multiplies row r of every U by exp(-i dphi[k, r]), with
         # dphi the segment's phase integral: hdiag times its duration plus
-        # the couplings applied to its noise integral. Row 0's factor is a
-        # global phase of the path, which cancels in U (x) conj(U), so it is
-        # divided out of every row and row 0 is never scaled
+        # the couplings applied to its noise integral b[:, :, k]. Row 0's
+        # factor is a global phase of the path, which cancels in
+        # U (x) conj(U), so it is divided out of every row and row 0 is
+        # never scaled
         hdiag, zdiag = _diag_parts(model)
         starts = np.concatenate([[0], boundary[:-1] + 1])
-        seg = np.add.reduceat(b[:, :, :boundary[-1] + 1], starts, axis=-1) * dt_seg
         durations = dt_seg * (boundary + 1 - starts)
-        dphi = np.einsum("pak,ar->krp", seg, zdiag[:, 1:] - zdiag[:, :1]) \
+        dphi = np.einsum("pak,ar->krp", b, zdiag[:, 1:] - zdiag[:, :1]) \
             + np.multiply.outer(durations, hdiag[1:] - hdiag[0])[:, :, None]
         factors = np.exp(-1.0j * dphi)
     else:
@@ -292,6 +298,20 @@ def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
     return _free_superops(model.h_system, dt * np.arange(1, len(boundary) + 1)) @ acc[boundary]
 
 
+def _sampler(model, midpoints, substeps, dt_seg):
+    """The noise sampler of a run with ``substeps`` midpoints per segment.
+
+    A diagonal model draws each segment's midpoint-rule noise integral,
+    dt_seg times the sum of its substep values (``dt_seg`` one number or one
+    per segment); any other model draws the substep values.
+    """
+    windows = None
+    if model.is_diagonal:
+        n_seg = midpoints.size // substeps
+        windows = np.repeat(np.eye(n_seg) * dt_seg, substeps, axis=0)
+    return GaussianPathSampler(model.noise, midpoints, windows)
+
+
 def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
     """Noise draws of an ensemble, chunk by chunk.
 
@@ -331,7 +351,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         Total number of trajectories averaged (mirror paths included when
         ``antithetic`` is set, so the count must then be even).
     substeps : int
-        Noise-freezing subdivisions per map step.
+        Noise-freezing subdivisions per map step. A diagonal model draws
+        each step's noise integral directly, by the midpoint rule over
+        these subdivisions, so they still set its dt_sub^2 bias.
     seed : int
         Master seed. Each chunk derives its generator from
         ``SeedSequence((seed, chunk_index))``, so results are independent
@@ -370,11 +392,17 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     n_sub = n_steps * substeps
     dt_sub = dt / substeps
     midpoints = (np.arange(n_sub) + 0.5) * dt_sub
-    sampler = GaussianPathSampler(model.noise, midpoints)
+    sampler = _sampler(model, midpoints, substeps, dt_sub)
     boundary = substeps * np.arange(1, n_steps + 1) - 1
+    if model.is_diagonal:
+        # one drawn integral per step; the generators commute with
+        # h_system, so they are constant in time and act on whole integrals
+        n_col, g_dt, g_times, cv_boundary = n_steps, 1.0, np.zeros(n_steps), np.arange(n_steps)
+    else:
+        n_col, g_dt, g_times, cv_boundary = n_sub, dt_sub, midpoints, boundary
 
     n_ch = model.noise.n_channels
-    n_flat = n_ch * n_sub
+    n_flat = n_ch * n_col
     sum_b = np.zeros(n_flat)
     sum_gram = np.zeros((n_flat, n_flat))
 
@@ -394,11 +422,11 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
 
     maps = acc / n_traj
     if control_variate:
-        bbar = (sum_b / n_traj).reshape(n_ch, n_sub)
+        bbar = (sum_b / n_traj).reshape(n_ch, n_col)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape(
-            n_ch, n_sub, n_ch, n_sub)
-        g = _cv_generators(model, dt_sub, midpoints)
-        maps -= _cv_corrections(model, g, bbar, delta_m, boundary, dt)
+            n_ch, n_col, n_ch, n_col)
+        g = _cv_generators(model, g_dt, g_times)
+        maps -= _cv_corrections(model, g, bbar, delta_m, cv_boundary, dt)
     if collect_chunk_means:
         return list(maps), np.array(chunk_means)
     return list(maps)
@@ -438,12 +466,13 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     starts = np.concatenate([[0.0], np.cumsum(seg_durs)])[:-1]
     midpoints = np.concatenate([t0 + (np.arange(substeps) + 0.5) * (tau / substeps)
                                 for t0, tau in zip(starts, seg_durs)])
-    sampler = GaussianPathSampler(model.noise, midpoints)
+    dt_seg = seg_durs / substeps
+    sampler = _sampler(model, midpoints, substeps, dt_seg)
     boundary = substeps * np.arange(1, n_seg * n_cycles + 1) - 1
 
     acc = np.zeros((n_cycles, d * d, d * d), dtype=complex)
     for _, b in _chunks(sampler, n_traj, seed, chunk_size):
-        sums = _chunk_map_sums(model, b, seg_durs / substeps, boundary, pulses * n_cycles)
+        sums = _chunk_map_sums(model, b, dt_seg, boundary, pulses * n_cycles)
         acc += sums[n_seg - 1::n_seg]
     return [acc[k] / n_traj for k in range(n_cycles)]
 

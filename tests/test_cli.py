@@ -95,6 +95,24 @@ def test_cross_diagonal_must_equal_variances(tmp_path, capsys):
     assert "config error" in err and "noise.cross" in err
 
 
+@pytest.mark.parametrize("cross, reason", [
+    ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
+    ([[1.0, 3.0], [3.0, 1.0]], "positive semidefinite"),
+], ids=["asymmetric", "not-psd"])
+def test_cross_must_be_a_covariance(tmp_path, capsys, cross, reason):
+    # cross is C(0): a symmetric positive semidefinite matrix or no noise at all
+    cfg = _sim_cfg(system={"n_qubits": 2, "biases": [0.1, 0.2],
+                           "channels": [{"axis": "z", "qubit": 1},
+                                        {"axis": "z", "qubit": 2}]},
+                   noise={"variances": [1.0, 1.0], "decay_rates": [1.0, 1.0],
+                          "cross": cross})
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise.cross" in err and reason in err
+    assert not (tmp_path / "maps.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise.variances", ["x"]),
     ("system.biases", ["x"]),

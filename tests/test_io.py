@@ -94,6 +94,21 @@ def test_map_series_rejects_bad_dt(tmp_path, dt):
         read_map_series(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", True), ("dt", "0.04"), ("dt", "abc"), ("dt", None),
+    ("dim", "2"), ("dim", 2.0), ("dim", True), ("dim", 0),
+    ("n_traj", "500"), ("n_traj", 1.5), ("n_traj", False), ("n_traj", -1),
+])
+def test_map_series_header_takes_json_numbers_only(tmp_path, field, value):
+    path = tmp_path / "maps.json"
+    write_map_series(path, [np.eye(4)], dt=0.04, n_traj=500)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"field '{field}' must be"):
+        read_map_series(path)
+
+
 def test_qpt_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     maps = [random_cptp(2, rng) for _ in range(2)]

@@ -121,6 +121,26 @@ def test_sampler_covariance_method_is_exact():
     npt.assert_allclose(sampler.covariance(), want, atol=1e-10)
 
 
+def test_windowed_draws_are_window_sums_of_grid_draws():
+    # two correlated channels, windows of uneven length and weight: each
+    # windowed draw is the grid draw of the same generator times W
+    model = NoiseModel(kappas=(1.0, 0.5), omegas=(0.0, 2.0),
+                       cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
+    times = np.linspace(0.05, 1.15, 12)
+    windows = np.zeros((12, 4))
+    for k, (i, e, w) in enumerate(((0, 3, 0.1), (3, 4, 0.25), (4, 9, 0.05), (9, 12, 0.15))):
+        windows[i:e, k] = w
+    grid = GaussianPathSampler(model, times)
+    windowed = GaussianPathSampler(model, times, windows)
+    b = windowed.sample(np.random.default_rng(5), 7)
+    assert b.shape == (7, 2, 4)
+    npt.assert_allclose(b, grid.sample(np.random.default_rng(5), 7) @ windows,
+                        rtol=0, atol=1e-13)
+    cov = grid.covariance().reshape(2, 12, 2, 12)
+    want = np.einsum("ik,aibj,jl->akbl", windows, cov, windows).reshape(8, 8)
+    npt.assert_allclose(windowed.covariance(), want, rtol=0, atol=1e-13)
+
+
 def test_sampler_rejects_inconsistent_cross_correlations():
     # perfectly correlated amplitudes but different decay rates cannot be
     # realized by any joint Gaussian process

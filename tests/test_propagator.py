@@ -16,11 +16,17 @@ from ttmkit.liouville import (
     vec,
 )
 from ttmkit.noisegen import GaussianPathSampler, NoiseModel
-from ttmkit.presets import dd_demo_model, revival_demo_model, transverse_noise_model
+from ttmkit.presets import (
+    dd_demo_model,
+    revival_demo_model,
+    transverse_noise_model,
+    two_qubit_dephasing,
+)
 from ttmkit.propagator import (
     _TAYLOR_THETA,
     SystemModel,
     _chunk_map_sums,
+    _chunks,
     _cv_corrections,
     _cv_generators,
     dephasing_map,
@@ -75,7 +81,12 @@ def _draw_paths(model, dt, n_steps, seed, n_paths):
 
 
 def _mean_states(model, b, dt, rho0):
-    """Path-averaged states at every step of the noise values b (P, n_ch, n_steps)."""
+    """Path-averaged states at every step of the noise values b (P, n_ch, n_steps).
+
+    The diagonal kernel takes each step's noise integral, b dt for one value
+    per step."""
+    if model.is_diagonal:
+        b = b * dt
     maps = _chunk_map_sums(model, b, dt, np.arange(b.shape[-1])) / b.shape[0]
     return (maps @ vec(rho0)).reshape(-1, model.dim, model.dim)
 
@@ -321,6 +332,41 @@ def test_control_variate_helpers_match_written_out_sums():
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_diagonal_control_variate_equals_substep_correction(antithetic):
+    # a diagonal run corrects on its drawn step integrals with constant
+    # generators; that must equal the time-ordered substep-level correction
+    # on the substep draws of the same chunk generators
+    model = two_qubit_dephasing(bias1=0.3, bias2=-0.2, zz=0.15, couplings=(1.0, 0.6),
+                                cross=0.4, kappas=(1.0, 2.0))
+    dt, n_steps, substeps, n_traj, seed, chunk = 0.2, 5, 4, 600, 9, 128
+    n_ch, n_sub, dt_sub = 2, n_steps * substeps, dt / substeps
+    midpoints = (np.arange(n_sub) + 0.5) * dt_sub
+    boundary = substeps * np.arange(1, n_steps + 1) - 1
+
+    def correction(sampler, g, boundary):
+        draws = np.concatenate([d for d, _ in _chunks(sampler, n_traj, seed, chunk,
+                                                      antithetic)])
+        flat = draws.reshape(draws.shape[0], -1)
+        n_col = flat.shape[1] // n_ch
+        gram = (2.0 if antithetic else 1.0) * flat.T @ flat
+        bbar = np.zeros(flat.shape[1]) if antithetic else flat.sum(axis=0)
+        dm = (gram / n_traj - sampler.covariance()).reshape(n_ch, n_col, n_ch, n_col)
+        return _cv_corrections(model, g, (bbar / n_traj).reshape(n_ch, n_col), dm,
+                               boundary, dt)
+
+    want = correction(GaussianPathSampler(model.noise, midpoints),
+                      _cv_generators(model, dt_sub, midpoints), boundary)
+    windows = np.repeat(np.eye(n_steps) * dt_sub, substeps, axis=0)
+    got = correction(GaussianPathSampler(model.noise, midpoints, windows),
+                     _cv_generators(model, 1.0, np.zeros(n_steps)), np.arange(n_steps))
+    npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+    kwargs = dict(substeps=substeps, seed=seed, antithetic=antithetic, chunk_size=chunk)
+    raw = simulate_process(model, dt, n_steps, n_traj, **kwargs)
+    cv = simulate_process(model, dt, n_steps, n_traj, control_variate=True, **kwargs)
+    npt.assert_allclose(np.stack(raw) - np.stack(cv), want, rtol=0, atol=1e-13)
+
+
 def test_su2_kernel_matches_per_path_expm_products():
     # transverse qubit with a global-phase term: the kernel's summed maps
     # must equal the sum of per-path superoperators of expm step products,
@@ -392,6 +438,10 @@ def test_pulsed_kernels_match_per_path_expm_products():
                     u = pulses[pos] @ u
                 want[pos] += unitary_superop(u)
                 start = end + 1
+        if model.is_diagonal:
+            # the phase kernel takes each segment's noise integral
+            starts = np.concatenate([[0], boundary[:-1] + 1])
+            b = np.add.reduceat(b, starts, axis=-1) * dt_seg
         got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
