@@ -110,7 +110,10 @@ def _free_superops(h, times):
 
 def superop_dim(sop):
     """Hilbert-space dimension d of a d^2 x d^2 superoperator."""
-    n = np.asarray(sop).shape[0]
+    shape = np.shape(sop)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"superoperator must be a square 2-D array, got shape {shape}")
+    n = shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ValueError(f"superoperator side {n} is not a perfect square")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import all_pauli_labels, pauli_string, to_choi, from_choi, vec
+from .liouville import all_pauli_labels, pauli_string, superop_dim, to_choi, from_choi, vec
 
 __all__ = [
     "QptRecord",
@@ -199,10 +199,10 @@ def reconstruct_maps(records):
     return list(e_t.swapaxes(1, 2))
 
 
-def _project_trace_preserving(x4, d):
+def _project_trace_preserving(x4, eye, eye_over_d):
     # Affine projection onto {Tr_out X = I}; output index is the first slot pair.
     t2 = np.einsum("irik->rk", x4)
-    return x4 - np.einsum("ij,rk->irjk", np.eye(d) / d, t2 - np.eye(d))
+    return x4 - np.einsum("ij,rk->irjk", eye_over_d, t2 - eye)
 
 
 def project_cptp(sop):
@@ -213,16 +213,17 @@ def project_cptp(sop):
     trace preservation is exact. Warns if the projection does not converge.
     """
     sop = np.asarray(sop, dtype=complex)
-    d2 = sop.shape[0]
-    d = int(round(np.sqrt(d2)))
+    d = superop_dim(sop)
+    eye = np.eye(d)
+    eye_over_d = eye / d
     x = to_choi(sop)
     for _ in range(_CPTP_ITERS):
         x = 0.5 * (x + x.conj().T)
-        w, v = np.linalg.eigh(x)
-        neg = float(-w.min()) if w.size else 0.0
-        x_psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        x4 = _project_trace_preserving(x_psd.reshape(d, d, d, d), d)
-        x_new = x4.reshape(d2, d2)
+        w, v = np.linalg.eigh(x)  # ascending, so w[0] is the smallest
+        neg = float(-w[0])
+        x_psd = (v * np.maximum(w, 0.0)) @ v.conj().T
+        x4 = _project_trace_preserving(x_psd.reshape(d, d, d, d), eye, eye_over_d)
+        x_new = x4.reshape(d * d, d * d)
         tp_shift = float(np.linalg.norm(x_new - x_psd))
         residual = max(neg, tp_shift)
         x = x_new

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,25 +71,50 @@ def _k2_stack(corr, left, right):
 def _solve_one(a_mat, b_vec, lam, c_prev):
     # minimize |A c - b|_2 + lam * sum_i |c_i - c_prev_i| over real c,
     # by iteratively reweighted least squares with a Huber knee on both terms.
+    # Returns (c, residual, iterations, shift); shift is the last update's size
+    # when the loop hit _MAX_ITER unconverged, else None.
     if lam == 0:
         c, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1
+        return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1, None
     eps_data = 1e-12 * max(1.0, float(np.linalg.norm(b_vec)))
-    c = c_prev.copy()
     ata = a_mat.T @ a_mat
     atb = a_mat.T @ b_vec
+    if a_mat.shape[1] == 1:
+        c, iters, shift = _irls_scalar(a_mat[:, 0], b_vec, lam, float(c_prev[0]),
+                                       float(ata[0, 0]), float(atb[0]), eps_data)
+        c = np.array([c])
+    else:
+        c = c_prev.copy()
+        for iters in range(1, _MAX_ITER + 1):
+            r = float(np.linalg.norm(a_mat @ c - b_vec))
+            w_data = 1.0 / max(r, eps_data)
+            w_reg = lam / np.maximum(np.abs(c - c_prev), _KNEE)
+            lhs = w_data * ata + np.diag(w_reg)
+            rhs = w_data * atb + w_reg * c_prev
+            c_new = np.linalg.solve(lhs, rhs)
+            shift = float(np.max(np.abs(c_new - c)))
+            c = c_new
+            if shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+                shift = None
+                break
+    return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters, shift
+
+
+def _irls_scalar(a, b, lam, c_prev, ata, atb, eps_data):
+    # the loop of _solve_one for one channel, on Python floats; each step rounds
+    # as the matrix loop's does (norm is sqrt(x.dot(x)), a 1x1 solve is one
+    # division), so the iterates are bit-identical
+    c = c_prev
     for iters in range(1, _MAX_ITER + 1):
-        r = float(np.linalg.norm(a_mat @ c - b_vec))
-        w_data = 1.0 / max(r, eps_data)
-        w_reg = lam / np.maximum(np.abs(c - c_prev), _KNEE)
-        lhs = w_data * ata + np.diag(w_reg)
-        rhs = w_data * atb + w_reg * c_prev
-        c_new = np.linalg.solve(lhs, rhs)
-        shift = float(np.max(np.abs(c_new - c)))
+        x = a * c - b
+        w_data = 1.0 / max(math.sqrt(x.dot(x)), eps_data)
+        w_reg = lam / max(abs(c - c_prev), _KNEE)
+        c_new = (w_data * atb + w_reg * c_prev) / (w_data * ata + w_reg)
+        shift = abs(c_new - c)
         c = c_new
-        if shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-            break
-    return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters
+        if shift < 1e-12 * max(1.0, abs(c)):
+            return c, iters, None
+    return c, iters, shift
 
 
 def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
@@ -160,7 +187,13 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     for n in range(n_points):
         b_vec = np.concatenate([vec(data[n]).real, vec(data[n]).imag])
         lam = 0.0 if n == 0 else float(lam_seq[n])
-        c, res, iters = _solve_one(design[n], b_vec, lam, c_prev)
+        c, res, iters, shift = _solve_one(design[n], b_vec, lam, c_prev)
+        if shift is not None:
+            warnings.warn(
+                f"correlation fit at point {n} stopped at shift {shift:.3e} "
+                f"after {_MAX_ITER} iterations",
+                stacklevel=2,
+            )
         for (a, b), value in zip(channels, c):
             values[n, _AXES[a], _AXES[b]] = value
         residuals[n] = res

@@ -1,5 +1,7 @@
 """Tomography record generation, linear inversion, CPTP projection."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -163,3 +165,10 @@ def test_project_cptp_is_identity_on_cptp_maps():
     npt.assert_allclose(project_cptp(sop), sop, atol=1e-9)
     ident = identity_superop(4)
     npt.assert_allclose(project_cptp(ident), ident, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (1, 4, 4)])
+def test_project_cptp_rejects_non_square_input(shape):
+    # a (4, 5) array used to fail inside numpy's reshape, naming no shape
+    with pytest.raises(ValueError, match=re.escape(f"square 2-D array, got shape {shape}")):
+        project_cptp(np.ones(shape))

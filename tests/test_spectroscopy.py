@@ -1,19 +1,28 @@
 """Kernel model, sequential correlation fits, spectra, scaled-run combination."""
 
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+from ttmkit import spectroscopy
 from ttmkit.liouville import PAULIS, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
+from ttmkit.presets import weak_dephasing_model
+from ttmkit.propagator import dephasing_map_series
 from ttmkit.spectroscopy import (
     CorrelationSeries,
     _interaction_superops,
     _k2_stack,
+    _solve_one,
     combine_scaled_kernels,
     fit_correlations,
     spectral_density,
 )
+
+from ttmkit.ttm import build_ttms, extract_kernel
 
 from conftest import ou_correlation
 
@@ -144,6 +153,98 @@ def test_default_regularizer_stays_close_on_consistent_data():
     err = np.max(np.abs(fit.channel("z", "z").real - want))
     assert err < 0.02 * want[0]
     assert np.all(fit.iterations >= 1)
+
+
+def _solve_one_matrix_loop(a_mat, b_vec, lam, c_prev):
+    """Reference: the reweighted loop on matrices, as run for any channel count."""
+    if lam == 0:
+        c, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+        return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1
+    eps_data = 1e-12 * max(1.0, float(np.linalg.norm(b_vec)))
+    c = c_prev.copy()
+    ata = a_mat.T @ a_mat
+    atb = a_mat.T @ b_vec
+    for iters in range(1, spectroscopy._MAX_ITER + 1):
+        r = float(np.linalg.norm(a_mat @ c - b_vec))
+        w_data = 1.0 / max(r, eps_data)
+        w_reg = lam / np.maximum(np.abs(c - c_prev), spectroscopy._KNEE)
+        lhs = w_data * ata + np.diag(w_reg)
+        rhs = w_data * atb + w_reg * c_prev
+        c_new = np.linalg.solve(lhs, rhs)
+        shift = float(np.max(np.abs(c_new - c)))
+        c = c_new
+        if shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+            break
+    return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
+def test_one_channel_solve_matches_matrix_loop_bit_for_bit(scale):
+    rng = np.random.default_rng(int(-np.log10(scale) * 7) % 97)
+    for _ in range(40):
+        a_mat = scale * rng.normal(size=(32, 1))
+        c_true = rng.normal(size=1)
+        b_vec = a_mat[:, 0] * c_true + 0.1 * scale * rng.normal(size=32)
+        c_prev = c_true + rng.normal(size=1)
+        lam = float(scale * 10.0 ** rng.uniform(-3, 1))
+        got = _solve_one(a_mat, b_vec, lam, c_prev)
+        want = _solve_one_matrix_loop(a_mat, b_vec, lam, c_prev)
+        npt.assert_array_equal(got[0], want[0])
+        assert got[1:3] == want[1:]
+
+
+def test_one_channel_fit_matches_matrix_loop_on_dephasing_kernels(monkeypatch):
+    # closed-form dephasing maps -> transfer tensors -> kernels -> regularized fit
+    model = weak_dephasing_model(1.0)
+    dt = 0.04
+    tensors = build_ttms(dephasing_map_series(model, dt, 18))
+    kernels = extract_kernel(tensors, hamiltonian_liouvillian(model.h_system), dt)
+    got = fit_correlations(kernels, model.h_system, dt)
+    monkeypatch.setattr(spectroscopy, "_solve_one",
+                        lambda *args: (*_solve_one_matrix_loop(*args), None))
+    want = fit_correlations(kernels, model.h_system, dt)
+    assert np.all(want.iterations[1:] > 1)
+    npt.assert_array_equal(got.values, want.values)
+    npt.assert_array_equal(got.residuals, want.residuals)
+    npt.assert_array_equal(got.iterations, want.iterations)
+
+
+def test_two_channel_regularized_fit_recovers_both_correlations():
+    # the matrix loop: x and z noise at once, default continuity weights
+    hs = 0.02 * SIGMA_Z
+    dt, n = 0.04, 20
+    times = dt * np.arange(n)
+    corr = np.zeros((n, 3, 3), dtype=complex)
+    corr[:, 0, 0] = ou_correlation(0.006, 0.5, 0.0, times)
+    corr[:, 2, 2] = ou_correlation(0.01, 1.0, 0.0, times)
+    # row n of the (n, n) stack pairs C(t_n) with every time; keep t_n alone
+    k_true = _k2_stack(corr, *_interaction_superops(hs, times))[np.arange(n), np.arange(n)]
+    ls = hamiltonian_liouvillian(hs)
+    kernels = [0.5 * (ls @ ls + k_true[0])] + list(k_true[1:])
+    fit = fit_correlations(kernels, hs, dt, active=(("x", "x"), ("z", "z")))
+    for a, idx in (("x", 0), ("z", 2)):
+        err = np.max(np.abs(fit.channel(a, a) - corr[:, idx, idx]))
+        assert err < 0.02 * corr[0, idx, idx].real, a
+    assert np.all(fit.iterations[1:] > 1)
+
+
+def test_fit_warns_when_a_point_hits_the_iteration_cap(monkeypatch):
+    hs = 0.02 * SIGMA_Z
+    dt, n = 0.04, 6
+    kernels = _synthetic_kernels(lambda t: ou_correlation(0.01, 1.0, 0.0, t),
+                                 ("z", "z"), hs, dt, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_correlations(kernels, hs, dt)  # converges under the shipped cap
+    monkeypatch.setattr(spectroscopy, "_MAX_ITER", 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_correlations(kernels, hs, dt)
+    npt.assert_array_equal(fit.iterations, [1, 2, 2, 2, 2, 2])
+    assert len(caught) == n - 1
+    for point, w in enumerate(caught, start=1):
+        assert re.fullmatch(rf"correlation fit at point {point} stopped at shift "
+                            r"\d\.\d{3}e-\d+ after 2 iterations", str(w.message))
 
 
 def test_fit_rejects_unknown_channels():
