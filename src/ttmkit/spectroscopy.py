@@ -189,11 +189,8 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
         lam = 0.0 if n == 0 else float(lam_seq[n])
         c, res, iters, shift = _solve_one(design[n], b_vec, lam, c_prev)
         if shift is not None:
-            warnings.warn(
-                f"correlation fit at point {n} stopped at shift {shift:.3e} "
-                f"after {_MAX_ITER} iterations",
-                stacklevel=2,
-            )
+            warnings.warn(f"correlation fit at point {n} stopped at shift {shift:.3e} "
+                          f"after {_MAX_ITER} iterations", stacklevel=2)
         for (a, b), value in zip(channels, c):
             values[n, _AXES[a], _AXES[b]] = value
         residuals[n] = res

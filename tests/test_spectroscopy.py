@@ -180,7 +180,7 @@ def _solve_one_matrix_loop(a_mat, b_vec, lam, c_prev):
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
 def test_one_channel_solve_matches_matrix_loop_bit_for_bit(scale):
-    rng = np.random.default_rng(int(-np.log10(scale) * 7) % 97)
+    rng = np.random.default_rng(41)
     for _ in range(40):
         a_mat = scale * rng.normal(size=(32, 1))
         c_true = rng.normal(size=1)
