@@ -24,11 +24,16 @@ as a unit quaternion (SU(2) up to the global phase, which cancels in the
 maps). Any other model keeps all propagators of a chunk in one (d, d, P)
 array, path axis last, and takes each substep's exp(-i H tau) for every
 path at once as a scaled-and-squared degree-15 Taylor polynomial, with no
-eigendecomposition; each step is unitary to rounding. All three kernels
-insert the instantaneous pulses of :func:`simulate_pulsed_process`.
+eigendecomposition; each step is unitary to rounding.
+
+Both simulators hand one private driver, :func:`_ensemble`, a flat list of
+(duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
+sequence n_cycles times over. It owns the midpoint grid, the sampler, the
+seeded chunk loop with its antithetic pairs, chunk means and control variate.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +180,7 @@ def _expm_paths(a, powers):
 
 
 def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
-    """Per-chunk sums (not means) of the maps at the given substep boundaries.
+    """One chunk's sums (not means) of the maps at the substep boundaries, for :func:`_ensemble`.
 
     ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub); for a
     diagonal model it holds each segment's noise integral instead, shaped
@@ -188,8 +193,8 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
     so the summed maps stay trace preserving.
 
     ``pulses``, when given, holds one unitary or None per boundary, applied
-    right after it and included in its sum. ``dt_sub`` may hold one substep
-    length per boundary segment.
+    right after it and included in its sum. ``dt_sub`` holds one substep
+    length per boundary segment, or one for all.
     """
     d = model.dim
     n_steps = boundary.size
@@ -298,20 +303,6 @@ def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
     return _free_superops(model.h_system, dt * np.arange(1, len(boundary) + 1)) @ acc[boundary]
 
 
-def _sampler(model, midpoints, substeps, dt_seg):
-    """The noise sampler of a run with ``substeps`` midpoints per segment.
-
-    A diagonal model draws each segment's midpoint-rule noise integral,
-    dt_seg times the sum of its substep values (``dt_seg`` one number or one
-    per segment); any other model draws the substep values.
-    """
-    windows = None
-    if model.is_diagonal:
-        n_seg = midpoints.size // substeps
-        windows = np.repeat(np.eye(n_seg) * dt_seg, substeps, axis=0)
-    return GaussianPathSampler(model.noise, midpoints, windows)
-
-
 def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
     """Noise draws of an ensemble, chunk by chunk.
 
@@ -321,6 +312,7 @@ def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
     sign-flipped mirror and n_traj counts both, so it must be even. Yields
     (draws, paths): the drawn paths and the paths to propagate.
     """
+    _check_counts(chunk_size=chunk_size)
     if antithetic and n_traj % 2:
         raise ValueError("antithetic sampling needs an even n_traj")
     n_draw = n_traj // 2 if antithetic else n_traj
@@ -332,8 +324,63 @@ def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
 
 def _check_counts(**counts):
     for name, value in counts.items():
-        if not value >= 1:
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
+              antithetic=False, collect_chunk_means=False, control_variate=False):
+    """The (n_seg, d^2, d^2) maps after each segment, and the raw chunk means if asked.
+
+    Segment k = (duration_k, pulse_k) evolves for duration_k in ``substeps``
+    substeps, noise frozen at the midpoints start_k + (j + 0.5) dt_k with
+    dt_k = duration_k / substeps, then applies pulse_k (a unitary or None).
+    """
+    d = model.dim
+    n_seg = len(segments)
+    durations = np.array([duration for duration, _ in segments])
+    pulses = [pulse for _, pulse in segments]
+    dt_seg = durations / substeps
+    starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
+    midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
+    windows = np.repeat(np.diag(dt_seg), substeps, axis=0) if model.is_diagonal else None
+    sampler = GaussianPathSampler(model.noise, midpoints, windows)
+    boundary = substeps * np.arange(1, n_seg + 1) - 1
+
+    n_ch = model.noise.n_channels
+    n_col = n_seg if model.is_diagonal else midpoints.size  # drawn values per channel
+    n_flat = n_ch * n_col
+    sum_b, sum_gram = np.zeros(n_flat), np.zeros((n_flat, n_flat))
+    acc = np.zeros((n_seg, d * d, d * d), dtype=complex)
+    chunk_means = []
+    for draws, b in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
+        contrib = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
+        acc += contrib
+        if control_variate:
+            # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
+            flat = draws.reshape(draws.shape[0], n_flat)
+            sum_gram += (2.0 if antithetic else 1.0) * (flat.T @ flat)
+            if not antithetic:
+                sum_b += flat.sum(axis=0)
+        if collect_chunk_means:
+            chunk_means.append(contrib / b.shape[0])
+
+    maps = acc / n_traj
+    if control_variate:
+        # the correction assumes a uniform, pulse-free grid: every segment
+        # lasts durations[0] and applies no pulse. A diagonal model corrects
+        # on its drawn integrals, one per segment; its generators commute
+        # with h_system, so they are constant in time and act on whole integrals
+        if model.is_diagonal:
+            g, cv_boundary = _cv_generators(model, 1.0, np.zeros(n_seg)), np.arange(n_seg)
+        else:
+            g, cv_boundary = _cv_generators(model, dt_seg[0], midpoints), boundary
+        bbar = (sum_b / n_traj).reshape(n_ch, n_col)
+        delta_m = (sum_gram / n_traj - sampler.covariance()).reshape((n_ch, n_col) * 2)
+        maps -= _cv_corrections(model, g, bbar, delta_m, cv_boundary, durations[0])
+    return maps, chunk_means
 
 
 def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
@@ -386,47 +433,11 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     chunk_means : ndarray, only when ``collect_chunk_means``
     """
     _check_counts(n_steps=n_steps, n_traj=n_traj, substeps=substeps)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    d = model.dim
-    n_sub = n_steps * substeps
-    dt_sub = dt / substeps
-    midpoints = (np.arange(n_sub) + 0.5) * dt_sub
-    sampler = _sampler(model, midpoints, substeps, dt_sub)
-    boundary = substeps * np.arange(1, n_steps + 1) - 1
-    if model.is_diagonal:
-        # one drawn integral per step; the generators commute with
-        # h_system, so they are constant in time and act on whole integrals
-        n_col, g_dt, g_times, cv_boundary = n_steps, 1.0, np.zeros(n_steps), np.arange(n_steps)
-    else:
-        n_col, g_dt, g_times, cv_boundary = n_sub, dt_sub, midpoints, boundary
-
-    n_ch = model.noise.n_channels
-    n_flat = n_ch * n_col
-    sum_b = np.zeros(n_flat)
-    sum_gram = np.zeros((n_flat, n_flat))
-
-    acc = np.zeros((n_steps, d * d, d * d), dtype=complex)
-    chunk_means = []
-    for draws, b in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
-        contrib = _chunk_map_sums(model, b, dt_sub, boundary)
-        acc += contrib
-        if control_variate:
-            # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
-            flat = draws.reshape(draws.shape[0], n_flat)
-            sum_gram += (2.0 if antithetic else 1.0) * (flat.T @ flat)
-            if not antithetic:
-                sum_b += flat.sum(axis=0)
-        if collect_chunk_means:
-            chunk_means.append(contrib / b.shape[0])
-
-    maps = acc / n_traj
-    if control_variate:
-        bbar = (sum_b / n_traj).reshape(n_ch, n_col)
-        delta_m = (sum_gram / n_traj - sampler.covariance()).reshape(
-            n_ch, n_col, n_ch, n_col)
-        g = _cv_generators(model, g_dt, g_times)
-        maps -= _cv_corrections(model, g, bbar, delta_m, cv_boundary, dt)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    maps, chunk_means = _ensemble(model, [(float(dt), None)] * n_steps, n_traj, substeps,
+                                  seed, chunk_size, antithetic, collect_chunk_means,
+                                  control_variate)
     if collect_chunk_means:
         return list(maps), np.array(chunk_means)
     return list(maps)
@@ -440,10 +451,11 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     within each cycle: free evolution under the noisy Hamiltonian for
     ``duration`` in ``substeps`` frozen-noise substeps, then the
     instantaneous ``pulse`` (or None). Any noise model is accepted; each
-    pulse must be a d x d unitary. The segments run on the step kernels of
-    :func:`simulate_process` (phase factors for a diagonal model, quaternions
-    for any other qubit, Taylor exponential steps otherwise) and chunks are
-    seeded as there.
+    pulse must be a d x d unitary. The cycles run as one flat list of
+    segments through the driver of :func:`simulate_process`, on its midpoint
+    grid, step kernels and chunk seeding, so one pulse-free segment of dt
+    per cycle gives its maps bit for bit. Antithetic pairs and the control
+    variate are not offered here.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """
@@ -451,30 +463,17 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     if not segments:
         raise ValueError("segments must hold at least one (duration, pulse) pair")
     for i, (duration, _) in enumerate(segments):
-        if not duration >= 0:
-            raise ValueError(f"segment {i}: duration must be >= 0, got {duration}")
+        if not 0 <= duration < math.inf:
+            raise ValueError(f"segment {i}: duration must be finite and >= 0, got {duration}")
     d = model.dim
-    seg_durs = np.tile([float(s[0]) for s in segments], n_cycles)
     pulses = [None if s[1] is None else np.asarray(s[1], dtype=complex) for s in segments]
     for i, pulse in enumerate(pulses):
         if pulse is not None and not (pulse.shape == (d, d) and np.linalg.norm(
                 pulse @ pulse.conj().T - np.eye(d)) <= 1e-10):
             raise ValueError(f"segment {i}: pulse must be a {d}x{d} unitary")
-    n_seg = len(segments)
-
-    # Global midpoint grid: `substeps` per segment, all cycles concatenated.
-    starts = np.concatenate([[0.0], np.cumsum(seg_durs)])[:-1]
-    midpoints = np.concatenate([t0 + (np.arange(substeps) + 0.5) * (tau / substeps)
-                                for t0, tau in zip(starts, seg_durs)])
-    dt_seg = seg_durs / substeps
-    sampler = _sampler(model, midpoints, substeps, dt_seg)
-    boundary = substeps * np.arange(1, n_seg * n_cycles + 1) - 1
-
-    acc = np.zeros((n_cycles, d * d, d * d), dtype=complex)
-    for _, b in _chunks(sampler, n_traj, seed, chunk_size):
-        sums = _chunk_map_sums(model, b, dt_seg, boundary, pulses * n_cycles)
-        acc += sums[n_seg - 1::n_seg]
-    return [acc[k] / n_traj for k in range(n_cycles)]
+    cycle = [(float(s[0]), pulse) for s, pulse in zip(segments, pulses)]
+    maps, _ = _ensemble(model, cycle * n_cycles, n_traj, substeps, seed, chunk_size)
+    return list(maps[len(segments) - 1::len(segments)])
 
 
 def dephasing_map(model, t):

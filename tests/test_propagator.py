@@ -158,15 +158,15 @@ def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
 
 
 def test_pulsed_process_without_pulses_matches_simulate_process():
-    # one pulse-free segment per cycle is the plain map grid: both drivers
-    # must draw the same noise chunk by chunk and give the same maps
+    # one pulse-free segment per cycle is the plain map grid: both simulators
+    # run the same segments through one driver, so the maps are bit-equal
     for model in (dd_demo_model(), revival_demo_model(), transverse_noise_model()):
         for dt, n_steps, substeps in ((0.2, 6, 4), (0.5, 3, 2)):
             plain = simulate_process(model, dt, n_steps, n_traj=600, substeps=substeps,
                                      seed=21, chunk_size=256)
             pulsed = simulate_pulsed_process(model, [(dt, None)], n_steps, n_traj=600,
                                              substeps=substeps, seed=21, chunk_size=256)
-            npt.assert_allclose(np.stack(pulsed), np.stack(plain), rtol=0, atol=1e-12)
+            npt.assert_array_equal(np.stack(pulsed), np.stack(plain))
 
 
 def test_dephasing_map_matches_independent_construction():
@@ -505,6 +505,10 @@ def test_simulations_reject_substeps_below_one():
         simulate_process(model, 0.1, 2, n_traj=8, substeps=0)
     with pytest.raises(ValueError, match="substeps must be >= 1, got 0"):
         simulate_pulsed_process(model, [(0.5, SIGMA_X)], 1, n_traj=8, substeps=0)
+    with pytest.raises(ValueError, match="substeps must be an integer, got 2.5"):
+        simulate_process(model, 0.1, 2, n_traj=8, substeps=2.5)
+    with pytest.raises(ValueError, match="substeps must be an integer, got 2.5"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 1, n_traj=8, substeps=2.5)
 
 
 def test_simulations_reject_empty_grids():
@@ -513,6 +517,19 @@ def test_simulations_reject_empty_grids():
         simulate_process(model, 0.1, 0, n_traj=8)
     with pytest.raises(ValueError, match="n_cycles must be >= 1, got 0"):
         simulate_pulsed_process(model, [(0.5, SIGMA_X)], 0, n_traj=8)
+    with pytest.raises(ValueError, match="n_steps must be an integer, got 2.5"):
+        simulate_process(model, 0.1, 2.5, n_traj=8)
+    with pytest.raises(ValueError, match="n_cycles must be an integer, got 2.5"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 2.5, n_traj=8)
+
+
+@pytest.mark.parametrize("chunk_size", [-1, 0, 2.5])
+def test_simulations_reject_bad_chunk_sizes(chunk_size):
+    model = _z_model()
+    with pytest.raises(ValueError, match="chunk_size must be"):
+        simulate_process(model, 0.1, 2, n_traj=8, chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="chunk_size must be"):
+        simulate_pulsed_process(model, [(0.5, SIGMA_X)], 1, n_traj=8, chunk_size=chunk_size)
 
 
 def test_pulsed_process_rejects_empty_segments():
@@ -520,15 +537,18 @@ def test_pulsed_process_rejects_empty_segments():
         simulate_pulsed_process(_z_model(), [], 2, n_traj=8)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
 def test_simulate_process_rejects_non_positive_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         simulate_process(_z_model(), dt, 2, n_traj=8)
 
 
 def test_pulsed_process_rejects_negative_durations():
-    with pytest.raises(ValueError, match="segment 1: duration must be >= 0, got -0.5"):
-        simulate_pulsed_process(_z_model(), [(0.5, SIGMA_X), (-0.5, SIGMA_X)], 1, n_traj=8)
+    for duration in (-0.5, float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"segment 1: duration must be finite and >= 0, got {duration}"):
+            simulate_pulsed_process(_z_model(), [(0.5, SIGMA_X), (duration, SIGMA_X)], 1,
+                                    n_traj=8)
 
 
 def test_chunk_means_average_to_the_estimate():
