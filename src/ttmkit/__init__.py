@@ -9,14 +9,11 @@ series additionally split into separable and collective parts (multiqubit).
 
 from ._version import __version__
 from .liouville import (
-    apply_superop,
     bloch_affine,
     bloch_volume,
     commutator_superop,
     factorize_bipartite,
-    from_choi,
     hamiltonian_liouvillian,
-    identity_superop,
     kron_superop,
     min_choi_eigenvalue,
     to_choi,
@@ -44,7 +41,6 @@ from .propagator import (
     SystemModel,
     dephasing_map,
     dephasing_map_series,
-    free_evolution_superop,
     simulate_process,
     simulate_pulsed_process,
 )
@@ -74,13 +70,12 @@ from .ttm import (
 
 __all__ = [
     "__version__",
-    "vec", "unvec", "apply_superop", "unitary_superop", "commutator_superop",
-    "hamiltonian_liouvillian", "identity_superop", "to_choi", "from_choi",
-    "trace_preservation_defect", "min_choi_eigenvalue", "bloch_affine", "bloch_volume",
-    "kron_superop", "factorize_bipartite",
+    "vec", "unvec", "unitary_superop", "commutator_superop", "hamiltonian_liouvillian",
+    "to_choi", "trace_preservation_defect", "min_choi_eigenvalue", "bloch_affine",
+    "bloch_volume", "kron_superop", "factorize_bipartite",
     "NoiseModel", "GaussianPathSampler",
     "SystemModel", "simulate_process", "simulate_pulsed_process",
-    "dephasing_map", "dephasing_map_series", "free_evolution_superop",
+    "dephasing_map", "dephasing_map_series",
     "QptRecord", "prep_labels", "prep_states",
     "simulate_qpt", "reconstruct_maps", "project_cptp",
     "build_ttms", "predict_maps", "predict_states", "extract_kernel",

@@ -28,6 +28,8 @@ def config_hash(config):
 def write_map_series(path, maps, dt, n_traj=0, meta=None):
     """Store superoperators at times dt, 2 dt, ... as a JSON document."""
     maps = [np.asarray(m, dtype=complex) for m in maps]
+    if not maps:
+        raise ValueError("a map series needs at least one map")
     side = maps[0].shape[0]
     dim = int(round(side ** 0.5))
     if dim * dim != side or any(m.shape != (side, side) for m in maps):
@@ -68,16 +70,28 @@ def read_map_series(path):
     dim = _number_field(doc, "dim", int, minimum=1)
     n_traj = _number_field(doc, "n_traj", int, minimum=0, default=0)
     side = dim * dim
+    if not isinstance(doc["maps"], list):
+        raise ValueError("map series file: field 'maps' must be a list")
     maps = []
     for rec in doc["maps"]:
         k = len(maps) + 1
+        if not isinstance(rec, dict):
+            raise ValueError(f"maps[{k - 1}]: expected an object, found {rec!r}")
         if rec.get("time_index") != k:
             raise ValueError(f"maps[{k - 1}]: expected time_index {k}, "
                              f"found {rec.get('time_index')!r}")
         entries = rec.get("entries", [])
-        if len(entries) != side * side:
-            raise ValueError(f"maps[{k - 1}]: {len(entries)} entries, expected {side * side}")
-        flat = np.array([complex(re, im) for re, im in entries])
+        if not isinstance(entries, list) or len(entries) != side * side:
+            raise ValueError(f"maps[{k - 1}]: entries must be a list of {side * side} "
+                             f"[re, im] pairs")
+        try:
+            # complex() rejects strings, null and lists; only booleans need the type test
+            flat = np.array([complex(re, im) for re, im in entries])
+            numbers = {type(x) for pair in entries for x in pair} <= {int, float}
+        except (TypeError, ValueError, OverflowError):
+            numbers = False
+        if not numbers:
+            raise ValueError(f"maps[{k - 1}]: every entry must be a pair of JSON numbers")
         maps.append(flat.reshape(side, side))
     info = {"dim": dim, "dt": dt, "n_traj": n_traj}
     return maps, info

@@ -65,11 +65,6 @@ def unvec(v):
     return v.reshape(d, d)
 
 
-def apply_superop(sop, rho):
-    """Apply a superoperator to a density matrix, returning a matrix."""
-    return unvec(np.asarray(sop) @ vec(rho))
-
-
 def left_multiply(a):
     """Superoperator for rho -> a @ rho; a stack of matrices gives a stack."""
     a = np.asarray(a, dtype=complex)
@@ -84,9 +79,7 @@ def right_multiply(b):
 
 def commutator_superop(h):
     """Superoperator for rho -> [h, rho]."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return np.kron(h, eye) - np.kron(eye, h.T)
+    return left_multiply(h) - right_multiply(h)
 
 
 def hamiltonian_liouvillian(h):
@@ -131,11 +124,6 @@ def to_choi(sop):
     return sop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def from_choi(choi):
-    """Inverse of :func:`to_choi`."""
-    return to_choi(choi)
-
-
 def trace_preservation_defect(sop):
     """Frobenius norm of (sum of rows that should give Tr E(rho) = Tr rho).
 
@@ -158,10 +146,6 @@ def min_choi_eigenvalue(sop):
     x = to_choi(sop)
     x = 0.5 * (x + x.conj().T)
     return float(np.linalg.eigvalsh(x)[0])
-
-
-def identity_superop(d):
-    return np.eye(d * d, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +188,18 @@ def bloch_volume(sop):
 # Two-qubit index reordering and tensor factorization
 # ---------------------------------------------------------------------------
 
-def _bipartite_perm():
-    # Standard superop index packs (r1 r2 | c1 c2); the reordered basis
-    # packs (r1 c1 | r2 c2), grouping each qubit's row/column pair.
-    perm = np.empty(16, dtype=int)
-    for r1 in range(2):
-        for r2 in range(2):
-            for c1 in range(2):
-                for c2 in range(2):
-                    std = 8 * r1 + 4 * r2 + 2 * c1 + c2
-                    new = 8 * r1 + 4 * c1 + 2 * r2 + c2
-                    perm[new] = std
-    return perm
-
-
-_PERM16 = _bipartite_perm()
-
-
 def reindex_bipartite(mat):
     """Reorder a 16 x 16 superoperator (or Choi) between the standard basis
     and the per-qubit-grouped basis.
 
-    The permutation is an involution: applying it twice returns the input.
+    Each side's index packs the qubit bits (r1 r2 c1 c2) in the standard
+    basis and (r1 c1 r2 c2) in the grouped one. Swapping the middle two bits
+    is an involution: applying it twice returns the input.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (16, 16):
         raise ValueError("reindexing is defined for two-qubit superoperators")
-    return mat[np.ix_(_PERM16, _PERM16)]
+    return mat.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
 
 
 def kron_superop(sop1, sop2):
@@ -259,4 +228,5 @@ def factorize_bipartite(sop):
     x2 = np.einsum("abad->bd", xr) / 2.0
     product = reindex_bipartite(np.kron(x1, x2))
     delta_choi = x - product
-    return from_choi(x1), from_choi(x2), from_choi(delta_choi)
+    # the Choi reshuffle is an involution, so to_choi also inverts it
+    return to_choi(x1), to_choi(x2), to_choi(delta_choi)

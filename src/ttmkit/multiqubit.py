@@ -65,7 +65,7 @@ def _warn_coarse_step(dt, noise):
         )
 
 
-def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt, dt):
+def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt):
     """Two-point Richardson split of a collective correction into generator and kernel.
 
     The inputs are one collective quantity measured on a grid of step dt and
@@ -135,7 +135,7 @@ def isolate_collective(result, dt, noise=None):
         logs.append(_logm(full) - local)
     if noise is not None:
         _warn_coarse_step(dt, noise)
-    return isolate_generator_kernel(logs[0], logs[1], dt)
+    return isolate_generator_kernel(logs[0], logs[1])
 
 
 def collective_report(result, dl_dt=None, dk_dt2=None):

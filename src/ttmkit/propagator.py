@@ -83,11 +83,6 @@ class SystemModel:
         return all(np.allclose(op, np.diag(np.diagonal(op)), atol=1e-14) for op in ops)
 
 
-def free_evolution_superop(h, t):
-    """Superoperator of the noiseless evolution exp(-i h t) rho exp(+i h t)."""
-    return _free_superops(h, [t])[0]
-
-
 def _diag_parts(model):
     h = np.real(np.diagonal(model.h_system))
     z = np.stack([np.real(np.diagonal(c)) for c in model.couplings])

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import all_pauli_labels, pauli_string, superop_dim, to_choi, from_choi, vec
+from .liouville import all_pauli_labels, pauli_string, superop_dim, to_choi, vec
 
 __all__ = [
     "QptRecord",
@@ -91,16 +92,6 @@ def prep_states(n_qubits):
     return {lab: np.outer(kets[lab], kets[lab].conj()) for lab in labels}
 
 
-def _infer_qubits(dim_sq):
-    d = int(round(np.sqrt(dim_sq)))
-    if d * d != dim_sq:
-        raise ValueError(f"superoperator side {dim_sq} is not a perfect square")
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise ValueError(f"Hilbert dimension {d} is not a power of two")
-    return n, d
-
-
 def _blocks(n_qubits):
     # Pauli block (rows vec(P^T), Pv Pv^H = d I) and preparation block (rows vec(rho)).
     paulis = all_pauli_labels(n_qubits)
@@ -145,8 +136,10 @@ def simulate_qpt(maps, shots=0, seed=None):
     if shots > 0 and seed is None:
         raise ValueError("seed is required when shots > 0")
     maps = np.asarray(maps, dtype=complex)
-    n_qubits, _ = _infer_qubits(maps.shape[1])
-    a, keys = _design_matrix(n_qubits)
+    d = superop_dim(maps[0])
+    if d not in (2, 4):
+        raise ValueError(f"no preparation basis tabulated for Hilbert dimension {d}")
+    a, keys = _design_matrix(d // 2)  # one qubit at d = 2, two at d = 4
     vals = np.real(maps.reshape(len(maps), -1) @ a.T)
     if shots > 0:
         # Clip guards non-CP inputs whose expectations spill out of [-1, 1].
@@ -160,8 +153,9 @@ def simulate_qpt(maps, shots=0, seed=None):
 def reconstruct_maps(records):
     """Invert tomography records back into a map series.
 
-    Expects a complete (prep, Pauli) grid for every time index and
-    consecutive indices starting at 1. The design matrix that
+    Expects exactly one record per (prep, Pauli) pair of one register's
+    basis at every time index, and consecutive indices starting at 1;
+    duplicate, missing and unknown pairs raise. The design matrix that
     :func:`simulate_qpt` applies is then square, the Kronecker product of
     the Pauli block Pv and the preparation block Rv, so with Y_k the
     (prep, Pauli) records of index k, E_k = (Pv^H / d) Y_k^T Rv^{-T}: one
@@ -175,28 +169,39 @@ def reconstruct_maps(records):
         raise ValueError("no records supplied")
     by_time = {}
     for r in records:
-        by_time.setdefault(r.time_index, {})[(r.prep_label, r.pauli)] = r.expectation
+        by_time.setdefault(r.time_index, []).append(r)
     indices = sorted(by_time)
     if indices != list(range(1, len(indices) + 1)):
         raise ValueError(f"time indices must be consecutive from 1, got {indices}")
 
-    first_label = next(iter(by_time[indices[0]]))[0]
-    n_qubits = 1 if first_label in _SINGLE else 2
+    n_qubits = 1 if by_time[1][0].prep_label in _SINGLE else 2
     p_vecs, rho_vecs, keys = _blocks(n_qubits)
 
     columns = []
     for k in indices:
-        got = by_time[k]
-        missing = [key for key in keys if key not in got]
-        if missing:
-            raise ValueError(
-                f"time index {k}: incomplete record set, missing {missing[:8]}"
-                + ("..." if len(missing) > 8 else "")
-            )
-        columns.append([got[key] for key in keys])
+        got = {(r.prep_label, r.pauli): r.expectation for r in by_time[k]}
+        # with equal counts, a KeyError means an unknown pair took a missing one's place
+        try:
+            if len(by_time[k]) == len(got) == len(keys):
+                columns.append([got[key] for key in keys])
+                continue
+        except KeyError:
+            pass
+        raise ValueError(_record_set_error(k, by_time[k], keys))
     y = np.array(columns).reshape(len(indices), len(rho_vecs), len(p_vecs))
     e_t = np.linalg.solve(rho_vecs, y @ p_vecs.conj() / 2**n_qubits)  # Rv E_k^T = Y_k Pv^* / d
     return list(e_t.swapaxes(1, 2))
+
+
+def _record_set_error(k, recs, keys):
+    # names up to 8 duplicate, missing and unknown (prep, Pauli) pairs of index k
+    counts = Counter((r.prep_label, r.pauli) for r in recs)
+    known = set(keys)
+    found = [("duplicate", [key for key, n in counts.items() if n > 1]),
+             ("missing", [key for key in keys if key not in counts]),
+             ("unknown", [key for key in counts if key not in known])]
+    return f"time index {k}: " + "; ".join(
+        f"{what} {bad[:8]}" + ("..." if len(bad) > 8 else "") for what, bad in found if bad)
 
 
 def _project_trace_preserving(x4, eye, eye_over_d):
@@ -234,4 +239,4 @@ def project_cptp(sop):
             f"CPTP projection stopped at residual {residual:.3e} after {_CPTP_ITERS} iterations",
             stacklevel=2,
         )
-    return from_choi(x)
+    return to_choi(x)  # the Choi reshuffle is its own inverse

@@ -79,9 +79,11 @@ def predict_states(tensors, rho0, n_steps, k_trunc=None):
 def extract_kernel(tensors, liouvillian, dt):
     """Convert transfer tensors into discrete memory-kernel samples.
 
-    K(t_1) = (T_1 - I - L dt) / dt^2 and K(t_n) = T_n / dt^2 for n >= 2.
-    The first sample mixes in 0.5 L^2 plus half the true K(0) under the
-    trapezoid-consistent discretization; downstream fits undo that.
+    Slot 0 is (T_1 - I - L dt) / dt^2 and slot j >= 1 is T_{j+1} / dt^2.
+    Under the trapezoid-consistent discretization slot 0 is about
+    (L^2 + K(0)) / 2 and slot j samples K(j dt), so slot j sits at
+    t_j = j dt from t = 0; :func:`ttmkit.spectroscopy.fit_correlations`
+    reads the slots this way and removes the L^2 half of slot 0.
     """
     d2 = tensors[0].shape[0]
     eye = np.eye(d2, dtype=complex)

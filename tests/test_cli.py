@@ -7,7 +7,7 @@ import pytest
 
 from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
-from ttmkit.liouville import SIGMA_Z, identity_superop, kron_superop
+from ttmkit.liouville import SIGMA_Z, kron_superop
 from ttmkit.noisegen import NoiseModel
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
@@ -414,7 +414,7 @@ def test_twoqubit_mode(tmp_path):
 
 
 def test_nonmarkov_mode_rejects_two_qubit_maps(tmp_path, capsys):
-    maps = [kron_superop(identity_superop(2), identity_superop(2))] * 3
+    maps = [kron_superop(np.eye(4), np.eye(4))] * 3
     write_map_series(tmp_path / "pair.json", maps, dt=0.2)
     cfg_path = _write_cfg(tmp_path, {"mode": "nonmarkov", "input": "pair.json"})
     assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
@@ -427,7 +427,7 @@ def test_twoqubit_mode_reports_singular_maps_unattributed(tmp_path):
     # full dephasing of qubit 1 zeroes its coherences, so the maps have no
     # logarithm; the norms and the verdict must still be written
     dephase = np.diag([1.0, 0.0, 0.0, 1.0])
-    maps = [kron_superop(dephase, identity_superop(2))] * 3
+    maps = [kron_superop(dephase, np.eye(4))] * 3
     write_map_series(tmp_path / "maps.json", maps, dt=0.2)
     written = run_config({"mode": "twoqubit", "input": "maps.json"}, str(tmp_path))
     assert sorted(p.split("/")[-1] for p in written) == [

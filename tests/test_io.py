@@ -1,6 +1,7 @@
 """File formats: map series JSON, tomography CSV, column CSV, reports."""
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -107,6 +108,53 @@ def test_map_series_header_takes_json_numbers_only(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"field '{field}' must be"):
         read_map_series(path)
+
+
+def _edited_map_file(tmp_path, edit):
+    path = tmp_path / "maps.json"
+    write_map_series(path, [np.eye(4), np.eye(4)], dt=0.04)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("maps, message", [
+    ({"time_index": 1}, "field 'maps' must be a list"),
+    ([1], "maps[0]: expected an object, found 1"),
+    ([None], "maps[0]: expected an object, found None"),
+])
+def test_map_series_maps_must_be_a_list_of_objects(tmp_path, maps, message):
+    # "maps": [1] used to escape as an AttributeError
+    path = _edited_map_file(tmp_path, lambda doc: doc.update(maps=maps))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_map_series(path)
+
+
+@pytest.mark.parametrize("entry", [
+    ["a", 0], [0, "1"], [1, 0, 0], [1], [None, 0], [True, 0], [0, False], [[1], 0],
+    "ab", 1, [10**400, 0],
+])
+def test_map_series_entries_must_be_pairs_of_numbers(tmp_path, entry):
+    def edit(doc):
+        doc["maps"][1]["entries"][5] = entry
+
+    with pytest.raises(ValueError, match=re.escape(
+            "maps[1]: every entry must be a pair of JSON numbers")):
+        read_map_series(_edited_map_file(tmp_path, edit))
+
+
+def test_map_series_entries_must_be_a_list(tmp_path):
+    def edit(doc):
+        doc["maps"][0]["entries"] = "x" * 16
+
+    with pytest.raises(ValueError, match=re.escape("maps[0]: entries must be a list of 16")):
+        read_map_series(_edited_map_file(tmp_path, edit))
+
+
+def test_write_map_series_needs_a_map(tmp_path):
+    with pytest.raises(ValueError, match="at least one map"):
+        write_map_series(tmp_path / "maps.json", [], dt=0.04)
 
 
 def test_qpt_csv_roundtrip(tmp_path):

@@ -10,14 +10,11 @@ from ttmkit.liouville import (
     SIGMA_Y,
     SIGMA_Z,
     all_pauli_labels,
-    apply_superop,
     bloch_affine,
     bloch_volume,
     commutator_superop,
     factorize_bipartite,
-    from_choi,
     hamiltonian_liouvillian,
-    identity_superop,
     kron_superop,
     left_multiply,
     min_choi_eigenvalue,
@@ -62,6 +59,19 @@ def test_commutator_and_liouvillian():
                         -1j * (h @ rho - rho @ h), atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_commutator_superop_acts_as_commutator(d):
+    rng = np.random.default_rng(40 + d)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = 0.5 * (h + h.conj().T)
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    sop = commutator_superop(h)
+    npt.assert_allclose(sop @ vec(rho), vec(h @ rho - rho @ h), rtol=0, atol=1e-13)
+    # the same bits as the Kronecker form kron(h, I) - kron(I, h^T)
+    eye = np.eye(d, dtype=complex)
+    npt.assert_array_equal(sop, np.kron(h, eye) - np.kron(eye, h.T))
+
+
 def test_unitary_superop_matches_conjugation():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -69,7 +79,7 @@ def test_unitary_superop_matches_conjugation():
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     rho = random_density(4, rng)
-    npt.assert_allclose(apply_superop(unitary_superop(u), rho),
+    npt.assert_allclose(unvec(unitary_superop(u) @ vec(rho)),
                         u @ rho @ u.conj().T, atol=1e-12)
 
 
@@ -96,7 +106,7 @@ def test_choi_roundtrip_and_cptp_diagnostics():
     rng = np.random.default_rng(11)
     for d in (2, 3, 4):
         sop = random_cptp(d, rng)
-        npt.assert_allclose(from_choi(to_choi(sop)), sop, atol=1e-12)
+        npt.assert_array_equal(to_choi(to_choi(sop)), sop)  # the reshuffle is an involution
         assert superop_dim(sop) == d
         assert trace_preservation_defect(sop) < 1e-12
         choi = to_choi(sop)
@@ -104,7 +114,7 @@ def test_choi_roundtrip_and_cptp_diagnostics():
         assert min_choi_eigenvalue(sop) > -1e-12
         assert abs(np.trace(choi) - d) < 1e-12
         rho = random_density(d, rng)
-        assert is_density_matrix(apply_superop(sop, rho))
+        assert is_density_matrix(unvec(sop @ vec(rho)))
 
 
 def test_choi_flags_non_positive_maps():
@@ -118,12 +128,6 @@ def test_choi_flags_non_positive_maps():
     assert trace_preservation_defect(transpose) < 1e-14
 
 
-def test_identity_superop_action():
-    rng = np.random.default_rng(13)
-    rho = random_density(3, rng)
-    npt.assert_allclose(apply_superop(identity_superop(3), rho), rho, atol=1e-14)
-
-
 def test_bloch_affine_roundtrip():
     rng = np.random.default_rng(17)
     paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
@@ -132,9 +136,9 @@ def test_bloch_affine_roundtrip():
         m, c = bloch_affine(sop)
         assert m.shape == (3, 3) and c.shape == (3,)
         # oracle: M_ij = Tr(sigma_i E(sigma_j)) / 2 and c_i = Tr(sigma_i E(I)) / 2
-        want_m = [[0.5 * np.trace(a @ apply_superop(sop, b)).real for b in paulis]
+        want_m = [[0.5 * np.trace(a @ unvec(sop @ vec(b))).real for b in paulis]
                   for a in paulis]
-        want_c = [0.5 * np.trace(a @ apply_superop(sop, PAULIS["I"])).real for a in paulis]
+        want_c = [0.5 * np.trace(a @ unvec(sop @ vec(PAULIS["I"]))).real for a in paulis]
         npt.assert_allclose(m, want_m, rtol=0, atol=1e-15)
         npt.assert_allclose(c, want_c, rtol=0, atol=1e-15)
         # (M, c) fix the map: E(I) = I + c . sigma and E(sigma_j) = sum_i M_ij sigma_i
@@ -144,7 +148,7 @@ def test_bloch_affine_roundtrip():
                       for e, p in zip(images, [PAULIS["I"]] + paulis)) / 2.0
         npt.assert_allclose(rebuilt, sop, atol=1e-12)
     with pytest.raises(ValueError, match="single-qubit"):
-        bloch_affine(identity_superop(4))
+        bloch_affine(np.eye(16))
 
 
 def test_bloch_affine_known_channels():
@@ -154,8 +158,7 @@ def test_bloch_affine_known_channels():
 
     # rho -> (1-p) rho + p tr(rho) I/2
     p = 0.3
-    depol = (1 - p) * identity_superop(2) + p * np.outer(vec(np.eye(2) / 2),
-                                                         vec(np.eye(2)))
+    depol = (1 - p) * np.eye(4) + p * np.outer(vec(np.eye(2) / 2), vec(np.eye(2)))
     m, c = bloch_affine(depol)
     npt.assert_allclose(m, (1 - p) * np.eye(3), atol=1e-13)
     npt.assert_allclose(c, 0.0, atol=1e-13)
@@ -177,15 +180,36 @@ def test_reindex_bipartite_is_an_involution():
     npt.assert_array_equal(reindex_bipartite(reindex_bipartite(x)), x)
 
 
+def test_reindex_bipartite_matches_written_out_index_map():
+    # each side's index packs the bits (r1 r2 c1 c2) in the standard basis and
+    # (r1 c1 r2 c2) in the grouped one; other involutions fail this test
+    def standard(r1, r2, c1, c2):
+        return 8 * r1 + 4 * r2 + 2 * c1 + c2
+
+    def grouped(r1, r2, c1, c2):
+        return 8 * r1 + 4 * c1 + 2 * r2 + c2
+
+    bits = [(r1, r2, c1, c2) for r1 in range(2) for r2 in range(2)
+            for c1 in range(2) for c2 in range(2)]
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        want = np.empty_like(x)
+        for row in bits:
+            for col in bits:
+                want[grouped(*row), grouped(*col)] = x[standard(*row), standard(*col)]
+        npt.assert_array_equal(reindex_bipartite(x), want)
+
+
 def test_kron_superop_acts_as_tensor_product():
     rng = np.random.default_rng(29)
     s1 = random_cptp(2, rng)
     s2 = random_cptp(2, rng)
     r1 = random_density(2, rng)
     r2 = random_density(2, rng)
-    joint = apply_superop(kron_superop(s1, s2), np.kron(r1, r2))
+    joint = unvec(kron_superop(s1, s2) @ vec(np.kron(r1, r2)))
     npt.assert_allclose(joint,
-                        np.kron(apply_superop(s1, r1), apply_superop(s2, r2)),
+                        np.kron(unvec(s1 @ vec(r1)), unvec(s2 @ vec(r2))),
                         atol=1e-12)
 
 

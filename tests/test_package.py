@@ -7,7 +7,7 @@ from pathlib import Path
 import ttmkit
 from ttmkit.cli import run_config
 from ttmkit.io import read_map_series, read_qpt_csv
-from ttmkit.liouville import apply_superop
+from ttmkit.liouville import unvec, vec
 from ttmkit.propagator import dephasing_map_series
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,7 +32,7 @@ def test_readme_quick_start_runs():
     states = scope["states"]
     assert len(states) == 50
     exact = dephasing_map_series(scope["model"], scope["dt"], 8)[7]
-    want = apply_superop(exact, scope["rho0"])[0, 1]
+    want = unvec(exact @ vec(scope["rho0"]))[0, 1]
     assert abs(states[7][0, 1] - want) < 0.01
 
 

@@ -9,10 +9,11 @@ from ttmkit.liouville import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    apply_superop,
+    _free_superops,
     min_choi_eigenvalue,
     trace_preservation_defect,
     unitary_superop,
+    unvec,
     vec,
 )
 from ttmkit.noisegen import GaussianPathSampler, NoiseModel
@@ -31,7 +32,6 @@ from ttmkit.propagator import (
     _cv_generators,
     dephasing_map,
     dephasing_map_series,
-    free_evolution_superop,
     simulate_process,
     simulate_pulsed_process,
 )
@@ -67,11 +67,9 @@ def test_free_evolution_superop():
     rng = np.random.default_rng(2)
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = 0.5 * (h + h.conj().T)
-    rho = random_density(3, rng)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * 0.7)) @ v.conj().T
-    npt.assert_allclose(apply_superop(free_evolution_superop(h, 0.7), rho),
-                        u @ rho @ u.conj().T, atol=1e-12)
+    times = [0.0, 0.7, 2.5]
+    for sop, t in zip(_free_superops(h, times), times):
+        npt.assert_allclose(sop, unitary_superop(expm(-1j * h * t)), rtol=0, atol=1e-12)
 
 
 def _draw_paths(model, dt, n_steps, seed, n_paths):
@@ -220,7 +218,7 @@ def test_simulate_process_zero_noise_is_free_evolution():
     model = _z_model(coupling=0.0)
     maps = simulate_process(model, 0.3, 4, n_traj=8, seed=0)
     for k, sop in enumerate(maps, start=1):
-        npt.assert_allclose(sop, free_evolution_superop(model.h_system, k * 0.3),
+        npt.assert_allclose(sop, unitary_superop(expm(-1j * model.h_system * k * 0.3)),
                             atol=1e-12)
 
 
@@ -567,7 +565,7 @@ def test_ensemble_average_of_trajectories_matches_maps():
                                dt, rho0)
     exact = dephasing_map_series(model, dt, n_steps)
     for k in range(n_steps):
-        want = apply_superop(exact[k], rho0)
+        want = unvec(exact[k] @ vec(rho0))
         assert np.max(np.abs(mean_states[k] - want)) < 0.05
 
 

@@ -9,11 +9,11 @@ import pytest
 from ttmkit.io import read_qpt_csv, write_qpt_csv
 from ttmkit.liouville import (
     all_pauli_labels,
-    apply_superop,
-    identity_superop,
     min_choi_eigenvalue,
     pauli_string,
     trace_preservation_defect,
+    unvec,
+    vec,
 )
 from ttmkit.qpt import (
     QptRecord,
@@ -61,7 +61,7 @@ def test_exact_records_match_trace_loop_in_emission_order():
         want = []
         for k, sop in enumerate(maps, start=1):
             for lab, rho in prep_states(n_qubits).items():
-                out = apply_superop(sop, rho)
+                out = unvec(sop @ vec(rho))
                 for p in all_pauli_labels(n_qubits):
                     want.append((k, lab, p, np.real(np.trace(pauli_string(p) @ out))))
         records = simulate_qpt(maps)
@@ -148,6 +148,46 @@ def test_reconstruct_validates_grid():
         reconstruct_maps(shifted)
 
 
+def _one_qubit_records():
+    return simulate_qpt([random_cptp(2, np.random.default_rng(30)) for _ in range(2)])
+
+
+def test_reconstruct_rejects_duplicate_records():
+    # a second record for one setting used to replace the first without notice
+    records = _one_qubit_records()
+    extra = QptRecord(1, "psi0", "Z", records[3].expectation + 1.0, 0)
+    with pytest.raises(ValueError, match=re.escape("time index 1: duplicate [('psi0', 'Z')]")):
+        reconstruct_maps(records + [extra])
+
+
+@pytest.mark.parametrize("prep, pauli", [("psiQ", "Z"), ("psi0", "W")])
+def test_reconstruct_rejects_unknown_labels(prep, pauli):
+    records = _one_qubit_records()
+    bad = QptRecord(2, prep, pauli, 0.0, 0)
+    with pytest.raises(ValueError, match=re.escape(f"time index 2: unknown [{(prep, pauli)}]")):
+        reconstruct_maps(records + [bad])
+    # in place of a known record the counts agree, and the swap still raises
+    with pytest.raises(ValueError, match=re.escape(
+            f"time index 2: missing [('psiY', 'Z')]; unknown [{(prep, pauli)}]")):
+        reconstruct_maps(records[:-1] + [bad])
+
+
+def test_reconstruct_rejects_mixed_registers():
+    one = _one_qubit_records()
+    two = simulate_qpt([random_cptp(4, np.random.default_rng(31))])
+    with pytest.raises(ValueError, match=r"time index 1: unknown \[\('psi00', 'II'\), .*\.\.\.$"):
+        reconstruct_maps(one + two)
+    with pytest.raises(ValueError, match=r"time index 1: unknown \[\('psi0', 'I'\), .*\.\.\.$"):
+        reconstruct_maps(two + one[:16])
+
+
+def test_simulate_qpt_names_an_untabulated_dimension():
+    with pytest.raises(ValueError, match="no preparation basis tabulated for Hilbert dimension 3"):
+        simulate_qpt([np.eye(9)])
+    with pytest.raises(ValueError, match="perfect square"):
+        simulate_qpt([np.eye(5)])
+
+
 def test_project_cptp_fixes_noisy_reconstructions():
     rng = np.random.default_rng(31)
     sop = random_cptp(2, rng)
@@ -163,7 +203,7 @@ def test_project_cptp_is_identity_on_cptp_maps():
     rng = np.random.default_rng(37)
     sop = random_cptp(2, rng)
     npt.assert_allclose(project_cptp(sop), sop, atol=1e-9)
-    ident = identity_superop(4)
+    ident = np.eye(16)
     npt.assert_allclose(project_cptp(ident), ident, atol=1e-9)
 
 

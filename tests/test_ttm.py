@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from ttmkit.liouville import apply_superop, hamiltonian_liouvillian, identity_superop
+from ttmkit.liouville import hamiltonian_liouvillian, unvec, vec
 from ttmkit.noisegen import NoiseModel
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.ttm import (
@@ -105,7 +105,7 @@ def test_predict_states_tracks_predict_maps():
     states = predict_states(tensors, rho0, 8)
     ext = predict_maps(tensors, 8)
     for k in range(8):
-        npt.assert_allclose(states[k], apply_superop(ext[k], rho0), atol=1e-12)
+        npt.assert_allclose(states[k], unvec(ext[k] @ vec(rho0)), atol=1e-12)
 
 
 def test_predictions_accept_real_tensors():
@@ -116,7 +116,7 @@ def test_predictions_accept_real_tensors():
     rho0 = np.full((2, 2), 0.5)
     states = predict_states(tensors, rho0, 3)
     for k in range(3):
-        npt.assert_allclose(states[k], apply_superop(ext[k], rho0), atol=1e-15)
+        npt.assert_allclose(states[k], unvec(ext[k] @ vec(rho0)), atol=1e-15)
 
 
 def test_kernel_conversion_roundtrip():
@@ -155,7 +155,7 @@ def test_norm_profile_subtracts_identity_once():
     tensors = build_ttms(maps)
     prof = norm_profile(tensors)
     raw = norm_profile(tensors, subtract_identity=False)
-    assert prof[0] == pytest.approx(np.linalg.norm(tensors[0] - identity_superop(2)))
+    assert prof[0] == pytest.approx(np.linalg.norm(tensors[0] - np.eye(4)))
     npt.assert_array_equal(prof[1:], raw[1:])
 
 
