@@ -11,6 +11,7 @@ every file carries the config hash, seed, and package version.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -201,19 +202,36 @@ def _grid(cfg):
     return _number(cfg, "grid.dt", positive=True), _integer(cfg, "grid.n_steps", minimum=1)
 
 
+def _input_path(path, out_dir):
+    """An input file named in a config; relative paths start at out_dir."""
+    return path if os.path.isabs(path) else os.path.join(out_dir, path)
+
+
 def _read_input(cfg, out_dir, reader=io.read_map_series):
-    path = _string(cfg, "input")
-    if not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
-    return _stage("io", reader, path)
+    return _stage("io", reader, _input_path(_string(cfg, "input"), out_dir))
 
 
-def _meta_for(cfg, extra=None):
-    meta = {"config_hash": io.config_hash(cfg), "version": __version__}
+def _hashed_input(path, out_dir):
+    # an input file enters the config hash by its SHA-256 content digest, so
+    # the hash does not depend on where the file sits; a value that names no
+    # file was not read and enters as written
+    full = _input_path(path, out_dir) if isinstance(path, str) else None
+    if full is None or not os.path.isfile(full):
+        return path
+    with open(full, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _meta_for(cfg, out_dir):
+    hashed = dict(cfg)
+    if "input" in cfg:
+        hashed["input"] = _hashed_input(cfg["input"], out_dir)
+    if isinstance(cfg.get("inputs"), list):
+        hashed["inputs"] = [_hashed_input(p, out_dir) for p in cfg["inputs"]]
+    meta = {"config_hash": io.config_hash(hashed), "version": __version__}
     seed = _get(cfg, "sampling.seed", required=False)
     if seed is not None:
         meta["seed"] = seed
-    meta.update(extra or {})
     return meta
 
 
@@ -225,7 +243,7 @@ def _mode_simulate(cfg, out_dir):
                   substeps=substeps, seed=seed, antithetic=antithetic,
                   control_variate=cv)
     out = os.path.join(out_dir, "maps.json")
-    io.write_map_series(out, maps, dt, n_traj=n_traj, meta=_meta_for(cfg))
+    io.write_map_series(out, maps, dt, n_traj=n_traj, meta=_meta_for(cfg, out_dir))
     written = [out]
     shots = _integer(cfg, "shots", required=False, minimum=1)
     if shots:
@@ -239,17 +257,18 @@ def _mode_simulate(cfg, out_dir):
 def _mode_ttm(cfg, out_dir):
     save_tensors = _boolean(cfg, "save_tensors", default=False)
     maps, info = _read_input(cfg, out_dir)
+    meta = _meta_for(cfg, out_dir)
     tensors = _stage("ttm", build_ttms, maps)
     out = os.path.join(out_dir, "ttm_norms.csv")
     io.write_series_csv(out, {
         "n": np.arange(1, len(tensors) + 1),
         "norm": _stage("ttm", norm_profile, tensors, subtract_identity=False),
         "norm_first_minus_identity": _stage("ttm", norm_profile, tensors),
-    }, _meta_for(cfg, {"dt": info["dt"]}))
+    }, {**meta, "dt": info["dt"]})
     written = [out]
     if save_tensors:
         tpath = os.path.join(out_dir, "tensors.json")
-        io.write_map_series(tpath, tensors, info["dt"], meta=_meta_for(cfg))
+        io.write_map_series(tpath, tensors, info["dt"], meta=meta)
         written.append(tpath)
     return written
 
@@ -264,9 +283,9 @@ def _mode_nonmarkov(cfg, out_dir):
         raise ConfigError(f"field 'extend.k_trunc': must be <= {len(maps)}, the number "
                           f"of maps, got {k_trunc}")
     series = _stage("nonmarkov", volume_series, maps, info["dt"])
+    meta = _meta_for(cfg, out_dir)
     out = os.path.join(out_dir, "volume.csv")
-    io.write_series_csv(out, {"time": series.times, "volume": series.values},
-                        _meta_for(cfg))
+    io.write_series_csv(out, {"time": series.times, "volume": series.values}, meta)
     written = [out]
     fields = {"nonmarkovianity": _stage("nonmarkov", volume_measure, series)}
     if n_total:
@@ -275,11 +294,11 @@ def _mode_nonmarkov(cfg, out_dir):
                                      n_total, info["dt"], k_trunc=k_trunc)
         ext_path = os.path.join(out_dir, "volume_extended.csv")
         io.write_series_csv(ext_path, {"time": ext_series.times,
-                                       "volume": ext_series.values}, _meta_for(cfg))
+                                       "volume": ext_series.values}, meta)
         fields["nonmarkovianity_extended"] = measure
         written.append(ext_path)
     report = os.path.join(out_dir, "nonmarkov_report.txt")
-    io.write_report(report, fields, _meta_for(cfg))
+    io.write_report(report, fields, meta)
     return written + [report]
 
 
@@ -301,9 +320,12 @@ def _mode_spectroscopy(cfg, out_dir):
             if info["dt"] != dt:
                 raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
                                   f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
+        # a one-qubit Hamiltonian is its bias term, so run i's Liouvillian is
+        # (w_i / w_0) L_0; only the bias ratios enter the protocol
+        ws = biases or [1.0] * len(loaded)
         ls = hamiltonian_liouvillian(model.h_system)
         kernel_runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m),
-                              ls, dt) for m, _ in loaded]
+                              (w / ws[0]) * ls, dt) for (m, _), w in zip(loaded, ws)]
         combined, diag = _stage("spectroscopy", combine_scaled_kernels, kernel_runs,
                                 gammas=gammas, biases=biases, dt=dt)
         kernels = list(combined)
@@ -339,7 +361,7 @@ def _mode_spectroscopy(cfg, out_dir):
                           f"{n_fit}, got {lambdas!r}")
     series = _stage("spectroscopy", fit_correlations, kernels[:n_fit], model.h_system,
                     dt, active=active, lambdas=lambdas)
-    meta = _meta_for(cfg)
+    meta = _meta_for(cfg, out_dir)
     a, b = active[0]
     corr_path = os.path.join(out_dir, "correlation.csv")
     io.write_series_csv(corr_path, {
@@ -364,7 +386,7 @@ def _mode_twoqubit(cfg, out_dir):
     if info["dim"] != 4:
         raise ConfigError("field 'input': twoqubit mode needs dim-4 maps")
     written = _stage("multiqubit", presets._pair_study, out_dir, "twoqubit", maps,
-                     info["dt"], _meta_for(cfg))
+                     info["dt"], _meta_for(cfg, out_dir))
     return list(written.values())
 
 
@@ -376,7 +398,7 @@ def _mode_ingest(cfg, out_dir):
         maps = [_stage("qpt", project_cptp, m) for m in maps]
     dt = _number(cfg, "grid.dt", positive=True)
     out = os.path.join(out_dir, "maps.json")
-    io.write_map_series(out, maps, dt, meta=_meta_for(cfg))
+    io.write_map_series(out, maps, dt, meta=_meta_for(cfg, out_dir))
     return [out]
 
 
@@ -393,7 +415,7 @@ def _mode_xy4(cfg, out_dir):
         "n": np.arange(1, n_cycles + 1),
         "free": free_profile,
         "xy4": dd_profile,
-    }, _meta_for(cfg))
+    }, _meta_for(cfg, out_dir))
     return [out]
 
 

@@ -1,13 +1,11 @@
 """Stationary colored Gaussian noise: correlation models and path sampling.
 
 Noise enters the simulator as a vector of real classical processes B_a(t),
-jointly Gaussian, zero mean, stationary. The default correlation family is
-exponentially damped cosines; arbitrary correlations can be injected
-through ``corr_fn``.
+jointly Gaussian, zero mean, stationary, with exponentially damped cosine
+correlations.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,14 +34,10 @@ class NoiseModel:
         Symmetric amplitude matrix. The diagonal entry ``cross[a, a]`` is
         the coupling strength (variance) of channel a; off-diagonal entries
         set equal-time cross-correlations.
-    corr_fn : callable, optional
-        Override ``corr_fn(tau) -> (n, n) array`` replacing the default
-        damped-cosine form. ``tau`` may be any ndarray; the result must
-        broadcast with shape ``tau.shape + (n, n)``.
 
     Notes
     -----
-    With the default form the cross-channel correlation is
+    The cross-channel correlation is
 
         C_ab(tau) = cross[a, b] exp(-kappa_ab |tau|) cos(omega_ab tau)
 
@@ -56,7 +50,6 @@ class NoiseModel:
     kappas: tuple
     omegas: tuple
     cross: np.ndarray
-    corr_fn: Optional[Callable] = None
 
     def __post_init__(self):
         cross = np.atleast_2d(np.asarray(self.cross, dtype=float))
@@ -81,12 +74,6 @@ class NoiseModel:
     def correlation(self, tau):
         """Correlation matrix C(tau), shape ``tau.shape + (n, n)``."""
         tau = np.asarray(tau, dtype=float)
-        if self.corr_fn is not None:
-            out = np.asarray(self.corr_fn(tau), dtype=float)
-            want = tau.shape + (self.n_channels, self.n_channels)
-            if out.shape != want:
-                raise ValueError(f"corr_fn returned shape {out.shape}, expected {want}")
-            return out
         k = np.asarray(self.kappas)
         w = np.asarray(self.omegas)
         kab = 0.5 * (k[:, None] + k[None, :])
@@ -101,44 +88,27 @@ class NoiseModel:
     def phase_variance(self, t, a=0, b=None):
         """Double time integral Phi_ab(t) = int_0^t int_0^t C_ab(s - s') ds ds'.
 
-        Equals 2 * int_0^t (t - s) C_ab(s) ds by stationarity. Closed form
-        for the damped-cosine family, numeric quadrature otherwise.
+        Equals 2 * int_0^t (t - s) C_ab(s) ds by stationarity; closed form.
         """
         if b is None:
             b = a
         t = np.asarray(t, dtype=float)
-        if self.corr_fn is None:
-            amp = self.cross[a, b]
-            kab = 0.5 * (self.kappas[a] + self.kappas[b])
-            wab = 0.5 * (self.omegas[a] + self.omegas[b])
-            mu = kab - 1.0j * wab
-            if abs(mu) < 1e-300:
-                return amp * t * t
-            val = t / mu - (1.0 - np.exp(-mu * t)) / mu**2
-            return 2.0 * amp * np.real(val)
-
-        # imported here: only custom correlations need quadrature, and
-        # scipy.integrate would add most of the package's import time
-        from scipy import integrate
-
-        def one(tt):
-            f = lambda s: (tt - s) * self.correlation_entry(a, b, np.asarray(s))
-            val, _ = integrate.quad(f, 0.0, tt, limit=200)
-            return 2.0 * val
-
-        if t.ndim == 0:
-            return one(float(t))
-        return np.array([one(float(tt)) for tt in t])
+        amp = self.cross[a, b]
+        kab = 0.5 * (self.kappas[a] + self.kappas[b])
+        wab = 0.5 * (self.omegas[a] + self.omegas[b])
+        mu = kab - 1.0j * wab
+        if abs(mu) < 1e-300:
+            return amp * t * t
+        val = t / mu - (1.0 - np.exp(-mu * t)) / mu**2
+        return 2.0 * amp * np.real(val)
 
     def spectral_density(self, omega, a=0, b=None):
         """S_ab(omega) = int_-inf^inf C_ab(tau) exp(i omega tau) d tau.
 
-        Closed form (pair of Lorentzians) for the damped-cosine family.
+        Closed form: a pair of Lorentzians.
         """
         if b is None:
             b = a
-        if self.corr_fn is not None:
-            raise NotImplementedError("spectral density of a custom corr_fn is not tabulated")
         omega = np.asarray(omega, dtype=float)
         amp = self.cross[a, b]
         kab = 0.5 * (self.kappas[a] + self.kappas[b])

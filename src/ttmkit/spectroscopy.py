@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouville import (PAULIS, _free_superops, commutator_superop, hamiltonian_liouvillian,
-                        left_multiply, right_multiply, vec)
+from .liouville import (PAULIS, _free_superops, commutator_superop, left_multiply,
+                        right_multiply, vec)
 
 __all__ = [
     "CorrelationSeries",
@@ -136,17 +136,15 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     Parameters
     ----------
     kernels : sequence of (4, 4) arrays
-        Output of extract_kernel. Slot 0 holds (K(0) + L_s^2) / 2 and slot
-        j > 0 holds K(j dt), so the fit removes the L_s^2 half of slot 0,
-        doubles the rest, and puts slot j at t_j = j dt from t = 0.
+        K(t_j) at t_j = j dt from t = 0, as :func:`ttmkit.ttm.extract_kernel`
+        lays the series out; its docstring states the convention.
     hs : (2, 2) Hermitian array
-        System Hamiltonian, needed for the interaction-picture rotation
-        and the first-point correction.
+        System Hamiltonian, needed for the interaction-picture rotation.
     active : sequence of (a, b) axis-label pairs
         Channels allowed to be nonzero, at least one and each at most once;
         everything else is pinned to 0.
     lambdas : scalar or length-K sequence, optional
-        Continuity weights. Default 0.1 |K_exp(t_1)|_F at every point.
+        Continuity weights. Default 0.05 |K_exp(0)|_F at every point.
 
     Returns
     -------
@@ -167,11 +165,8 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
             raise ValueError(f"active names channel ({a}, {b}) more than once")
         units[j, _AXES[a], _AXES[b]] = 1.0
 
-    ls = hamiltonian_liouvillian(hs)
-    data = [2.0 * kernels[0] - ls @ ls] + kernels[1:]
-
     if lambdas is None:
-        lambdas = 0.1 * float(np.linalg.norm(kernels[0]))
+        lambdas = 0.05 * float(np.linalg.norm(kernels[0]))
     lam_seq = np.broadcast_to(np.asarray(lambdas, dtype=float), (n_points,))
 
     # Column j of design[n] is [Re vec, Im vec] of K2(t_n) for a unit C on channel j;
@@ -185,7 +180,7 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     iterations = np.zeros(n_points, dtype=int)
     c_prev = None  # also the warm start of the next point
     for n in range(n_points):
-        b_vec = np.concatenate([vec(data[n]).real, vec(data[n]).imag])
+        b_vec = np.concatenate([vec(kernels[n]).real, vec(kernels[n]).imag])
         lam = 0.0 if n == 0 else float(lam_seq[n])
         c, res, iters, shift = _solve_one(design[n], b_vec, lam, c_prev)
         if shift is not None:
@@ -244,13 +239,18 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
     across experiments indexed by i. Supplying N runs determines the first
     N even orders; the returned series is the solved K2 of run 0.
 
+    Each run is a kernel series laid out as :func:`ttmkit.ttm.extract_kernel`
+    states: slot j holds K(j dt) from t = 0.
+
     Two ways to declare the scaling:
     - gammas: direct scale factors g_i (g_0 = 1), e.g. coupling ratios
       sqrt(lambda_i / lambda_0). All runs share the same time grid.
     - biases: system frequencies w_i with w_0 the reference; g_i = w_0/w_i.
       Runs are compared on the dimensionless grid tau = w_i t, so the
       kernels are rescaled by 1/w_i^2 and linearly interpolated onto the
-      reference grid (requires dt and w_i >= w_0 > 0).
+      reference grid (requires dt and w_i >= w_0 > 0). Node 0, t = 0, is
+      shared by every run; each run i's kernels must come from its own
+      Liouvillian, (w_i / w_0) L_0 for a qubit whose Hamiltonian is its bias.
 
     Returns
     -------
@@ -277,7 +277,7 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
         if np.any(w[1:] < w[0]):
             raise ValueError("bias frequencies must not fall below the reference w_0")
         g = w[0] / w
-        t_grid = dt * np.arange(1, n_times + 1)
+        t_grid = dt * np.arange(n_times)
         tau_ref = w[0] * t_grid
         tilde = np.empty_like(stack)
         for i in range(n_runs):

@@ -77,17 +77,21 @@ def predict_states(tensors, rho0, n_steps, k_trunc=None):
 
 
 def extract_kernel(tensors, liouvillian, dt):
-    """Convert transfer tensors into discrete memory-kernel samples.
+    """Convert transfer tensors into memory-kernel samples K(t_j), t_j = j dt.
 
-    Slot 0 is (T_1 - I - L dt) / dt^2 and slot j >= 1 is T_{j+1} / dt^2.
-    Under the trapezoid-consistent discretization slot 0 is about
-    (L^2 + K(0)) / 2 and slot j samples K(j dt), so slot j sits at
-    t_j = j dt from t = 0; :func:`ttmkit.spectroscopy.fit_correlations`
-    reads the slots this way and removes the L^2 half of slot 0.
+    This is the one statement of the kernel-series convention: slot j holds
+    K(j dt) on a grid that starts at t = 0, and every reader
+    (:func:`ttmkit.spectroscopy.fit_correlations`,
+    :func:`ttmkit.spectroscopy.combine_scaled_kernels`) takes the series as
+    it is. Under the trapezoid-consistent discretization
+    T_1 = I + L dt + (L^2 + K(0)) dt^2 / 2 and T_{j+1} = K(j dt) dt^2, so
+    slot 0 is 2 (T_1 - I - L dt) / dt^2 - L^2, which is K(0) to first order
+    in dt, and slot j >= 1 is T_{j+1} / dt^2.
     """
     d2 = tensors[0].shape[0]
     eye = np.eye(d2, dtype=complex)
-    out = [(tensors[0] - eye - np.asarray(liouvillian) * dt) / dt**2]
+    gen = np.asarray(liouvillian)
+    out = [2 * ((tensors[0] - eye - gen * dt) / dt**2) - gen @ gen]
     for t_n in tensors[1:]:
         out.append(np.asarray(t_n, dtype=complex) / dt**2)
     return out

@@ -1,6 +1,7 @@
 """Config validation, pipeline modes, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
 from ttmkit.liouville import SIGMA_Z, kron_superop
 from ttmkit.noisegen import NoiseModel
+from ttmkit.presets import single_qubit_model
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
 from ttmkit.io import write_qpt_csv
@@ -295,6 +297,43 @@ def test_spectroscopy_mode_scaled_inputs(tmp_path):
     assert "vandermonde_condition = " in report
     corr, _ = read_series_csv(tmp_path / "correlation.csv")
     assert abs(corr["c_re"][0] - lam0) < 0.002
+
+
+def test_spectroscopy_protocol_biases_takes_each_run_with_its_own_liouvillian(tmp_path):
+    # two noiseless runs differ only in their bias; with each kernel taken from
+    # the reference Liouvillian, run 1 kept 2 (L_1 - L_0)/dt + L_1^2 - L_0^2 in
+    # slot 0 and the fit read it as noise
+    for tag, bias in (("a", 0.5), ("b", 1.0)):
+        model = single_qubit_model(bias, "z", 0.0, 1.0)
+        write_map_series(tmp_path / f"maps_{tag}.json",
+                         dephasing_map_series(model, 0.1, 10), dt=0.1)
+    cfg = {"mode": "spectroscopy", "inputs": ["maps_a.json", "maps_b.json"],
+           "protocol_biases": [0.5, 1.0],
+           "system": {"n_qubits": 1, "biases": [0.5],
+                      "channels": [{"axis": "z", "qubit": 1}]},
+           "noise": {"variances": [0.0], "decay_rates": [1.0]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_config(cfg, str(tmp_path))
+    corr, _ = read_series_csv(tmp_path / "correlation.csv")
+    assert np.max(np.abs(corr["c_re"])) < 0.01
+
+
+def test_config_hash_reads_input_files_by_content(tmp_path):
+    # the same map file in two directories, named by absolute path, gives the
+    # same header; a changed file gives another
+    model = SystemModel(h_system=0.1 * SIGMA_Z, couplings=(SIGMA_Z,),
+                        noise=NoiseModel.single(4.0, 0.3))
+    headers = []
+    for tag, n_maps in (("a", 6), ("b", 6), ("c", 7)):
+        where = tmp_path / tag
+        where.mkdir()
+        write_map_series(where / "maps.json", dephasing_map_series(model, 0.2, n_maps),
+                         dt=0.2)
+        run_config({"mode": "ttm", "input": str(where / "maps.json")}, str(where))
+        headers.append(read_series_csv(where / "ttm_norms.csv")[1])
+    assert headers[0] == headers[1]
+    assert headers[0]["config_hash"] != headers[2]["config_hash"]
 
 
 def _spectroscopy_cfg(tmp_path, n_maps=10, **over):

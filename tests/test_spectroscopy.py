@@ -101,9 +101,7 @@ def test_k2_model_matches_written_out_double_commutator():
 
 
 def _synthetic_kernels(c_of_t, channel, hs, dt, n_points):
-    """Measured-sample convention: slot 0 holds (L^2 + K(0))/2, slot j>0
-    holds K(j dt)."""
-    ls = hamiltonian_liouvillian(hs)
+    """The extract_kernel convention: slot j holds K(j dt) from t = 0."""
     a, b = channel
     idx = {"x": 0, "y": 1, "z": 2}
 
@@ -112,10 +110,7 @@ def _synthetic_kernels(c_of_t, channel, hs, dt, n_points):
         corr[idx[a], idx[b]] = c_of_t(t)
         return _k2_written_out(corr, hs, t)
 
-    out = [0.5 * (ls @ ls + k_true(0.0))]
-    for j in range(1, n_points):
-        out.append(k_true(j * dt))
-    return out
+    return [k_true(j * dt) for j in range(n_points)]
 
 
 def test_fit_recovers_zz_correlation_exactly_without_regularizer():
@@ -218,9 +213,7 @@ def test_two_channel_regularized_fit_recovers_both_correlations():
     corr[:, 0, 0] = ou_correlation(0.006, 0.5, 0.0, times)
     corr[:, 2, 2] = ou_correlation(0.01, 1.0, 0.0, times)
     # row n of the (n, n) stack pairs C(t_n) with every time; keep t_n alone
-    k_true = _k2_stack(corr, *_interaction_superops(hs, times))[np.arange(n), np.arange(n)]
-    ls = hamiltonian_liouvillian(hs)
-    kernels = [0.5 * (ls @ ls + k_true[0])] + list(k_true[1:])
+    kernels = _k2_stack(corr, *_interaction_superops(hs, times))[np.arange(n), np.arange(n)]
     fit = fit_correlations(kernels, hs, dt, active=(("x", "x"), ("z", "z")))
     for a, idx in (("x", 0), ("z", 2)):
         err = np.max(np.abs(fit.channel(a, a) - corr[:, idx, idx]))
@@ -347,7 +340,7 @@ def test_combine_scaled_kernels_biases_route():
     w0, w1 = 1.0, 2.0
     lam0 = 0.7
     dt, n_times = 0.1, 12
-    t = dt * np.arange(1, n_times + 1)
+    t = dt * np.arange(n_times)  # slot j at j dt from t = 0, as extract_kernel lays it out
 
     def g_fn(tau):
         return np.cos(0.3 * tau) * np.exp(-0.2 * tau)
@@ -363,13 +356,29 @@ def test_combine_scaled_kernels_biases_route():
     stack = np.array([run(w0), run(w1)])
     k2, info = combine_scaled_kernels(stack, biases=[w0, w1], dt=dt)
     want = w0**2 * lam0 * g_fn(w0 * t)
-    # node 0 of the reference grid falls before the fast run's first sample
-    # and odd nodes are linearly interpolated; later points are tight
-    rel = np.abs(k2[2:, 0, 0] - want[2:]) / np.abs(want[2:])
+    # odd nodes are linearly interpolated from run 1's grid
+    rel = np.abs(k2[:, 0, 0] - want) / np.abs(want)
     assert np.max(rel) < 0.05
-    even = np.arange(1, n_times, 2)  # reference nodes shared with run 1
+    even = np.arange(0, n_times, 2)  # reference nodes shared with run 1, node 0 included
     npt.assert_allclose(k2[even, 0, 0], want[even], rtol=1e-10)
     assert info["condition"] > 1.0
+
+
+def test_two_run_protocol_first_point_matches_naive_fit():
+    # fig3bottom's setup at its weakest coupling: the protocol removes only
+    # higher-order kernel terms, so its C(0) must agree with the naive fit's;
+    # an L^2 left in slot 0 would pass through the weights (sum 26 here)
+    dt, n_steps, gamma, lam = 0.04, 18, 0.2, 0.16
+    runs = []
+    for scale in (1.0, gamma**2):
+        model = weak_dephasing_model(lam * scale)
+        tensors = build_ttms(dephasing_map_series(model, dt, n_steps))
+        runs.append(extract_kernel(tensors, hamiltonian_liouvillian(model.h_system), dt))
+    hs = weak_dephasing_model(lam).h_system
+    combined, _ = combine_scaled_kernels(runs, gammas=[1.0, gamma])
+    naive = fit_correlations(runs[0], hs, dt).channel("z", "z")[0].real
+    protocol = fit_correlations(list(combined), hs, dt).channel("z", "z")[0].real
+    assert abs(protocol - naive) < 1e-3 * abs(naive)
 
 
 def test_combine_scaled_kernels_argument_checks():
