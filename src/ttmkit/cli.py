@@ -29,9 +29,6 @@ from .qpt import project_cptp, reconstruct_maps, simulate_qpt
 from .spectroscopy import combine_scaled_kernels, fit_correlations, spectral_density
 from .ttm import build_ttms, extract_kernel, norm_profile
 
-MODES = ("simulate", "ttm", "nonmarkov", "spectroscopy", "twoqubit", "ingest", "xy4")
-
-
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
@@ -279,6 +276,9 @@ def _mode_nonmarkov(cfg, out_dir):
         raise ConfigError("field 'input': nonmarkov mode needs dim-2 maps")
     n_total = _integer(cfg, "extend.n_total", required=False, minimum=1)
     k_trunc = _integer(cfg, "extend.k_trunc", required=False, minimum=1)
+    if k_trunc is not None and n_total is None:
+        raise ConfigError("field 'extend.k_trunc': needs extend.n_total, the length of "
+                          "the extended series")
     if k_trunc is not None and k_trunc > len(maps):
         raise ConfigError(f"field 'extend.k_trunc': must be <= {len(maps)}, the number "
                           f"of maps, got {k_trunc}")
@@ -306,36 +306,42 @@ def _mode_spectroscopy(cfg, out_dir):
     model = build_model(cfg)
     if model.dim != 2:
         raise ConfigError("field 'system.n_qubits': spectroscopy supports one qubit")
+    # one run is a one-entry list; the scale lists need two or more runs
     inputs = _get(cfg, "inputs", required=False)
-    if inputs is not None:
-        if not isinstance(inputs, list) or len(inputs) < 2:
-            raise ConfigError("field 'inputs': expected two or more map files")
-        gammas = _number_list(_get(cfg, "gammas", required=False), "gammas", len(inputs),
-                              positive=True)
-        biases = _number_list(_get(cfg, "protocol_biases", required=False),
-                              "protocol_biases", len(inputs), positive=True)
-        loaded = [_read_input({"input": p}, out_dir) for p in inputs]
-        dt = loaded[0][1]["dt"]
-        for path, (_, info) in zip(inputs[1:], loaded[1:]):
-            if info["dt"] != dt:
-                raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
-                                  f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
-        # a one-qubit Hamiltonian is its bias term, so run i's Liouvillian is
-        # (w_i / w_0) L_0; only the bias ratios enter the protocol
-        ws = biases or [1.0] * len(loaded)
-        ls = hamiltonian_liouvillian(model.h_system)
-        kernel_runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m),
-                              (w / ws[0]) * ls, dt) for (m, _), w in zip(loaded, ws)]
-        combined, diag = _stage("spectroscopy", combine_scaled_kernels, kernel_runs,
+    if inputs is None:
+        inputs = [_get(cfg, "input")]
+        for field in ("gammas", "protocol_biases"):
+            if _get(cfg, field, required=False) is not None:
+                raise ConfigError(f"field '{field}': the scaled-run protocol needs two or "
+                                  f"more map files in 'inputs'")
+    elif not isinstance(inputs, list) or len(inputs) < 2:
+        raise ConfigError("field 'inputs': expected two or more map files")
+    gammas = _number_list(_get(cfg, "gammas", required=False), "gammas", len(inputs),
+                          positive=True)
+    biases = _number_list(_get(cfg, "protocol_biases", required=False),
+                          "protocol_biases", len(inputs), positive=True)
+    reference = _get(cfg, "system.biases")[0]
+    if biases and biases[0] != reference:
+        raise ConfigError(f"field 'protocol_biases': its first entry {biases[0]!r} is the "
+                          f"reference run's bias and must equal system.biases[0], "
+                          f"{reference!r}")
+    loaded = [_read_input({"input": p}, out_dir) for p in inputs]
+    dt = loaded[0][1]["dt"]
+    for path, (_, info) in zip(inputs[1:], loaded[1:]):
+        if info["dt"] != dt:
+            raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
+                              f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
+    # a one-qubit Hamiltonian is its bias term, so run i's Liouvillian is
+    # (w_i / w_0) L_0; only the bias ratios enter the protocol
+    ws = biases or [1.0] * len(loaded)
+    ls = hamiltonian_liouvillian(model.h_system)
+    runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m), (w / ws[0]) * ls, dt)
+            for (m, _), w in zip(loaded, ws)]
+    kernels, protocol = runs[0], {}
+    if len(runs) > 1:
+        combined, diag = _stage("spectroscopy", combine_scaled_kernels, runs,
                                 gammas=gammas, biases=biases, dt=dt)
-        kernels = list(combined)
-        cond = diag["condition"]
-    else:
-        maps, info = _read_input(cfg, out_dir)
-        dt = info["dt"]
-        ls = hamiltonian_liouvillian(model.h_system)
-        kernels = _stage("ttm", extract_kernel, _stage("ttm", build_ttms, maps), ls, dt)
-        cond = None
+        kernels, protocol = list(combined), {"vandermonde_condition": diag["condition"]}
     n_fit = _integer(cfg, "n_fit", required=False, default=len(kernels), minimum=1)
     if n_fit > len(kernels):
         raise ConfigError(f"field 'n_fit': must be <= {len(kernels)}, the number of "
@@ -373,9 +379,7 @@ def _mode_spectroscopy(cfg, out_dir):
     spec_path = os.path.join(out_dir, "spectrum.csv")
     io.write_series_csv(spec_path, {"omega": omega, "s": s}, meta)
     fields = {"n_fit_points": n_fit, "residuals": series.residuals,
-              "iterations": series.iterations}
-    if cond is not None:
-        fields["vandermonde_condition"] = cond
+              "iterations": series.iterations, **protocol}
     report_path = os.path.join(out_dir, "fit_report.txt")
     io.write_report(report_path, fields, meta)
     return [corr_path, spec_path, report_path]
@@ -408,44 +412,48 @@ def _mode_xy4(cfg, out_dir):
         raise ConfigError("field 'system.n_qubits': xy4 mode supports one qubit")
     n_traj, seed, substeps, antithetic, _ = _sampling(cfg)
     dt_cycle, n_cycles = _grid(cfg)
-    free_profile, dd_profile = _stage("propagator", presets._xy4_profiles, model, dt_cycle,
-                                      n_cycles, n_traj, substeps, seed, antithetic)
     out = os.path.join(out_dir, "xy4_norms.csv")
-    io.write_series_csv(out, {
-        "n": np.arange(1, n_cycles + 1),
-        "free": free_profile,
-        "xy4": dd_profile,
-    }, _meta_for(cfg, out_dir))
+    _stage("propagator", presets._xy4_study, out, _meta_for(cfg, out_dir), model, dt_cycle,
+           n_cycles, n_traj, substeps, seed, antithetic)
     return [out]
 
 
-_MODE_FNS = {
-    "simulate": _mode_simulate,
-    "ttm": _mode_ttm,
-    "nonmarkov": _mode_nonmarkov,
-    "spectroscopy": _mode_spectroscopy,
-    "twoqubit": _mode_twoqubit,
-    "ingest": _mode_ingest,
-    "xy4": _mode_xy4,
+_MODES = {
+    "simulate": (_mode_simulate, "trajectory-averaged dynamical maps for a noise model"),
+    "ttm": (_mode_ttm, "transfer tensors and norm profile from a map series"),
+    "nonmarkov": (_mode_nonmarkov, "Bloch-volume series and non-Markovianity measure"),
+    "spectroscopy": (_mode_spectroscopy, "memory kernel, correlation fit, spectral density"),
+    "twoqubit": (_mode_twoqubit, "separable/collective unraveling of a two-qubit map series"),
+    "ingest": (_mode_ingest, "rebuild maps from tomography records"),
+    "xy4": (_mode_xy4, "free versus XY4-protected memory profiles"),
 }
 
 
 def run_config(cfg, out_dir):
     """Validate and execute one config document. Returns written paths."""
-    mode = _string(cfg, "mode", choices=MODES)
+    mode = _string(cfg, "mode", choices=_MODES)
     os.makedirs(out_dir, exist_ok=True)
-    return _MODE_FNS[mode](cfg, out_dir)
+    return _MODES[mode][0](cfg, out_dir)
 
 
-_MODE_HELP = {
-    "simulate": "trajectory-averaged dynamical maps for a noise model",
-    "ttm": "transfer tensors and norm profile from a map series",
-    "nonmarkov": "Bloch-volume series and non-Markovianity measure",
-    "spectroscopy": "memory kernel, correlation fit, spectral density",
-    "twoqubit": "separable/collective unraveling of a two-qubit map series",
-    "ingest": "rebuild maps from tomography records",
-    "xy4": "free versus XY4-protected memory profiles",
-}
+def _read_config(path, command):
+    """The JSON object at ``path``, its mode set by a mode subcommand."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    if command == "run":
+        return cfg
+    stated = cfg.get("mode")
+    if stated is not None and stated != command:
+        raise ConfigError(f"field 'mode': config says {stated!r} but the {command} "
+                          f"subcommand was invoked")
+    return {**cfg, "mode": command}
 
 
 def main(argv=None):
@@ -455,14 +463,11 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=f"ttmkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a JSON config (mode read from the file)")
-    p_run.add_argument("--config", required=True, help="path to the config document")
-    p_run.add_argument("--out-dir", default=".", help="directory for output files")
-
-    for mode in MODES:
-        p_mode = sub.add_parser(mode, help=_MODE_HELP[mode])
-        p_mode.add_argument("--config", required=True, help="path to the config document")
-        p_mode.add_argument("--out-dir", default=".", help="directory for output files")
+    run_help = (None, "execute a JSON config (mode read from the file)")
+    for command, (_, help_text) in {"run": run_help, **_MODES}.items():
+        p_cfg = sub.add_parser(command, help=help_text)
+        p_cfg.add_argument("--config", required=True, help="path to the config document")
+        p_cfg.add_argument("--out-dir", default=".", help="directory for output files")
 
     p_preset = sub.add_parser("preset", help="run a bundled end-to-end study")
     p_preset.add_argument("name", choices=sorted(presets.RUNNERS))
@@ -474,46 +479,14 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        if args.command != "preset":
-            try:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                print(f"config error - cannot read {args.config}: {exc}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as exc:
-                print(f"config error - {args.config} is not valid JSON: {exc}",
-                      file=sys.stderr)
-                return 2
-            if not isinstance(cfg, dict):
-                print(f"config error - {args.config}: expected a JSON object, got "
-                      f"{type(cfg).__name__}", file=sys.stderr)
-                return 2
-            if args.command != "run":
-                stated = cfg.get("mode")
-                if stated is not None and stated != args.command:
-                    print(f"config error - field 'mode': config says {stated!r} but the "
-                          f"{args.command} subcommand was invoked", file=sys.stderr)
-                    return 2
-                cfg = dict(cfg)
-                cfg["mode"] = args.command
-            written = run_config(cfg, args.out_dir)
-        else:
+        if args.command == "preset":
             os.makedirs(args.out_dir, exist_ok=True)
-            runner = presets.RUNNERS[args.name]
-            kwargs = {"scale": args.scale}
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            result = runner(args.out_dir, **kwargs)
-            written = []
-            stack = [result]
-            while stack:
-                item = stack.pop()
-                if isinstance(item, dict):
-                    stack.extend(item.values())
-                else:
-                    written.append(item)
-            written.sort()
+            # without --seed each preset keeps its own default
+            seed = {} if args.seed is None else {"seed": args.seed}
+            result = presets.RUNNERS[args.name](args.out_dir, scale=args.scale, **seed)
+            written = sorted(result.values())
+        else:
+            written = run_config(_read_config(args.config, args.command), args.out_dir)
     except ConfigError as exc:
         print(f"config error - {exc}", file=sys.stderr)
         return 2

@@ -303,12 +303,13 @@ def _pair_study(out_dir, stem, maps, dt, meta, noise=None):
     return {"norms": norms_path, "report": report_path}
 
 
-def _xy4_profiles(model, dt_cycle, n_cycles, n_traj, substeps, seed, antithetic):
+def _xy4_study(path, meta, model, dt_cycle, n_cycles, n_traj, substeps, seed, antithetic):
     """(free, xy4) transfer-tensor norm profiles over n_cycles cycles of dt_cycle.
 
-    An XY4 cycle is four quarter-cycle segments of ``substeps`` noise values,
-    each ending in an X, Y, X, Y pulse; free evolution takes 4 * substeps per
-    cycle, and ``antithetic`` applies to it only.
+    Both are written to ``path`` as columns ``n, free, xy4``. An XY4 cycle is
+    four quarter-cycle segments of ``substeps`` noise values, each ending in
+    an X, Y, X, Y pulse; free evolution takes 4 * substeps per cycle, and
+    ``antithetic`` applies to it only.
     """
     quarter = dt_cycle / 4.0
     free_maps = propagator.simulate_process(model, dt_cycle, n_cycles, n_traj,
@@ -317,8 +318,11 @@ def _xy4_profiles(model, dt_cycle, n_cycles, n_traj, substeps, seed, antithetic)
     segments = [(quarter, SIGMA_X), (quarter, SIGMA_Y)] * 2
     dd_maps = propagator.simulate_pulsed_process(model, segments, n_cycles, n_traj,
                                                  substeps=substeps, seed=seed)
-    return (ttm.norm_profile(ttm.build_ttms(free_maps)),
-            ttm.norm_profile(ttm.build_ttms(dd_maps)))
+    free = ttm.norm_profile(ttm.build_ttms(free_maps))
+    xy4 = ttm.norm_profile(ttm.build_ttms(dd_maps))
+    io.write_series_csv(path, {"n": np.arange(1, n_cycles + 1), "free": free, "xy4": xy4},
+                        meta)
+    return free, xy4
 
 
 def run_fig5(out_dir, scale="full", seed=19):
@@ -338,8 +342,8 @@ def run_fig5(out_dir, scale="full", seed=19):
         params = {"preset": "fig5", "model": stem, "dt": dt, "n_steps": n_steps,
                   "n_traj": n_traj, "seed": seed, "kappa": kappa}
         maps = simulate_process(model, dt, n_steps, n_traj, seed=seed, antithetic=True)
-        out[stem] = _pair_study(out_dir, stem, maps, dt, _meta(params, seed),
-                                noise=model.noise)
+        written = _pair_study(out_dir, stem, maps, dt, _meta(params, seed), noise=model.noise)
+        out.update({f"{stem}_{kind}": path for kind, path in written.items()})
     return out
 
 
@@ -383,15 +387,10 @@ def run_xy4(out_dir, scale="full", seed=29):
     params = {"preset": "xy4", "dt_cycle": dt_cycle, "n_cycles": n_cycles,
               "n_traj": n_traj, "seed": seed}
     meta = _meta(params, seed)
-    free_profile, dd_profile = _xy4_profiles(dd_demo_model(), dt_cycle, n_cycles, n_traj,
-                                             substeps, seed, antithetic=True)
-    threshold = ttm._THRESHOLD_FRACTION * free_profile[0]
     path = os.path.join(out_dir, "xy4_ttm_norms.csv")
-    io.write_series_csv(path, {
-        "n": np.arange(1, n_cycles + 1),
-        "free": free_profile,
-        "xy4": dd_profile,
-    }, meta)
+    free_profile, dd_profile = _xy4_study(path, meta, dd_demo_model(), dt_cycle, n_cycles,
+                                          n_traj, substeps, seed, antithetic=True)
+    threshold = ttm._THRESHOLD_FRACTION * free_profile[0]
     report = os.path.join(out_dir, "xy4_report.txt")
     io.write_report(report, {
         "threshold": threshold,

@@ -413,6 +413,51 @@ def test_spectroscopy_fit_fields_are_config_errors(tmp_path, capsys, field, valu
     assert not (tmp_path / "correlation.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gammas", [1.0, 0.5]),
+    ("protocol_biases", [0.02, 0.04]),
+])
+def test_spectroscopy_scale_lists_need_two_or_more_inputs(tmp_path, capsys, field, value):
+    # with one input the scale list used to be ignored
+    cfg_path = _spectroscopy_cfg(tmp_path, **{field: value})
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}'" in err and "two or more" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+def test_spectroscopy_reference_bias_is_stated_once(tmp_path, capsys):
+    # system.biases[0] scales every run's Liouvillian, and protocol_biases[0]
+    # is the same reference bias: 0.7 against 0.5 used to give max |C| = 1.2
+    for tag, bias in (("a", 0.5), ("b", 1.0)):
+        model = single_qubit_model(bias, "z", 0.0, 1.0)
+        write_map_series(tmp_path / f"maps_{tag}.json",
+                         dephasing_map_series(model, 0.1, 10), dt=0.1)
+    cfg = {"mode": "spectroscopy", "inputs": ["maps_a.json", "maps_b.json"],
+           "protocol_biases": [0.5, 1.0],
+           "system": {"n_qubits": 1, "biases": [0.7],
+                      "channels": [{"axis": "z", "qubit": 1}]},
+           "noise": {"variances": [0.0], "decay_rates": [1.0]}}
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'protocol_biases'" in err
+    assert "system.biases[0]" in err and "0.5" in err and "0.7" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+def test_nonmarkov_k_trunc_needs_n_total(tmp_path, capsys):
+    model = SystemModel(h_system=0.1 * SIGMA_Z, couplings=(SIGMA_Z,),
+                        noise=NoiseModel.single(4.0, 1.0))
+    write_map_series(tmp_path / "maps.json", dephasing_map_series(model, 0.2, 4), dt=0.2)
+    cfg_path = _write_cfg(tmp_path, {"mode": "nonmarkov", "input": "maps.json",
+                                     "extend": {"k_trunc": 2}})
+    assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'extend.k_trunc'" in err and "extend.n_total" in err
+    assert not (tmp_path / "volume.csv").exists()
+
+
 def test_nonmarkov_k_trunc_above_map_count_is_config_error(tmp_path, capsys):
     model = SystemModel(h_system=0.1 * SIGMA_Z, couplings=(SIGMA_Z,),
                         noise=NoiseModel.single(4.0, 1.0))
@@ -535,6 +580,11 @@ def test_main_exit_codes_and_subcommands(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["run", "--config", str(broken)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(listed)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected a JSON object, got list" in err
 
     # failures inside a stage exit 3 with the module named
     missing_input = _write_cfg(tmp_path, {"mode": "ttm", "input": "ghost.json"},
@@ -552,3 +602,12 @@ def test_main_preset_smoke(tmp_path, capsys):
                  "fig3top_fit_report.txt"):
         assert name in out
         assert (tmp_path / name).exists()
+
+
+def test_main_preset_lists_every_file_of_a_two_study_preset(tmp_path, capsys):
+    assert main(["preset", "fig5", "--scale", "fast", "--out-dir", str(tmp_path)]) == 0
+    listed = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+    names = [f"fig5_{model}_{kind}" for model in ("correlated", "independent")
+             for kind in ("norms.csv", "report.txt")]
+    assert listed == [str(tmp_path / name) for name in names]
+    assert all((tmp_path / name).exists() for name in names)
