@@ -308,14 +308,18 @@ def _mode_spectroscopy(cfg, out_dir):
         raise ConfigError("field 'system.n_qubits': spectroscopy supports one qubit")
     # one run is a one-entry list; the scale lists need two or more runs
     inputs = _get(cfg, "inputs", required=False)
+    scales = [field for field in ("gammas", "protocol_biases") if cfg.get(field) is not None]
     if inputs is None:
         inputs = [_get(cfg, "input")]
-        for field in ("gammas", "protocol_biases"):
-            if _get(cfg, field, required=False) is not None:
-                raise ConfigError(f"field '{field}': the scaled-run protocol needs two or "
-                                  f"more map files in 'inputs'")
+        if scales:
+            raise ConfigError(f"field '{scales[0]}': the scaled-run protocol needs two or "
+                              f"more map files in 'inputs'")
+    elif "input" in cfg:
+        raise ConfigError("fields 'input' and 'inputs': give one or the other, not both")
     elif not isinstance(inputs, list) or len(inputs) < 2:
         raise ConfigError("field 'inputs': expected two or more map files")
+    elif len(scales) != 1:
+        raise ConfigError("fields 'gammas' and 'protocol_biases': give exactly one")
     gammas = _number_list(_get(cfg, "gammas", required=False), "gammas", len(inputs),
                           positive=True)
     biases = _number_list(_get(cfg, "protocol_biases", required=False),
@@ -439,9 +443,9 @@ def run_config(cfg, out_dir):
 def _read_config(path, command):
     """The JSON object at ``path``, its mode set by a mode subcommand."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None

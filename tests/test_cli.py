@@ -1,16 +1,20 @@
 """Config validation, pipeline modes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import ttmkit
 from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
-from ttmkit.liouville import SIGMA_Z, kron_superop
+from ttmkit.liouville import SIGMA_Z, kron_superop, unitary_superop
 from ttmkit.noisegen import NoiseModel
-from ttmkit.presets import single_qubit_model
+from ttmkit.presets import correlated_pair_model, single_qubit_model
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
 from ttmkit.io import write_qpt_csv
@@ -342,10 +346,12 @@ def _spectroscopy_cfg(tmp_path, n_maps=10, **over):
     for tag in ("a", "b"):
         write_map_series(tmp_path / f"maps_{tag}.json",
                          dephasing_map_series(model, 0.04, n_maps), dt=0.04)
-    cfg = {"mode": "spectroscopy", "input": "maps_a.json",
+    cfg = {"mode": "spectroscopy",
            "system": {"n_qubits": 1, "biases": [0.02],
                       "channels": [{"axis": "z", "qubit": 1}]},
            "noise": {"variances": [0.01], "decay_rates": [1.0]}}
+    if "inputs" not in over:
+        cfg["input"] = "maps_a.json"
     cfg.update(over)
     return _write_cfg(tmp_path, cfg)
 
@@ -426,6 +432,27 @@ def test_spectroscopy_scale_lists_need_two_or_more_inputs(tmp_path, capsys, fiel
     assert not (tmp_path / "correlation.csv").exists()
 
 
+@pytest.mark.parametrize("scales", [{}, {"gammas": [1.0, 0.5], "protocol_biases": [0.02, 0.04]}],
+                         ids=["neither", "both"])
+def test_spectroscopy_inputs_need_exactly_one_scale_list(tmp_path, capsys, scales):
+    # this used to exit 3 with a pipeline error from combine_scaled_kernels
+    cfg_path = _spectroscopy_cfg(tmp_path, inputs=["maps_a.json", "maps_b.json"], **scales)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'gammas'" in err and "'protocol_biases'" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+def test_spectroscopy_input_and_inputs_together_are_config_error(tmp_path, capsys):
+    # 'input' used to be dropped without a word, though it entered the config hash
+    cfg_path = _spectroscopy_cfg(tmp_path, inputs=["maps_a.json", "maps_b.json"],
+                                 gammas=[1.0, 0.5], input="maps_a.json")
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'input'" in err and "'inputs'" in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
 def test_spectroscopy_reference_bias_is_stated_once(tmp_path, capsys):
     # system.biases[0] scales every run's Liouvillian, and protocol_biases[0]
     # is the same reference bias: 0.7 against 0.5 used to give max |C| = 1.2
@@ -495,6 +522,25 @@ def test_twoqubit_mode(tmp_path):
     write_map_series(tmp_path / "single.json", single, dt=0.2)
     with pytest.raises(ConfigError, match="dim-4"):
         run_config(bad, str(tmp_path))
+
+
+def test_twoqubit_split_on_well_conditioned_maps_leaves_scipy_linalg_unloaded(tmp_path):
+    # fig5's correlated pair turned into x noise by H (x) H: full maps whose
+    # eigenbases are well conditioned, so every log is an eigendecomposition
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    s = unitary_superop(np.kron(had, had))
+    maps = [s @ m @ s.conj().T
+            for m in dephasing_map_series(correlated_pair_model(2.0), 0.05, 4)]
+    write_map_series(tmp_path / "maps.json", maps, dt=0.05)
+    cfg_path = _write_cfg(tmp_path, {"mode": "twoqubit", "input": "maps.json"})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttmkit.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ttmkit.cli import main; "
+            f"code = main(['twoqubit', '--config', {cfg_path!r}, '--out-dir', "
+            f"{str(tmp_path)!r}]); print(code, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert "dl_dt_norm = " in (tmp_path / "twoqubit_report.txt").read_text()
 
 
 def test_nonmarkov_mode_rejects_two_qubit_maps(tmp_path, capsys):
@@ -580,6 +626,12 @@ def test_main_exit_codes_and_subcommands(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["run", "--config", str(broken)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    # a UTF-16 byte-order mark is not UTF-8; it used to escape as a traceback
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["run", "--config", str(utf16)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "cannot read" in err
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]")
     assert main(["simulate", "--config", str(listed)]) == 2

@@ -3,9 +3,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
-from ttmkit.liouville import SIGMA_Z, kron_superop
+from ttmkit.liouville import SIGMA_Z, kron_superop, unitary_superop
 from ttmkit.multiqubit import (
     UnravelResult,
     _logm,
@@ -162,6 +163,50 @@ def test_logm_inverts_expm_on_diagonalizable_and_defective_maps():
     jordan = np.array([[0.9, 1.0], [0.0, 0.9]])  # defective: one eigenvector
     for sop in (expm(gen), jordan):
         npt.assert_allclose(expm(_logm(sop)), sop, atol=1e-12)
+
+
+@pytest.fixture
+def logm_calls(monkeypatch):
+    """The matrices _logm hands to scipy.linalg.logm, which still computes their log."""
+    calls = []
+    reference = scipy.linalg.logm
+
+    def recording(sop):
+        calls.append(sop)
+        return reference(sop)
+
+    monkeypatch.setattr(scipy.linalg, "logm", recording)
+    return calls
+
+
+def test_eig_logm_matches_scipy_logm_on_random_and_rotated_pair_maps(logm_calls):
+    rng = np.random.default_rng(12)
+    sops = [expm(0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+            for d in (4, 4, 16, 16)]
+    # the coupled pair's maps are diagonal in the z basis; a random local
+    # unitary makes them and their marginals full
+    u = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+         for _ in range(2)]
+    s = unitary_superop(np.kron(*u))
+    result = unravel([s @ m @ s.conj().T
+                      for m in dephasing_map_series(coupled_pair_model(1.0), 0.2, 2)])
+    for n in range(2):
+        sops += [result.separable_maps[n] + result.delta_maps[n], *result.local_maps[n]]
+    for sop in sops:
+        assert np.max(np.abs(sop - np.diag(np.diag(sop)))) > 1e-3
+        ref = scipy.linalg.logm(sop)
+        assert np.linalg.norm(_logm(sop) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert len(logm_calls) == len(sops)  # the reference calls only
+
+
+def test_logm_falls_back_to_scipy_on_defective_and_negative_axis_maps(logm_calls):
+    jordan = np.array([[0.9, 1.0], [0.0, 0.9]])
+    # a pi rotation about z: the coherences pick up -1, where +i pi and -i pi
+    # are equally principal
+    flip = unitary_superop(expm(-0.5j * np.pi * SIGMA_Z))
+    for sop in (jordan, flip):
+        npt.assert_allclose(expm(_logm(sop)), sop, atol=1e-12)
+    assert [c.shape for c in logm_calls] == [(2, 2), (4, 4)]
 
 
 def _dummy_result(scale=1.0):

@@ -156,8 +156,8 @@ def test_correlated_channels_sample_together():
 
 
 def test_package_import_leaves_scipy_integrate_and_linalg_unloaded():
-    # the package needs neither module at import time; logm (pair split)
-    # imports scipy.linalg on first use
+    # the package needs neither module at import time; the pair split imports
+    # scipy.linalg only for a map its eigendecomposition log hands to logm
     src = os.path.dirname(os.path.dirname(os.path.abspath(ttmkit.__file__)))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import ttmkit, ttmkit.cli, ttmkit.presets; "
