@@ -14,10 +14,7 @@ __all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_coll
            "SingularMapError", "collective_report"]
 # norm ratio between dL dt and dK dt^2 beyond which one mechanism dominates
 _DOMINANCE_RATIO = 3.0
-# _logm leaves to scipy's logm a map whose eigenbasis has 1-norm condition >= _EIG_COND_MAX
-# (defective or nearly so) or with an eigenvalue w, Re w < 0, |Im w| <= _BRANCH_TOL |w|
 _EIG_COND_MAX = 1e4
-_BRANCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,20 +98,15 @@ class SingularMapError(ValueError):
 
 
 def _logm(sop):
-    """Principal logarithm of a superoperator; SingularMapError if it is singular.
-
-    V diag(log w) V^-1 from one eigendecomposition, exact to about kappa(V) eps
-    (Higham, Functions of Matrices, 2008, ch. 11); scipy.linalg.logm past the
-    thresholds above.
-    """
+    """Principal log V diag(log w) V^-1 of a map, exact to about kappa(V) eps (Higham 2008,
+    ch. 11); scipy's logm once kappa(V) >= _EIG_COND_MAX; SingularMapError if it is singular."""
     w, v = np.linalg.eig(sop)
     mag = np.abs(w)
     if mag.min() <= 1e-12 * mag.max():
         raise SingularMapError(f"the map is singular (smallest |eigenvalue| {mag.min():.1e}); "
                                f"it has no logarithm")
-    on_cut = (w.real < 0) & (np.abs(w.imag) <= _BRANCH_TOL * mag)
-    if np.linalg.cond(v, 1) < _EIG_COND_MAX and not on_cut.any():
-        return (v * np.log(w)) @ np.linalg.inv(v)
+    if np.linalg.cond(v, 1) < _EIG_COND_MAX:
+        return (v * np.emath.log(w)) @ np.linalg.inv(v)
     # imported here: scipy.linalg would add most of the package's import time
     from scipy.linalg import logm
 

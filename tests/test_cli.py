@@ -8,13 +8,20 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import ttmkit
 from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
-from ttmkit.liouville import SIGMA_Z, kron_superop, unitary_superop
+from ttmkit.liouville import (
+    SIGMA_Z,
+    hamiltonian_liouvillian,
+    kron_superop,
+    left_multiply,
+    right_multiply,
+)
 from ttmkit.noisegen import NoiseModel
-from ttmkit.presets import correlated_pair_model, single_qubit_model
+from ttmkit.presets import single_qubit_model
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
 from ttmkit.io import write_qpt_csv
@@ -525,12 +532,16 @@ def test_twoqubit_mode(tmp_path):
 
 
 def test_twoqubit_split_on_well_conditioned_maps_leaves_scipy_linalg_unloaded(tmp_path):
-    # fig5's correlated pair turned into x noise by H (x) H: full maps whose
-    # eigenbases are well conditioned, so every log is an eigendecomposition
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    s = unitary_superop(np.kron(had, had))
-    maps = [s @ m @ s.conj().T
-            for m in dephasing_map_series(correlated_pair_model(2.0), 0.05, 4)]
+    # closed-form maps exp(t G) of two damped qubits at different biases with a
+    # zz coupling: no repeated eigenvalue, and kappa(V) <= 12 for every map the
+    # split takes a log of, so every log is an eigendecomposition
+    a, n_op = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0])
+    jump = left_multiply(a) @ right_multiply(a.T)
+    damp = jump - 0.5 * (left_multiply(n_op) + right_multiply(n_op))
+    gen = (kron_superop(hamiltonian_liouvillian(0.5 * SIGMA_Z) + 0.3 * damp, np.eye(4))
+           + kron_superop(np.eye(4), hamiltonian_liouvillian(0.85 * SIGMA_Z) + 0.5 * damp)
+           + hamiltonian_liouvillian(0.2 * np.kron(SIGMA_Z, SIGMA_Z)))
+    maps = [expm(n * 0.05 * gen) for n in range(1, 5)]
     write_map_series(tmp_path / "maps.json", maps, dt=0.05)
     cfg_path = _write_cfg(tmp_path, {"mode": "twoqubit", "input": "maps.json"})
     src = os.path.dirname(os.path.dirname(os.path.abspath(ttmkit.__file__)))

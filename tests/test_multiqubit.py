@@ -184,7 +184,8 @@ def test_eig_logm_matches_scipy_logm_on_random_and_rotated_pair_maps(logm_calls)
     sops = [expm(0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
             for d in (4, 4, 16, 16)]
     # the coupled pair's maps are diagonal in the z basis; a random local
-    # unitary makes them and their marginals full
+    # unitary makes them and their marginals full (eigenvalue 1 stays fourfold
+    # on the 16 x 16 maps; kappa(V) measured 3.6 to 20, far below _EIG_COND_MAX)
     u = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
          for _ in range(2)]
     s = unitary_superop(np.kron(*u))
@@ -199,14 +200,14 @@ def test_eig_logm_matches_scipy_logm_on_random_and_rotated_pair_maps(logm_calls)
     assert len(logm_calls) == len(sops)  # the reference calls only
 
 
-def test_logm_falls_back_to_scipy_on_defective_and_negative_axis_maps(logm_calls):
+def test_logm_falls_back_to_scipy_on_defective_maps_only(logm_calls):
     jordan = np.array([[0.9, 1.0], [0.0, 0.9]])
-    # a pi rotation about z: the coherences pick up -1, where +i pi and -i pi
-    # are equally principal
+    # a pi rotation about z: the coherences pick up -1, where no log is more
+    # principal than another; the eigendecomposition picks one, as logm would
     flip = unitary_superop(expm(-0.5j * np.pi * SIGMA_Z))
-    for sop in (jordan, flip):
+    for sop in (jordan, flip, flip.real):
         npt.assert_allclose(expm(_logm(sop)), sop, atol=1e-12)
-    assert [c.shape for c in logm_calls] == [(2, 2), (4, 4)]
+    assert [c.shape for c in logm_calls] == [(2, 2)]
 
 
 def _dummy_result(scale=1.0):
