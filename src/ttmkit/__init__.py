@@ -27,7 +27,6 @@ from .multiqubit import (
     UnravelResult,
     collective_report,
     isolate_collective,
-    isolate_generator_kernel,
     unravel,
 )
 from .noisegen import GaussianPathSampler, NoiseModel
@@ -83,6 +82,6 @@ __all__ = [
     "VolumeSeries", "volume_series", "volume_measure", "extended_volume_measure",
     "CorrelationSeries", "fit_correlations", "spectral_density",
     "combine_scaled_kernels",
-    "UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
-    "SingularMapError", "collective_report",
+    "UnravelResult", "unravel", "isolate_collective", "SingularMapError",
+    "collective_report",
 ]

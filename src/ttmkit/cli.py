@@ -38,9 +38,10 @@ class PipelineError(RuntimeError):
 
 
 def _get(cfg, path, required=True, default=None):
+    # a JSON null counts as an absent field
     cur = cfg
     for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+        if not isinstance(cur, dict) or cur.get(part) is None:
             if required:
                 raise ConfigError(f"field '{path}' is required")
             return default
@@ -59,8 +60,6 @@ def _is_number(val):
 
 def _number(cfg, path, required=True, default=None, positive=False):
     val = _get(cfg, path, required, default)
-    if val is None:
-        return None
     if not _is_number(val):
         raise ConfigError(f"field '{path}': expected a finite number, got {val!r}")
     if positive and val <= 0:
@@ -80,9 +79,7 @@ def _integer(cfg, path, required=True, default=None, minimum=None):
 
 
 def _number_list(val, path, n, minimum=None, positive=False):
-    """``val`` as n finite numbers, each >= minimum or > 0 when asked; None passes."""
-    if val is None:
-        return None
+    """``val`` as n finite numbers, each >= minimum or > 0 when asked."""
     if not (isinstance(val, list) and len(val) == n and all(
             _is_number(x) and (minimum is None or x >= minimum) and (not positive or x > 0)
             for x in val)):
@@ -99,10 +96,8 @@ def _boolean(cfg, path, default):
     return val
 
 
-def _string(cfg, path, required=True, default=None, choices=None):
-    val = _get(cfg, path, required, default)
-    if val is None:
-        return None
+def _string(cfg, path, choices=None):
+    val = _get(cfg, path)
     if not isinstance(val, str):
         raise ConfigError(f"field '{path}': expected a string, got {val!r}")
     if choices and val not in choices:
@@ -113,8 +108,6 @@ def _string(cfg, path, required=True, default=None, choices=None):
 def _stage(module, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except ConfigError:
-        raise
     except CovarianceCapError as exc:  # the sampler's limit on the time grid
         raise ConfigError(f"field 'grid.n_steps': {exc}") from None
     except Exception as exc:
@@ -141,7 +134,7 @@ def build_model(cfg):
         axis = ch.get("axis")
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"field '{where}.axis': expected one of x, y, z")
-        qubit = ch.get("qubit", 1)
+        qubit = _get(ch, "qubit", required=False, default=1)
         if isinstance(qubit, bool) or not isinstance(qubit, int) \
                 or not 1 <= qubit <= n_qubits:
             raise ConfigError(f"field '{where}.qubit': expected an integer "
@@ -221,7 +214,7 @@ def _hashed_input(path, out_dir):
 
 def _meta_for(cfg, out_dir):
     hashed = dict(cfg)
-    if "input" in cfg:
+    if cfg.get("input") is not None:
         hashed["input"] = _hashed_input(cfg["input"], out_dir)
     if isinstance(cfg.get("inputs"), list):
         hashed["inputs"] = [_hashed_input(p, out_dir) for p in cfg["inputs"]]
@@ -314,16 +307,14 @@ def _mode_spectroscopy(cfg, out_dir):
         if scales:
             raise ConfigError(f"field '{scales[0]}': the scaled-run protocol needs two or "
                               f"more map files in 'inputs'")
-    elif "input" in cfg:
+    elif cfg.get("input") is not None:
         raise ConfigError("fields 'input' and 'inputs': give one or the other, not both")
     elif not isinstance(inputs, list) or len(inputs) < 2:
         raise ConfigError("field 'inputs': expected two or more map files")
     elif len(scales) != 1:
         raise ConfigError("fields 'gammas' and 'protocol_biases': give exactly one")
-    gammas = _number_list(_get(cfg, "gammas", required=False), "gammas", len(inputs),
-                          positive=True)
-    biases = _number_list(_get(cfg, "protocol_biases", required=False),
-                          "protocol_biases", len(inputs), positive=True)
+    gammas, biases = (_number_list(cfg[field], field, len(inputs), positive=True)
+                      if field in scales else None for field in ("gammas", "protocol_biases"))
     reference = _get(cfg, "system.biases")[0]
     if biases and biases[0] != reference:
         raise ConfigError(f"field 'protocol_biases': its first entry {biases[0]!r} is the "
@@ -433,10 +424,17 @@ _MODES = {
 }
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 def run_config(cfg, out_dir):
     """Validate and execute one config document. Returns written paths."""
     mode = _string(cfg, "mode", choices=_MODES)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     return _MODES[mode][0](cfg, out_dir)
 
 
@@ -484,7 +482,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "preset":
-            os.makedirs(args.out_dir, exist_ok=True)
+            _make_out_dir(args.out_dir)
             # without --seed each preset keeps its own default
             seed = {} if args.seed is None else {"seed": args.seed}
             result = presets.RUNNERS[args.name](args.out_dir, scale=args.scale, **seed)

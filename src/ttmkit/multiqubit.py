@@ -10,8 +10,8 @@ import numpy as np
 from .liouville import factorize_bipartite, kron_superop
 from .ttm import build_ttms, norm_profile
 
-__all__ = ["UnravelResult", "unravel", "isolate_generator_kernel", "isolate_collective",
-           "SingularMapError", "collective_report"]
+__all__ = ["UnravelResult", "unravel", "isolate_collective", "SingularMapError",
+           "collective_report"]
 # norm ratio between dL dt and dK dt^2 beyond which one mechanism dominates
 _DOMINANCE_RATIO = 3.0
 _EIG_COND_MAX = 1e4
@@ -66,33 +66,6 @@ def _warn_coarse_step(dt, noise):
         )
 
 
-def isolate_generator_kernel(delta_t1_dt, delta_t1_2dt):
-    """Two-point Richardson split of a collective correction into generator and kernel.
-
-    The inputs are one collective quantity measured on a grid of step dt and
-    on the doubled grid, assumed to expand as dG(dt) = dL dt + dK dt^2 and
-    dG(2dt) = 2 dL dt + 4 dK dt^2, so
-
-        dL dt   = (4 dG(dt) - dG(2dt)) / 2
-        dK dt^2 = -(2 dG(dt) - dG(2dt)) / 2.
-
-    Both are returned premultiplied by their power of dt, matching how they
-    enter the propagation. The expansion holds for the log-domain collective
-    part that :func:`isolate_collective` feeds in, not for raw delta maps:
-    those carry the local decay as a factor and stop scaling as dt, dt^2
-    once the phase variance is of order one. On log-domain input the
-    Richardson remainder is O(kappa dt^3) in both parts, with kappa the
-    fastest correlation decay rate. When the local and collective generators
-    do not commute, (1/2) [L_loc, dL] dt^2 also enters (Baker-Campbell-
-    Hausdorff) and is booked as kernel.
-    """
-    g1 = np.asarray(delta_t1_dt, dtype=complex)
-    g2 = np.asarray(delta_t1_2dt, dtype=complex)
-    if g1.shape != g2.shape:
-        raise ValueError("the dt and 2 dt inputs must share a shape")
-    return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
-
-
 class SingularMapError(ValueError):
     """A map with a zero eigenvalue, which has no logarithm."""
 
@@ -124,10 +97,24 @@ def isolate_collective(result, dt, noise=None):
     of ``result``. Products of local maps add in the log domain, so the
     local decay cancels; for Gaussian dephasing G_n is exactly the cross
     term -dz1 dz2 Phi_12(t_n) of the phase variance plus the coupling phase.
-    G_1 and G_2 then go through :func:`isolate_generator_kernel`. Returns
-    (dL dt, dK dt^2); raises :class:`SingularMapError` when one of these maps
-    has a zero eigenvalue. Pass the noise model to get a warning when
-    kappa dt is not small.
+
+    G_n expands as dL t_n + dK t_n^2, so dT_1 = G_1 = dL dt + dK dt^2 and
+    G_2 = 2 dL dt + 4 dK dt^2, and the two-point Richardson split gives
+
+        dL dt   = (4 G_1 - G_2) / 2
+        dK dt^2 = -(2 G_1 - G_2) / 2,
+
+    each premultiplied by its power of dt, as they enter the propagation.
+    The remainder is O(kappa dt^3) in both parts, with kappa the fastest
+    correlation decay rate. When the local and collective generators do not
+    commute, (1/2) [L_loc, dL] dt^2 also enters (Baker-Campbell-Hausdorff)
+    and is booked as kernel. Raw delta maps do not follow this expansion:
+    they carry the local decay as a factor and stop scaling as dt, dt^2 once
+    the phase variance is of order one.
+
+    Returns (dL dt, dK dt^2); raises :class:`SingularMapError` when one of
+    these maps has a zero eigenvalue. Pass the noise model to get a warning
+    when kappa dt is not small.
     """
     if len(result.local_maps) < 2:
         raise ValueError("the split needs the maps at dt and 2 dt")
@@ -140,7 +127,8 @@ def isolate_collective(result, dt, noise=None):
         logs.append(_logm(full) - local)
     if noise is not None:
         _warn_coarse_step(dt, noise)
-    return isolate_generator_kernel(logs[0], logs[1])
+    g1, g2 = np.asarray(logs, dtype=complex)
+    return (4.0 * g1 - g2) / 2.0, -(2.0 * g1 - g2) / 2.0
 
 
 def collective_report(result, dl_dt=None, dk_dt2=None):

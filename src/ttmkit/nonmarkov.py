@@ -41,12 +41,12 @@ def volume_series(maps, dt):
 
 
 def volume_measure(series):
-    """Accumulated positive volume growth, normalized by V(t_0).
+    """Accumulated positive volume growth of a VolumeSeries, normalized by V(t_0).
 
     N_V = sum_n max(V(t_{n+1}) - V(t_n), 0) / V(t_0). Zero for any
     monotonically contracting (Markovian) evolution.
     """
-    values = np.asarray(getattr(series, "values", series), dtype=float)
+    values = series.values
     if values.size < 2:
         raise ValueError("need at least two volume points")
     if values[0] == 0:

@@ -174,30 +174,25 @@ def _expm_paths(a, powers):
     return e
 
 
-def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
-    """One chunk's sums (not means) of the maps at the substep boundaries, for :func:`_ensemble`.
+def _chunk_map_sums(model, b, tau, pulses):
+    """One chunk's sums (not means) of the maps after each segment, for :func:`_ensemble`.
 
-    ``b`` holds the frozen noise values, shaped (P, n_ch, n_sub); for a
-    diagonal model it holds each segment's noise integral instead, shaped
-    (P, n_ch, n_seg) with one segment per boundary. The model's structure
-    alone picks one of three step kernels: a diagonal model scales the rows
-    of its (d, d, P) propagators by one phase factor per segment, any other
-    qubit multiplies unit quaternions, and any other model carries
-    its (d, d, P) propagators with the path axis last, multiplied by one
-    :func:`_expm_paths` step per substep. Each step is unitary to rounding,
-    so the summed maps stay trace preserving.
-
-    ``pulses``, when given, holds one unitary or None per boundary, applied
-    right after it and included in its sum. ``dt_sub`` holds one substep
-    length per boundary segment, or one for all.
+    ``b`` holds the drawn noise values, shaped (P, n_ch, n_seg, m): m frozen
+    values per segment, each held for the substep length ``tau[k]`` of its
+    segment k. A diagonal model takes one value per segment (m = 1), the
+    segment's noise integral, and ``tau[k]`` is then the whole segment. The
+    model's structure alone picks one of three step kernels: a diagonal model
+    scales the rows of its (d, d, P) propagators by one phase factor per
+    segment, any other qubit multiplies unit quaternions, and any other model
+    carries its (d, d, P) propagators with the path axis last, multiplied by
+    one :func:`_expm_paths` step per substep. Each step is unitary to
+    rounding, so the summed maps stay trace preserving. ``pulses`` holds one
+    unitary or None per segment, applied at its end and included in its sum.
     """
     d = model.dim
-    n_steps = boundary.size
-    out = np.empty((n_steps, d * d, d * d), dtype=complex)
+    n_paths, _, n_seg, m = b.shape
+    out = np.empty((n_seg, d * d, d * d), dtype=complex)
     diagonal = model.is_diagonal
-    n_paths = b.shape[0]
-    dt_seg = np.broadcast_to(dt_sub, boundary.shape)
-    pulses = [None] * n_steps if pulses is None else pulses
     if d == 2 and not diagonal:
         # Hermitian op = a0 I + v . sigma with v = Re(B^H vec(op))[1:] / 2; a0
         # only adds a global phase, which cancels in U (x) conj(U)
@@ -212,17 +207,15 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
                  for p in pulses]
         q_cum = np.zeros((4, n_paths))
         q_cum[0] = 1.0
-        grams = np.empty((n_steps, 4, 4))
-        start = 0
-        for pos, end in enumerate(boundary):
-            v = np.einsum("ak,paj->kjp", v_coup, b[:, :, start:end + 1])
+        grams = np.empty((n_seg, 4, 4))
+        for k in range(n_seg):
+            v = np.einsum("ak,paj->kjp", v_coup, b[:, :, k])
             v += v_sys[:, None, None]
-            q_cum = _quat_mul(_su2_segment(v, dt_seg[pos]), q_cum)
-            if quats[pos] is not None:
-                q_cum = _quat_mul(quats[pos], q_cum)
-            grams[pos] = q_cum @ q_cum.T
-            start = end + 1
-        return (grams.reshape(n_steps, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_steps, 4, 4)
+            q_cum = _quat_mul(_su2_segment(v, tau[k]), q_cum)
+            if quats[k] is not None:
+                q_cum = _quat_mul(quats[k], q_cum)
+            grams[k] = q_cum @ q_cum.T
+        return (grams.reshape(n_seg, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_seg, 4, 4)
 
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
     if diagonal:
@@ -233,31 +226,27 @@ def _chunk_map_sums(model, b, dt_sub, boundary, pulses=None):
         # U (x) conj(U), so it is divided out of every row and row 0 is
         # never scaled
         hdiag, zdiag = _diag_parts(model)
-        starts = np.concatenate([[0], boundary[:-1] + 1])
-        durations = dt_seg * (boundary + 1 - starts)
-        dphi = np.einsum("pak,ar->krp", b, zdiag[:, 1:] - zdiag[:, :1]) \
-            + np.multiply.outer(durations, hdiag[1:] - hdiag[0])[:, :, None]
+        dphi = np.einsum("pak,ar->krp", b[..., 0], zdiag[:, 1:] - zdiag[:, :1]) \
+            + np.multiply.outer(tau, hdiag[1:] - hdiag[0])[:, :, None]
         factors = np.exp(-1.0j * dphi)
     else:
         ops = np.stack(model.couplings).reshape(-1, d * d).T
         h = model.h_system.reshape(-1, 1)
         powers = np.empty((4, d, d, n_paths), dtype=complex)
         powers[0] = np.eye(d)[:, :, None]
-    start = 0
-    for pos, end in enumerate(boundary):
+    for k in range(n_seg):
         if diagonal:
-            u[1:] *= factors[pos][:, None, :]
+            u[1:] *= factors[k][:, None, :]
         else:
-            for j in range(start, end + 1):
-                a = (-1.0j * dt_seg[pos]) * (h + ops @ b[:, :, j].T)
+            for j in range(m):
+                a = (-1.0j * tau[k]) * (h + ops @ b[:, :, k, j].T)
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
-        if pulses[pos] is not None:
-            u = (pulses[pos] @ u.reshape(d, -1)).reshape(u.shape)
+        if pulses[k] is not None:
+            u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
         # sum_p U (x) conj(U) is the Gram matrix of the vec(U_p), reordered
         flat = u.reshape(d * d, n_paths)
         gram = (flat @ flat.conj().T).reshape(d, d, d, d)
-        out[pos] = gram.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        start = end + 1
+        out[k] = gram.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return out
 
 
@@ -273,17 +262,17 @@ def _cv_generators(model, dt_sub, midpoints):
     return dt_sub * (s.conj().swapaxes(-1, -2) @ lv[:, None] @ s)
 
 
-def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
+def _cv_corrections(model, g, bbar, delta_m, n_seg, dt):
     """Second-order map functional evaluated on the sampled-moment excess.
 
-    Sums, over substeps up to each boundary,
+    Sums, over the substeps up to the end of each of ``n_seg`` equal segments,
 
         sum_J bbar_J g_J
       + sum_{j > j'} sum_{a a'} dM[(a,j),(a',j')] g_{a j} g_{a' j'}
       + (1/2) sum_j sum_{a a'} dM[(a,j),(a',j)] g_{a j} g_{a' j}
 
     and left-multiplies by the free map at dt, 2 dt, ... for the successive
-    boundaries. Subtracting this from the raw ensemble mean removes the
+    segment ends. Subtracting this from the raw ensemble mean removes the
     sampling fluctuation of the first and second noise moments while leaving
     the expectation untouched. ``delta_m``, shaped (n_ch, n_sub, n_ch, n_sub),
     is overwritten by its time-ordered weighting.
@@ -295,7 +284,8 @@ def _cv_corrections(model, g, bbar, delta_m, boundary, dt):
     g_flat = g.reshape(n_ch * n_sub, -1).view(float)
     inner = (delta_m.reshape(g_flat.shape[0], -1) @ g_flat).view(complex).reshape(g.shape)
     acc = np.cumsum((g @ inner + bbar[:, :, None, None] * g).sum(axis=0), axis=0)
-    return _free_superops(model.h_system, dt * np.arange(1, len(boundary) + 1)) @ acc[boundary]
+    substeps = n_sub // n_seg
+    return _free_superops(model.h_system, dt * np.arange(1, n_seg + 1)) @ acc[substeps - 1::substeps]
 
 
 def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
@@ -340,9 +330,12 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
     dt_seg = durations / substeps
     starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
     midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
-    windows = np.repeat(np.diag(dt_seg), substeps, axis=0) if model.is_diagonal else None
+    if model.is_diagonal:
+        # one draw per segment: its noise integral, spanning the whole segment
+        windows, tau = np.repeat(np.diag(dt_seg), substeps, axis=0), dt_seg * substeps
+    else:
+        windows, tau = None, dt_seg
     sampler = GaussianPathSampler(model.noise, midpoints, windows)
-    boundary = substeps * np.arange(1, n_seg + 1) - 1
 
     n_ch = model.noise.n_channels
     n_col = n_seg if model.is_diagonal else midpoints.size  # drawn values per channel
@@ -351,7 +344,7 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
     acc = np.zeros((n_seg, d * d, d * d), dtype=complex)
     chunk_means = []
     for draws, b in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
-        contrib = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
+        contrib = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, -1)), tau, pulses)
         acc += contrib
         if control_variate:
             # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
@@ -368,13 +361,11 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
         # lasts durations[0] and applies no pulse. A diagonal model corrects
         # on its drawn integrals, one per segment; its generators commute
         # with h_system, so they are constant in time and act on whole integrals
-        if model.is_diagonal:
-            g, cv_boundary = _cv_generators(model, 1.0, np.zeros(n_seg)), np.arange(n_seg)
-        else:
-            g, cv_boundary = _cv_generators(model, dt_seg[0], midpoints), boundary
+        g = (_cv_generators(model, 1.0, np.zeros(n_seg)) if model.is_diagonal
+             else _cv_generators(model, dt_seg[0], midpoints))
         bbar = (sum_b / n_traj).reshape(n_ch, n_col)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape((n_ch, n_col) * 2)
-        maps -= _cv_corrections(model, g, bbar, delta_m, cv_boundary, durations[0])
+        maps -= _cv_corrections(model, g, bbar, delta_m, n_seg, durations[0])
     return maps, chunk_means
 
 

@@ -194,13 +194,14 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     return CorrelationSeries(dt, values, units.any(axis=0), residuals, iterations)
 
 
-def spectral_density(series, channel=("z", "z"), pad_factor=4):
+def spectral_density(series, channel=("z", "z")):
     """Classical spectral density of a fitted correlation function.
 
     S(w) = dt * sum_n C(t_n) e^{i w t_n} over the two-sided extension
     C_ab(-t) = C_ba(t) (Wiener-Khinchin convention) of the grid t_n = n dt
-    that starts at t = 0. A plain array input is C(t_n) itself, with dt as
-    the second argument. Returns (omega, s) with omega ascending and s real.
+    that starts at t = 0, zero-padded to four times its length plus one. A
+    plain array input is C(t_n) itself, with dt as the second argument.
+    Returns (omega, s) with omega ascending and s real.
     """
     if isinstance(series, CorrelationSeries):
         a, b = channel
@@ -218,10 +219,7 @@ def spectral_density(series, channel=("z", "z"), pad_factor=4):
 
     k = len(fwd)
     full = np.concatenate([rev[1:][::-1], fwd])
-    n_full = 2 * k - 1
-    n_pad = pad_factor * n_full
-    if n_pad % 2 == 0:
-        n_pad += 1  # odd grid keeps +w/-w in exact pairs
+    n_pad = 4 * (2 * k - 1) + 1  # odd grid keeps +w/-w in exact pairs
     omega = 2.0 * np.pi * np.fft.fftfreq(n_pad, dt)
     # S(w_m) = dt * sum_j full_j e^{i w_m t_j}, t_j = (j - (k-1)) dt
     spec = dt * n_pad * np.fft.ifft(full, n_pad) * np.exp(-1j * omega * (k - 1) * dt)

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import ttmkit
+from ttmkit import cli
 from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
 from ttmkit.liouville import (
@@ -345,6 +346,89 @@ def test_config_hash_reads_input_files_by_content(tmp_path):
         headers.append(read_series_csv(where / "ttm_norms.csv")[1])
     assert headers[0] == headers[1]
     assert headers[0]["config_hash"] != headers[2]["config_hash"]
+
+
+def test_stray_input_naming_no_file_is_hashed_as_written(tmp_path):
+    # simulate reads no input; one that names no file enters the config hash
+    # as written, so two new output directories give one header
+    cfg = _sim_cfg(input="nowhere.json")
+    assert cli._hashed_input("nowhere.json", str(tmp_path)) == "nowhere.json"
+    headers = []
+    for tag in ("a", "b"):
+        run_config(cfg, str(tmp_path / tag))
+        with open(tmp_path / tag / "maps.json") as fh:
+            headers.append(json.load(fh)["meta"])
+    assert headers[0] == headers[1]
+    assert headers[0]["config_hash"] == ttmkit.io.config_hash(cfg)
+
+
+def _pair_cfg(**over):
+    return _sim_cfg(system={"n_qubits": 2, "biases": [0.1, 0.2], "zz_coupling": 0.05,
+                            "channels": [{"axis": "z", "qubit": 1},
+                                         {"axis": "z", "qubit": 2}]},
+                    noise={"variances": [1.0, 1.0], "decay_rates": [1.0, 1.0],
+                           "modulations": [0.5, 0.0], "cross": [[1.0, 0.5], [0.5, 1.0]]},
+                    sampling={"n_traj": 16, "seed": 7, "substeps": 2, "antithetic": False},
+                    **over)
+
+
+def _set_null(cfg, path, drop=False):
+    # path "a.b.1.c" names cfg["a"]["b"][1]["c"]; drop deletes it instead
+    keys = [int(part) if part.isdigit() else part for part in path.split(".")]
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    if drop:
+        del cfg[keys[-1]]
+    else:
+        cfg[keys[-1]] = None
+
+
+@pytest.mark.parametrize("mode, path, message", [
+    ("simulate", "mode", "field 'mode' is required"),
+    ("simulate", "sampling.n_traj", "field 'sampling.n_traj' is required"),
+    ("simulate", "sampling.seed", "field 'sampling.seed' is required"),
+    ("simulate", "system.biases", "field 'system.biases' is required"),
+    ("simulate", "grid.dt", "field 'grid.dt' is required"),
+    ("simulate", "noise.cross.1", "field 'noise.cross[1]': expected a list of 2"),
+    ("ttm", "input", "field 'input' is required"),
+], ids=["mode", "n_traj", "seed", "biases", "dt", "cross-row", "input"])
+def test_null_required_field_is_a_config_error(tmp_path, capsys, mode, path, message):
+    # a JSON null counts as an absent field; it used to pass the checks and
+    # fail later with a traceback, a KeyError or a stage error
+    cfg = _pair_cfg(mode=mode, input="maps.json")
+    _set_null(cfg, path)
+    assert main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error - ") and message in err
+    assert not (tmp_path / "maps.json").exists()
+
+
+@pytest.mark.parametrize("path", [
+    "system.zz_coupling", "system.channels.1.qubit", "noise.modulations", "noise.cross",
+    "sampling.substeps", "sampling.antithetic", "sampling.control_variate", "shots",
+])
+def test_null_optional_field_takes_its_default(tmp_path, path):
+    cfg = _pair_cfg(shots=10)
+    maps = []
+    for drop in (False, True):
+        _set_null(cfg, path, drop)
+        out = tmp_path / str(drop)
+        run_config(cfg, str(out))
+        maps.append(read_map_series(out / "maps.json")[0])
+    np.testing.assert_array_equal(maps[0], maps[1])
+
+
+def test_unusable_out_dir_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = _write_cfg(tmp_path, _sim_cfg())
+    for argv, where in ((["run", "--config", cfg_path, "--out-dir", str(blocker)], blocker),
+                        (["preset", "fig3top", "--scale", "fast",
+                          "--out-dir", str(blocker / "x")], blocker / "x")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error - cannot create output directory {where}: ")
 
 
 def _spectroscopy_cfg(tmp_path, n_maps=10, **over):

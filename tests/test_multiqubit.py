@@ -12,7 +12,6 @@ from ttmkit.multiqubit import (
     _logm,
     collective_report,
     isolate_collective,
-    isolate_generator_kernel,
     unravel,
 )
 from ttmkit.noisegen import NoiseModel
@@ -85,23 +84,6 @@ def test_correlated_noise_produces_collective_memory():
     assert np.linalg.norm(result.delta_maps[0]) > 1e-3
 
 
-def test_isolation_recovers_synthetic_generator_and_kernel():
-    rng = np.random.default_rng(7)
-    gen = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    ker = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    dt = 0.05
-    d1 = gen * dt + ker * dt**2
-    d2 = gen * (2 * dt) + ker * (2 * dt) ** 2
-    dl_dt, dk_dt2 = isolate_generator_kernel(d1, d2)
-    npt.assert_allclose(dl_dt, gen * dt, atol=1e-12)
-    npt.assert_allclose(dk_dt2, ker * dt**2, atol=1e-12)
-
-
-def test_isolation_shape_check():
-    with pytest.raises(ValueError, match="share a shape"):
-        isolate_generator_kernel(np.zeros((16, 16)), np.zeros((4, 4)))
-
-
 def test_zz_coupling_lands_in_the_generator_slot():
     # direct coupling is a Hamiltonian effect: dL grows linearly with zz
     # while the kernel part stays at the noise level
@@ -109,9 +91,8 @@ def test_zz_coupling_lands_in_the_generator_slot():
     collected = {}
     for zz in (0.02, 0.04):
         model = _pair_model(zz=zz, cross=0.0, kappa=1.0, lam=0.2)
-        d1 = unravel(dephasing_map_series(model, dt, 2)).delta_tensors[0]
-        d2 = unravel(dephasing_map_series(model, 2 * dt, 2)).delta_tensors[0]
-        dl_dt, dk_dt2 = isolate_generator_kernel(d1, d2)
+        result = unravel(dephasing_map_series(model, dt, 2))
+        dl_dt, dk_dt2 = isolate_collective(result, dt, noise=model.noise)
         collected[zz] = (np.linalg.norm(dl_dt), np.linalg.norm(dk_dt2))
     for zz, (dl, dk) in collected.items():
         assert dl > 5.0 * dk
@@ -121,9 +102,8 @@ def test_zz_coupling_lands_in_the_generator_slot():
 def test_correlated_noise_lands_in_the_kernel_slot():
     dt = 0.02
     model = _pair_model(zz=0.0, cross=1.0, kappa=1.0, lam=1.0)
-    d1 = unravel(dephasing_map_series(model, dt, 2)).delta_tensors[0]
-    d2 = unravel(dephasing_map_series(model, 2 * dt, 2)).delta_tensors[0]
-    dl_dt, dk_dt2 = isolate_generator_kernel(d1, d2)
+    result = unravel(dephasing_map_series(model, dt, 2))
+    dl_dt, dk_dt2 = isolate_collective(result, dt, noise=model.noise)
     assert np.linalg.norm(dk_dt2) > 5.0 * np.linalg.norm(dl_dt)
 
 

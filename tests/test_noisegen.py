@@ -59,6 +59,15 @@ def test_phase_variance_closed_form_matches_quadrature():
         assert abs(double_integral_correlation(3.0, 1.3, 2.1, t) - direct) < 1e-10
 
 
+def test_phase_variance_of_static_noise_is_quadratic():
+    # kappa = omega = 0 freezes each path's value, so Phi(t) = C(0) t^2
+    model = NoiseModel(kappas=(0.0, 0.0), omegas=(0.0, 0.0),
+                       cross=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    t = np.array([0.0, 0.3, 2.0])
+    npt.assert_array_equal(model.phase_variance(t), 2.0 * t * t)
+    npt.assert_array_equal(model.phase_variance(t, 0, 1), 0.5 * t * t)
+
+
 def test_spectral_density_is_lorentzian_pair():
     lam, kappa, wc = 4.0, 1.0, 2.0
     model = NoiseModel.single(lam, kappa, omega=wc)

@@ -86,6 +86,6 @@ def test_volume_series_validation():
     with pytest.raises(ValueError, match="align"):
         VolumeSeries(np.arange(3.0), np.arange(4.0))
     with pytest.raises(ValueError, match="two volume"):
-        volume_measure(np.array([1.0]))
+        volume_measure(VolumeSeries([0.0], [1.0]))
     with pytest.raises(ValueError, match="nonzero"):
-        volume_measure(np.array([0.0, 1.0]))
+        volume_measure(VolumeSeries([0.0, 0.1], [0.0, 1.0]))

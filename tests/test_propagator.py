@@ -81,12 +81,29 @@ def _draw_paths(model, dt, n_steps, seed, n_paths):
 def _mean_states(model, b, dt, rho0):
     """Path-averaged states at every step of the noise values b (P, n_ch, n_steps).
 
-    The diagonal kernel takes each step's noise integral, b dt for one value
-    per step."""
+    Each step is one segment of one substep; the diagonal kernel takes each
+    step's noise integral, b dt."""
     if model.is_diagonal:
         b = b * dt
-    maps = _chunk_map_sums(model, b, dt, np.arange(b.shape[-1])) / b.shape[0]
-    return (maps @ vec(rho0)).reshape(-1, model.dim, model.dim)
+    n_steps = b.shape[-1]
+    maps = _chunk_map_sums(model, b[..., None], np.full(n_steps, dt), [None] * n_steps)
+    return (maps / b.shape[0] @ vec(rho0)).reshape(-1, model.dim, model.dim)
+
+
+def _expm_map_sums(model, b, tau, pulses):
+    """Per-path expm products summed into maps, on the kernel's (P, n_ch, n_seg, m) layout."""
+    d = model.dim
+    want = np.zeros((b.shape[2], d * d, d * d), dtype=complex)
+    for path in b:
+        u = np.eye(d, dtype=complex)
+        for k in range(b.shape[2]):
+            for values in path[:, k].T:
+                h = model.h_system + sum(v * c for v, c in zip(values, model.couplings))
+                u = expm(-1.0j * h * tau[k]) @ u
+            if pulses[k] is not None:
+                u = pulses[k] @ u
+            want[k] += unitary_superop(u)
+    return want
 
 
 def test_evolve_trajectory_is_unitary_per_path():
@@ -291,7 +308,7 @@ def test_control_variate_transverse_channel():
 def test_control_variate_helpers_match_written_out_sums():
     # two qubits with x noise on qubit 1 and y noise on qubit 2: generators
     # g[a, j] = dt_sub S(s_j)^H L_a S(s_j) and the time-ordered second-order
-    # sum, taken pair by pair, on three uneven boundaries
+    # sum, taken pair by pair, at the ends of four segments of three substeps
     eye = np.eye(2)
     h = 0.3 * np.kron(SIGMA_Z, eye) - 0.7 * np.kron(eye, SIGMA_Z)
     ops = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y))
@@ -300,7 +317,7 @@ def test_control_variate_helpers_match_written_out_sums():
                                          cross=np.diag([1.0, 0.5])))
     n_ch, n_sub, dt_sub, dt = 2, 12, 0.05, 0.2
     midpoints = (np.arange(n_sub) + 0.5) * dt_sub
-    boundary = np.array([2, 3, 11])
+    n_seg = 4
     rng = np.random.default_rng(8)
     dm = rng.normal(size=(n_ch * n_sub, n_ch * n_sub))
     dm = (dm + dm.T).reshape(n_ch, n_sub, n_ch, n_sub)
@@ -315,8 +332,8 @@ def test_control_variate_helpers_match_written_out_sums():
     g = _cv_generators(model, dt_sub, midpoints)
     npt.assert_allclose(g, g_want, rtol=0, atol=1e-13)
 
-    want = np.zeros((boundary.size, 16, 16), dtype=complex)
-    for pos, end in enumerate(boundary):
+    want = np.zeros((n_seg, 16, 16), dtype=complex)
+    for pos, end in enumerate(range(2, n_sub, 3)):
         acc = np.zeros((16, 16), dtype=complex)
         for a in range(n_ch):
             for j in range(end + 1):
@@ -326,7 +343,7 @@ def test_control_variate_helpers_match_written_out_sums():
                         weight = 0.5 if j2 == j else 1.0
                         acc += weight * dm[a, j, a2, j2] * g_want[a, j] @ g_want[a2, j2]
         want[pos] = s_free(dt * (pos + 1)) @ acc
-    got = _cv_corrections(model, g, bbar, dm.copy(), boundary, dt)
+    got = _cv_corrections(model, g, bbar, dm.copy(), n_seg, dt)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -340,9 +357,8 @@ def test_diagonal_control_variate_equals_substep_correction(antithetic):
     dt, n_steps, substeps, n_traj, seed, chunk = 0.2, 5, 4, 600, 9, 128
     n_ch, n_sub, dt_sub = 2, n_steps * substeps, dt / substeps
     midpoints = (np.arange(n_sub) + 0.5) * dt_sub
-    boundary = substeps * np.arange(1, n_steps + 1) - 1
 
-    def correction(sampler, g, boundary):
+    def correction(sampler, g):
         draws = np.concatenate([d for d, _ in _chunks(sampler, n_traj, seed, chunk,
                                                       antithetic)])
         flat = draws.reshape(draws.shape[0], -1)
@@ -351,13 +367,13 @@ def test_diagonal_control_variate_equals_substep_correction(antithetic):
         bbar = np.zeros(flat.shape[1]) if antithetic else flat.sum(axis=0)
         dm = (gram / n_traj - sampler.covariance()).reshape(n_ch, n_col, n_ch, n_col)
         return _cv_corrections(model, g, (bbar / n_traj).reshape(n_ch, n_col), dm,
-                               boundary, dt)
+                               n_steps, dt)
 
     want = correction(GaussianPathSampler(model.noise, midpoints),
-                      _cv_generators(model, dt_sub, midpoints), boundary)
+                      _cv_generators(model, dt_sub, midpoints))
     windows = np.repeat(np.eye(n_steps) * dt_sub, substeps, axis=0)
     got = correction(GaussianPathSampler(model.noise, midpoints, windows),
-                     _cv_generators(model, 1.0, np.zeros(n_steps)), np.arange(n_steps))
+                     _cv_generators(model, 1.0, np.zeros(n_steps)))
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
     kwargs = dict(substeps=substeps, seed=seed, antithetic=antithetic, chunk_size=chunk)
     raw = simulate_process(model, dt, n_steps, n_traj, **kwargs)
@@ -368,33 +384,27 @@ def test_diagonal_control_variate_equals_substep_correction(antithetic):
 def test_su2_kernel_matches_per_path_expm_products():
     # transverse qubit with a global-phase term: the kernel's summed maps
     # must equal the sum of per-path superoperators of expm step products,
-    # on boundaries that leave segments of odd and even length
+    # at odd and even substep counts (the pairwise product's odd tail) and
+    # a different substep length in each segment
     noise = NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0), cross=np.eye(2))
     model = SystemModel(h_system=0.3 * SIGMA_Z + 0.2 * np.eye(2),
                         couplings=(SIGMA_X, SIGMA_Y + 0.5 * np.eye(2)), noise=noise)
     rng = np.random.default_rng(3)
-    n_paths, n_sub, dt_sub = 12, 12, 0.15
-    b = rng.normal(scale=2.0, size=(n_paths, 2, n_sub))
-    boundary = np.array([2, 5, 6, 11])
-    want = np.zeros((boundary.size, 4, 4), dtype=complex)
-    for p in range(n_paths):
-        u = np.eye(2, dtype=complex)
-        for j in range(n_sub):
-            h = model.h_system + sum(b[p, a, j] * c for a, c in enumerate(model.couplings))
-            u = expm(-1.0j * h * dt_sub) @ u
-            if j in boundary:
-                want[list(boundary).index(j)] += unitary_superop(u)
-    got = _chunk_map_sums(model, b, dt_sub, boundary)
-    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    tau = np.array([0.15, 0.05, 0.3, 0.1])
+    for substeps in (1, 2, 3, 5, 8):
+        b = rng.normal(scale=2.0, size=(12, 2, tau.size, substeps))
+        got = _chunk_map_sums(model, b, tau, [None] * tau.size)
+        npt.assert_allclose(got, _expm_map_sums(model, b, tau, [None] * tau.size),
+                            rtol=0, atol=1e-12)
 
 
 def test_pulsed_kernels_match_per_path_expm_products():
     # a transverse qubit (quaternion kernel), a non-diagonal pair (Taylor
     # kernel) and two diagonal models (phase kernel): a biased z qubit with two
     # cross-correlated z channels and a pair with zz and per-qubit biases,
-    # each also run without pulses. Uneven substep lengths per segment and a
-    # pulse carrying a global phase: pulses act right after their boundary,
-    # inside its sum
+    # each also run without pulses. Odd and even substep counts, a different
+    # substep length in each segment and a pulse carrying a global phase:
+    # pulses act at the end of their segment, inside its sum
     eye = np.eye(2)
     hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
     cross = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -416,70 +426,47 @@ def test_pulsed_kernels_match_per_path_expm_products():
     pair_pulses = [np.kron(hadamard, eye), None, np.kron(eye, SIGMA_Y),
                    np.kron(SIGMA_X, hadamard)]
     rng = np.random.default_rng(8)
-    boundary = np.array([2, 5, 6, 11])
-    dt_seg = np.array([0.1, 0.25, 0.05, 0.15])
+    tau = np.array([0.1, 0.25, 0.05, 0.15])
     for model, pulses in ((qubit, qubit_pulses), (pair, pair_pulses),
                           (z_qubit, qubit_pulses), (z_pair, pair_pulses),
-                          (z_qubit, None), (z_pair, None)):
-        d, n_paths = model.dim, 6
-        b = rng.normal(scale=2.0, size=(n_paths, 2, boundary[-1] + 1))
-        want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
-        for p in range(n_paths):
-            u = np.eye(d, dtype=complex)
-            start = 0
-            for pos, end in enumerate(boundary):
-                for j in range(start, end + 1):
-                    h = model.h_system + sum(b[p, a, j] * c
-                                             for a, c in enumerate(model.couplings))
-                    u = expm(-1.0j * h * dt_seg[pos]) @ u
-                if pulses is not None and pulses[pos] is not None:
-                    u = pulses[pos] @ u
-                want[pos] += unitary_superop(u)
-                start = end + 1
-        if model.is_diagonal:
-            # the phase kernel takes each segment's noise integral
-            starts = np.concatenate([[0], boundary[:-1] + 1])
-            b = np.add.reduceat(b, starts, axis=-1) * dt_seg
-        got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+                          (z_qubit, [None] * 4), (z_pair, [None] * 4)):
+        for substeps in (1, 3, 4):
+            b = rng.normal(scale=2.0, size=(6, 2, tau.size, substeps))
+            want = _expm_map_sums(model, b, tau, pulses)
+            if model.is_diagonal:
+                # the phase kernel takes each segment's noise integral and length
+                got = _chunk_map_sums(model, b.sum(axis=-1, keepdims=True) * tau[:, None],
+                                      substeps * tau, pulses)
+            else:
+                got = _chunk_map_sums(model, b, tau, pulses)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("squarings, outlier", [(0, 1.0), (1, 1.0), (4, 1.0), (4, 100.0)])
 def test_taylor_kernel_matches_per_path_expm_products(d, squarings, outlier):
-    # general-d kernel on random non-commuting operators with pulses and
-    # uneven substep lengths. Each segment's length puts the largest 1-norm
-    # of H dt_seg at 0.75 2^s theta, so the chunk takes s squarings there;
-    # with an outlier path, the other paths alone would need none
+    # general-d kernel on random non-commuting operators with pulses, odd
+    # and even substep counts and a different substep length per segment.
+    # Each segment's length puts the largest 1-norm of H tau at
+    # 0.75 2^s theta, so the chunk takes s squarings there; with an outlier
+    # path, the other paths alone would need none
     rng = np.random.default_rng(10 * d + squarings)
     noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
                        cross=np.array([[1.0, 0.5], [0.5, 1.0]]))
     model = SystemModel(h_system=_random_hermitian(d, rng),
                         couplings=(_random_hermitian(d, rng), _random_hermitian(d, rng)),
                         noise=noise)
-    n_paths, boundary = 5, np.array([1, 3, 4, 7])
-    b = rng.normal(size=(n_paths, 2, boundary[-1] + 1))
-    b[0] *= outlier
-    hams = model.h_system + np.einsum("paj,aik->pjik", b, np.stack(model.couplings))
-    norms = np.abs(hams).sum(axis=-2).max(axis=-1)
-    starts = np.concatenate([[0], boundary[:-1] + 1])
-    dt_seg = np.array([0.75 * 2.0**squarings * _TAYLOR_THETA / norms[:, i:e + 1].max()
-                       for i, e in zip(starts, boundary)])
-    if outlier > 1:
-        bulk = max(norms[1:, i:e + 1].max() * t for i, e, t in zip(starts, boundary, dt_seg))
-        assert bulk < _TAYLOR_THETA
     pulses = [_random_unitary(d, rng), None, _random_unitary(d, rng), None]
-    want = np.zeros((boundary.size, d * d, d * d), dtype=complex)
-    for p in range(n_paths):
-        u = np.eye(d, dtype=complex)
-        for pos, (i, e) in enumerate(zip(starts, boundary)):
-            for j in range(i, e + 1):
-                u = expm(-1.0j * hams[p, j] * dt_seg[pos]) @ u
-            if pulses[pos] is not None:
-                u = pulses[pos] @ u
-            want[pos] += unitary_superop(u)
-    got = _chunk_map_sums(model, b, dt_seg, boundary, pulses)
-    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for substeps in (2, 3):
+        b = rng.normal(size=(5, 2, len(pulses), substeps))
+        b[0] *= outlier
+        hams = model.h_system + np.einsum("pakj,ail->pkjil", b, np.stack(model.couplings))
+        norms = np.abs(hams).sum(axis=-2).max(axis=-1)  # (P, n_seg, m)
+        tau = 0.75 * 2.0**squarings * _TAYLOR_THETA / norms.max(axis=(0, 2))
+        if outlier > 1:
+            assert (norms[1:].max(axis=2) * tau).max() < _TAYLOR_THETA
+        got = _chunk_map_sums(model, b, tau, pulses)
+        npt.assert_allclose(got, _expm_map_sums(model, b, tau, pulses), rtol=0, atol=1e-12)
 
 
 def test_pulsed_process_rejects_non_unitary_pulses():

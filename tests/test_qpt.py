@@ -15,6 +15,7 @@ from ttmkit.liouville import (
     unvec,
     vec,
 )
+from ttmkit import qpt
 from ttmkit.qpt import (
     QptRecord,
     _design_matrix,
@@ -205,6 +206,16 @@ def test_project_cptp_is_identity_on_cptp_maps():
     npt.assert_allclose(project_cptp(sop), sop, atol=1e-9)
     ident = np.eye(16)
     npt.assert_allclose(project_cptp(ident), ident, atol=1e-9)
+
+
+def test_project_cptp_warns_when_it_stops_unconverged(monkeypatch):
+    # one alternating step cannot clear a Choi eigenvalue of -0.1
+    rng = np.random.default_rng(31)
+    sop = random_cptp(2, rng) + 0.05 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    assert min_choi_eigenvalue(sop) < -0.01
+    monkeypatch.setattr(qpt, "_CPTP_ITERS", 1)
+    with pytest.warns(UserWarning, match=r"CPTP projection stopped at residual .* after 1 "):
+        project_cptp(sop)
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (1, 4, 4)])

@@ -265,7 +265,7 @@ def test_spectral_density_lorentzian_recovery():
     active = np.zeros((3, 3), dtype=bool)
     active[2, 2] = True
     series = CorrelationSeries(dt, values, active)
-    omega, s = spectral_density(series, ("z", "z"), pad_factor=8)
+    omega, s = spectral_density(series, ("z", "z"))
     want = 2.0 * lam * kappa / (kappa**2 + omega**2)
     resolved = np.abs(omega) < 5.0
     rel = np.max(np.abs(s[resolved] - want[resolved]) / want[resolved])
@@ -273,6 +273,20 @@ def test_spectral_density_lorentzian_recovery():
     # evenness is exact on the odd-padded grid
     order = np.argsort(-omega)
     npt.assert_allclose(s, s[order], atol=1e-12 * np.max(np.abs(s)))
+
+
+def test_spectral_density_mirrors_a_channel_whose_transpose_is_inactive():
+    # only (x, z) is active, so C_xz(-t) = C_zx(t) is unknown and the
+    # channel is mirrored onto itself, as a plain array is
+    dt, n = 0.05, 120
+    values = np.zeros((n, 3, 3), dtype=complex)
+    values[:, 0, 2] = ou_correlation(1.0, 2.0, 0.0, dt * np.arange(n))
+    active = np.zeros((3, 3), dtype=bool)
+    active[0, 2] = True
+    omega, s = spectral_density(CorrelationSeries(dt, values, active), ("x", "z"))
+    omega_plain, s_plain = spectral_density(values[:, 0, 2], dt)
+    npt.assert_array_equal(omega, omega_plain)
+    npt.assert_array_equal(s, s_plain)
 
 
 def test_spectral_density_plain_array_input():
