@@ -197,8 +197,8 @@ def _input_path(path, out_dir):
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
-def _read_input(cfg, out_dir, reader=io.read_map_series):
-    return _stage("io", reader, _input_path(_string(cfg, "input"), out_dir))
+def _read_input(cfg, out_dir, reader=io.read_map_series, field="input"):
+    return _stage("io", reader, _input_path(_string(cfg, field), out_dir))
 
 
 def _hashed_input(path, out_dir):
@@ -320,7 +320,8 @@ def _mode_spectroscopy(cfg, out_dir):
         raise ConfigError(f"field 'protocol_biases': its first entry {biases[0]!r} is the "
                           f"reference run's bias and must equal system.biases[0], "
                           f"{reference!r}")
-    loaded = [_read_input({"input": p}, out_dir) for p in inputs]
+    fields = [f"inputs[{i}]" for i in range(len(inputs))] if len(inputs) > 1 else ["input"]
+    loaded = [_read_input({f: p}, out_dir, field=f) for f, p in zip(fields, inputs)]
     dt = loaded[0][1]["dt"]
     for path, (_, info) in zip(inputs[1:], loaded[1:]):
         if info["dt"] != dt:

@@ -20,8 +20,10 @@ each segment's integral, so its runs draw those integrals directly: the
 sampler folds the midpoint-rule sum over the segment's substeps into its
 factor. ``substeps`` still sets that midpoint rule, and with it a phase
 variance bias of order dt_sub^2. Other qubits carry each path's propagator
-as a unit quaternion (SU(2) up to the global phase, which cancels in the
-maps). Any other model keeps all propagators of a chunk in one (d, d, P)
+as its Cayley-Klein pair (alpha, beta), the first column of
+U = [[alpha, -conj(beta)], [beta, conj(alpha)]] in SU(2) (up to the global
+phase, which cancels in the maps), so a product of two costs four complex
+multiplies. Any other model keeps all propagators of a chunk in one (d, d, P)
 array, path axis last, and takes each substep's exp(-i H tau) for every
 path at once as a scaled-and-squared degree-15 Taylor polynomial, with no
 eigendecomposition; each step is unitary to rounding.
@@ -89,45 +91,42 @@ def _diag_parts(model):
     return h, z
 
 
-# A unit quaternion q = (w, x, y, z) stands for U = w I - i (x, y, z) . sigma,
-# so each entry U[a, b] = sum_i _SU2_ENTRIES[a, b, i] q_i is linear in q and
-# each entry of U (x) conj(U) is bilinear. Summed over paths, the
-# superoperator is therefore a fixed linear image of the real 4x4 Gram
-# matrix sum_p q_p q_p^T: vec(S) = _GRAM_TO_SUPEROP @ vec(G).
-_SU2_ENTRIES = np.array([[[1, 0, 0, -1j], [0, -1j, -1, 0]],
-                         [[0, -1j, 1, 0], [1, 0, 0, 1j]]])
+# A Cayley-Klein pair (alpha, beta) stands for U = [[alpha, -conj(beta)],
+# [beta, conj(alpha)]], so each entry U[a, b] = sum_i _SU2_ENTRIES[a, b, i] r_i
+# is linear in r = (Re alpha, Im alpha, Re beta, Im beta) and each entry of
+# U (x) conj(U) is bilinear. Summed over paths, the superoperator is
+# therefore a fixed linear image of the real 4x4 Gram matrix sum_p r_p r_p^T:
+# vec(S) = _GRAM_TO_SUPEROP @ vec(G).
+_SU2_ENTRIES = np.array([[[1, 1j, 0, 0], [0, 0, -1, 1j]],
+                         [[0, 0, 1, 1j], [1, -1j, 0, 0]]])
 _GRAM_TO_SUPEROP = np.einsum("abi,cdj->acbdij", _SU2_ENTRIES,
                              _SU2_ENTRIES.conj()).reshape(16, 16)
 
 
-def _quat_mul(a, b):
-    """Hamilton product a b of quaternion arrays stacked on axis 0."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
-                     aw * bx + ax * bw + ay * bz - az * by,
-                     aw * by + ay * bw + az * bx - ax * bz,
-                     aw * bz + az * bw + ax * by - ay * bx])
+def _su2_mul(a, b):
+    """Product a b of SU(2) elements given as Cayley-Klein pairs (alpha, beta)."""
+    return a[0] * b[0] - a[1].conj() * b[1], a[1] * b[0] + a[0].conj() * b[1]
 
 
 def _su2_segment(v, dt_sub):
     """Time-ordered product of exp(-i v_j . sigma dt_sub) over axis 1 of v (3, m, P).
 
-    Each step is the quaternion (cos t, sin(t) v / |v|) with t = |v| dt_sub;
-    the m steps are multiplied pairwise, later steps on the left.
+    Each step is the pair (cos t - i s v_z, s v_y - i s v_x) with
+    t = |v| dt_sub and s = sin(t) / |v|; the m steps are multiplied
+    pairwise, later steps on the left.
     """
     norm = np.sqrt(np.einsum("kjp,kjp->jp", v, v))
     theta = norm * dt_sub
-    q = np.empty((4,) + norm.shape)
-    np.cos(theta, out=q[0])
     s = np.sin(theta)
     np.divide(s, norm, out=s, where=norm > 0)  # where norm = 0, v = 0 as well
-    np.multiply(v, s, out=q[1:])
-    while q.shape[1] > 1:
-        m = q.shape[1]
-        pairs = _quat_mul(q[:, 1::2], q[:, 0:m - 1:2])
-        q = np.concatenate([pairs, q[:, m - 1:]], axis=1) if m % 2 else pairs
-    return q[:, 0]
+    alpha, beta = np.cos(theta) - 1j * (s * v[2]), s * v[1] - 1j * (s * v[0])
+    while alpha.shape[0] > 1:
+        m = alpha.shape[0]
+        pairs = _su2_mul((alpha[1::2], beta[1::2]), (alpha[0:m - 1:2], beta[0:m - 1:2]))
+        if m % 2:
+            pairs = [np.concatenate([x, y[m - 1:]]) for x, y in zip(pairs, (alpha, beta))]
+        alpha, beta = pairs
+    return alpha[0], beta[0]
 
 
 def _mm(a, b):
@@ -183,10 +182,11 @@ def _chunk_map_sums(model, b, tau, pulses):
     segment's noise integral, and ``tau[k]`` is then the whole segment. The
     model's structure alone picks one of three step kernels: a diagonal model
     scales the rows of its (d, d, P) propagators by one phase factor per
-    segment, any other qubit multiplies unit quaternions, and any other model
-    carries its (d, d, P) propagators with the path axis last, multiplied by
-    one :func:`_expm_paths` step per substep. Each step is unitary to
-    rounding, so the summed maps stay trace preserving. ``pulses`` holds one
+    segment, any other qubit multiplies Cayley-Klein pairs (alpha, beta) of
+    SU(2), and any other model carries its (d, d, P) propagators with the
+    path axis last, multiplied by one :func:`_expm_paths` step per substep.
+    Each step is unitary to rounding, so the summed maps stay trace
+    preserving. ``pulses`` holds one
     unitary or None per segment, applied at its end and included in its sum.
     """
     d = model.dim
@@ -199,22 +199,20 @@ def _chunk_map_sums(model, b, tau, pulses):
         ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
         pv = 0.5 * np.real(ops @ _B.conj())[:, 1:]
         v_sys, v_coup = pv[0], pv[1:]
-        # a pulse c0 I + c . sigma = e^{i phi} (w I - i (x, y, z) . sigma) has
-        # (c0, i c) = e^{i phi} (w, x, y, z) and det = e^{2 i phi}; the sign the
-        # square root leaves open flips q, which leaves q q^T unchanged
-        quats = [None if p is None else np.real(np.array([0.5, 0.5j, 0.5j, 0.5j])
-                                                * (vec(p) @ _B.conj()) / np.sqrt(np.linalg.det(p)))
-                 for p in pulses]
-        q_cum = np.zeros((4, n_paths))
-        q_cum[0] = 1.0
+        # a pulse p = e^{i phi} U has det p = e^{2 i phi}, so its first column
+        # over sqrt(det p) is U's pair; the sign the root leaves open flips
+        # both entries, which leaves r r^T unchanged
+        pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(np.linalg.det(p)) for p in pulses]
+        alpha, beta = np.ones(n_paths, dtype=complex), np.zeros(n_paths, dtype=complex)
         grams = np.empty((n_seg, 4, 4))
         for k in range(n_seg):
             v = np.einsum("ak,paj->kjp", v_coup, b[:, :, k])
             v += v_sys[:, None, None]
-            q_cum = _quat_mul(_su2_segment(v, tau[k]), q_cum)
-            if quats[k] is not None:
-                q_cum = _quat_mul(quats[k], q_cum)
-            grams[k] = q_cum @ q_cum.T
+            alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
+            if pulse_pairs[k] is not None:
+                alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
+            r = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
+            grams[k] = r @ r.T
         return (grams.reshape(n_seg, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_seg, 4, 4)
 
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()

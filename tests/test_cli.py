@@ -544,6 +544,18 @@ def test_spectroscopy_input_and_inputs_together_are_config_error(tmp_path, capsy
     assert not (tmp_path / "correlation.csv").exists()
 
 
+@pytest.mark.parametrize("entry,message", [(5, "expected a string, got 5"),
+                                           (None, "is required")], ids=["number", "null"])
+def test_spectroscopy_inputs_entry_errors_name_the_entry(tmp_path, capsys, entry, message):
+    # these used to name a field 'input' that the config does not have
+    cfg_path = _spectroscopy_cfg(tmp_path, inputs=["maps_a.json", entry], gammas=[1.0, 0.5])
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field 'inputs[1]'" in err and message in err
+    assert "'input'" not in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
 def test_spectroscopy_reference_bias_is_stated_once(tmp_path, capsys):
     # system.biases[0] scales every run's Liouvillian, and protocol_biases[0]
     # is the same reference bias: 0.7 against 0.5 used to give max |C| = 1.2

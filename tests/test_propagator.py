@@ -1,5 +1,7 @@
 """Trajectory evolution, Monte Carlo process maps, closed-form dephasing."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -141,7 +143,7 @@ def _random_unitary(d, rng):
 
 
 def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
-    # a transverse qubit (quaternion kernel), a non-diagonal pair and a
+    # a transverse qubit (Cayley-Klein SU(2) kernel), a non-diagonal pair and a
     # strongly driven qutrit whose steps take several squarings (Taylor
     # kernel) against per-step expm products applied to rho0
     rng = np.random.default_rng(17)
@@ -398,8 +400,38 @@ def test_su2_kernel_matches_per_path_expm_products():
                             rtol=0, atol=1e-12)
 
 
+def test_su2_kernel_takes_a_zero_step_vector_as_the_identity():
+    # h_system proportional to I and an all-zero path give |v| = 0 at every
+    # substep, where sin(t) / |v| is never formed: that path's map is the
+    # identity, with no divide warning, while a noisy path beside it still
+    # matches its expm products
+    model = SystemModel(h_system=0.7 * np.eye(2), couplings=(SIGMA_X,),
+                        noise=NoiseModel.single(1.0, 1.0))
+    b = np.zeros((2, 1, 3, 4))
+    b[1] = np.random.default_rng(4).normal(size=(1, 3, 4))
+    tau = np.array([0.1, 0.2, 0.05])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        still = _chunk_map_sums(model, b[:1], tau, [None] * 3)
+        both = _chunk_map_sums(model, b, tau, [None] * 3)
+    npt.assert_array_equal(still, np.broadcast_to(np.eye(4), still.shape))
+    npt.assert_allclose(both, _expm_map_sums(model, b, tau, [None] * 3), rtol=0, atol=1e-12)
+
+
+def test_long_su2_products_stay_trace_preserving():
+    # one segment of 1024 substeps (ten levels of pairwise products) and 200
+    # segments of 3 (the odd tail at every segment, 200 cumulative products):
+    # each step is unitary to rounding, so no map drifts off trace preservation
+    model = transverse_noise_model()
+    rng = np.random.default_rng(6)
+    for n_seg, substeps in ((1, 1024), (200, 3)):
+        b = rng.normal(scale=2.0, size=(64, 1, n_seg, substeps))
+        maps = _chunk_map_sums(model, b, np.full(n_seg, 0.01), [None] * n_seg) / 64
+        assert max(trace_preservation_defect(sop) for sop in maps) < 1e-12
+
+
 def test_pulsed_kernels_match_per_path_expm_products():
-    # a transverse qubit (quaternion kernel), a non-diagonal pair (Taylor
+    # a transverse qubit (Cayley-Klein SU(2) kernel), a non-diagonal pair (Taylor
     # kernel) and two diagonal models (phase kernel): a biased z qubit with two
     # cross-correlated z channels and a pair with zz and per-qubit biases,
     # each also run without pulses. Odd and even substep counts, a different
