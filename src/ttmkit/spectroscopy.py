@@ -19,8 +19,7 @@ __all__ = [
 ]
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-# Huber knee of the continuity term and iteration cap of the reweighted solve
-_KNEE = 1e-6
+# sweep cap of the coordinate-descent solve
 _MAX_ITER = 60
 
 
@@ -69,52 +68,37 @@ def _k2_stack(corr, left, right):
 
 
 def _solve_one(a_mat, b_vec, lam, c_prev):
-    # minimize |A c - b|_2 + lam * sum_i |c_i - c_prev_i| over real c,
-    # by iteratively reweighted least squares with a Huber knee on both terms.
-    # Returns (c, residual, iterations, shift); shift is the last update's size
-    # when the loop hit _MAX_ITER unconverged, else None.
+    # minimize |A c - b|_2 + lam * sum_i |c_i - c_prev_i| over real c, exactly:
+    # each update minimizes |a c - r|_2 + lam |c - p| over one coordinate in
+    # closed form, so one channel needs one update and more sweep to a fixed
+    # point (coordinate descent, Tseng, J. Optim. Theory Appl. 109, 475 (2001)).
+    # Returns (c, residual, sweeps, shift); shift is the last sweep's largest
+    # move when the loop hit _MAX_ITER unconverged, else None.
     if lam == 0:
         c, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
         return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1, None
-    eps_data = 1e-12 * max(1.0, float(np.linalg.norm(b_vec)))
-    ata = a_mat.T @ a_mat
-    atb = a_mat.T @ b_vec
-    if a_mat.shape[1] == 1:
-        c, iters, shift = _irls_scalar(a_mat[:, 0], b_vec, lam, float(c_prev[0]),
-                                       float(ata[0, 0]), float(atb[0]), eps_data)
-        c = np.array([c])
-    else:
-        c = c_prev.copy()
-        for iters in range(1, _MAX_ITER + 1):
-            r = float(np.linalg.norm(a_mat @ c - b_vec))
-            w_data = 1.0 / max(r, eps_data)
-            w_reg = lam / np.maximum(np.abs(c - c_prev), _KNEE)
-            lhs = w_data * ata + np.diag(w_reg)
-            rhs = w_data * atb + w_reg * c_prev
-            c_new = np.linalg.solve(lhs, rhs)
-            shift = float(np.max(np.abs(c_new - c)))
-            c = c_new
-            if shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-                shift = None
-                break
-    return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters, shift
-
-
-def _irls_scalar(a, b, lam, c_prev, ata, atb, eps_data):
-    # the loop of _solve_one for one channel, on Python floats; each step rounds
-    # as the matrix loop's does (norm is sqrt(x.dot(x)), a 1x1 solve is one
-    # division), so the iterates are bit-identical
-    c = c_prev
-    for iters in range(1, _MAX_ITER + 1):
-        x = a * c - b
-        w_data = 1.0 / max(math.sqrt(x.dot(x)), eps_data)
-        w_reg = lam / max(abs(c - c_prev), _KNEE)
-        c_new = (w_data * atb + w_reg * c_prev) / (w_data * ata + w_reg)
-        shift = abs(c_new - c)
-        c = c_new
-        if shift < 1e-12 * max(1.0, abs(c)):
-            return c, iters, None
-    return c, iters, shift
+    col_sq = [float(a.dot(a)) for a in a_mat.T]  # summed as a.dot(r) is below
+    c = c_prev.copy()
+    for sweep in range(1, _MAX_ITER + 1):
+        shift = 0.0
+        for i, (a, aa) in enumerate(zip(a_mat.T, col_sq)):
+            p = float(c_prev[i])
+            new = p
+            if lam * lam < aa:  # else the weight pins c_i to p for any target
+                others = c.copy()
+                others[i] = 0.0
+                r = b_vec - a_mat @ others
+                c_star = float(a.dot(r)) / aa
+                r0 = float(np.linalg.norm(a * c_star - r))
+                # the minimiser lies this far from c_star towards p, or at p
+                step = lam * r0 / math.sqrt(aa * (aa - lam * lam))
+                if step < abs(c_star - p):
+                    new = c_star - math.copysign(step, c_star - p)
+            shift = max(shift, abs(new - c[i]))
+            c[i] = new
+        if a_mat.shape[1] == 1 or shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+            return c, float(np.linalg.norm(a_mat @ c - b_vec)), sweep, None
+    return c, float(np.linalg.norm(a_mat @ c - b_vec)), _MAX_ITER, shift
 
 
 def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
@@ -122,9 +106,11 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
 
     Solves, sequentially in n, min_C |K2(t_n; C) - K_exp(t_n)|_F
     + lambda_n * sum over active channels of |C(t_n) - C(t_{n-1})|,
-    warm-starting each point at the previous solution. The continuity
-    term uses a Huber knee so it stays differentiable near zero. The model
-    is the second-order kernel
+    warm-starting each point at the previous solution. Each point is solved
+    exactly: one channel in closed form, two or more by coordinate descent
+    with the same closed-form update per channel, for at most 60 sweeps (a
+    point that stops there unconverged warns). The model is the
+    second-order kernel
 
         K2(t) = -sum_{aa'} [sigma^a, C_{aa'}(t) sigma^{a'}(t) (.)
                             - C*_{aa'}(t) (.) sigma^{a'}(t)]
@@ -150,7 +136,8 @@ def fit_correlations(kernels, hs, dt, active=(("z", "z"),), lambdas=None):
     -------
     CorrelationSeries
         On the grid t_n = n dt, n = 0..K-1. The fit solves over real C, so
-        the values are real classical correlations.
+        the values are real classical correlations. ``iterations`` counts
+        each point's sweeps: 1 for one channel and at point 0.
     """
     kernels = [np.asarray(k, dtype=complex) for k in kernels]
     n_points = len(kernels)
@@ -199,24 +186,14 @@ def spectral_density(series, channel=("z", "z")):
 
     S(w) = dt * sum_n C(t_n) e^{i w t_n} over the two-sided extension
     C_ab(-t) = C_ba(t) (Wiener-Khinchin convention) of the grid t_n = n dt
-    that starts at t = 0, zero-padded to four times its length plus one. A
-    plain array input is C(t_n) itself, with dt as the second argument.
-    Returns (omega, s) with omega ascending and s real.
+    that starts at t = 0, zero-padded to four times its length plus one.
+    A channel whose transpose is inactive is mirrored onto itself. Returns
+    (omega, s) with omega ascending and s real.
     """
-    if isinstance(series, CorrelationSeries):
-        a, b = channel
-        fwd = series.channel(a, b)
-        rev = series.channel(b, a)
-        if not series.active[_AXES[b], _AXES[a]]:
-            rev = fwd
-        dt = series.dt
-    else:
-        fwd = np.asarray(series, dtype=complex)
-        rev = fwd
-        dt = channel if np.isscalar(channel) else None
-        if dt is None:
-            raise ValueError("pass dt as the second argument for plain arrays")
-
+    a, b = channel
+    fwd = series.channel(a, b)
+    rev = series.channel(b, a) if series.active[_AXES[b], _AXES[a]] else fwd
+    dt = series.dt
     k = len(fwd)
     full = np.concatenate([rev[1:][::-1], fwd])
     n_pad = 4 * (2 * k - 1) + 1  # odd grid keeps +w/-w in exact pairs

@@ -6,8 +6,10 @@ library is checked against independent constructions, not against itself.
 """
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+from ttmkit import spectroscopy
 from ttmkit.liouville import commutator_superop, left_multiply, right_multiply
 
 
@@ -114,3 +116,68 @@ def is_density_matrix(rho, tol=1e-9):
 
 def map_distance(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def fit_objective(a_mat, b_vec, lam, c_prev, c):
+    """The correlation fit's point objective |A c - b|_2 + lam sum_i |c_i - c_prev_i|."""
+    return float(np.linalg.norm(a_mat @ c - b_vec) + lam * np.sum(np.abs(c - c_prev)))
+
+
+def one_channel_minimum(a_mat, b_vec, lam, c_prev, steps=200):
+    """Brute-force minimum of the one-column fit objective by golden-section search.
+
+    The objective is convex in c, so the search needs no derivative and
+    kinks are no obstacle. The minimiser lies within |c_prev| + |b|/|a| of
+    c_prev, since it sits between c_prev and the least-squares value; the
+    bracket is twice that, and 200 steps shrink it far below one ulp.
+    """
+    def f(c):
+        return fit_objective(a_mat, b_vec, lam, c_prev, np.array([c]))
+
+    p = float(c_prev[0])
+    half = 2.0 * (abs(p) + np.linalg.norm(b_vec) / np.linalg.norm(a_mat)) + 1.0
+    lo, hi = p - half, p + half
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = min(f(p), f1, f2)
+    for _ in range(steps):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+        best = min(best, f1, f2)
+    return best
+
+
+def fit_kkt_violation(a_mat, b_vec, lam, c_prev, c):
+    """Largest violation of the fit's optimality conditions, in units of lam.
+
+    With g = A^T (A c - b) / |A c - b|, the gradient of the data term, a
+    channel moved off its warm start needs g_i = -lam sign(c_i - c_prev_i)
+    and a channel left there needs |g_i| <= lam.
+    """
+    x = a_mat @ c - b_vec
+    g = a_mat.T @ x / np.linalg.norm(x)
+    moved = c != c_prev
+    gap = np.where(moved, np.abs(g + lam * np.sign(c - c_prev)), np.abs(g) - lam)
+    return float(max(np.max(gap), 0.0)) / lam
+
+
+@pytest.fixture
+def fit_solves(monkeypatch):
+    """Every point solve of fit_correlations, as (a_mat, b_vec, lam, c_prev, c)."""
+    solve = spectroscopy._solve_one
+    calls = []
+
+    def recording(a_mat, b_vec, lam, c_prev):
+        out = solve(a_mat, b_vec, lam, c_prev)
+        calls.append((a_mat, b_vec, lam, c_prev, out[0]))
+        return out
+
+    monkeypatch.setattr(spectroscopy, "_solve_one", recording)
+    return calls

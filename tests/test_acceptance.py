@@ -30,7 +30,7 @@ from ttmkit.presets import (
 )
 from ttmkit.propagator import dephasing_map_series, simulate_process
 from ttmkit.qpt import reconstruct_maps, simulate_qpt
-from ttmkit.spectroscopy import spectral_density
+from ttmkit.spectroscopy import CorrelationSeries, spectral_density
 from ttmkit.ttm import build_ttms, norm_profile, predict_maps, predict_states
 
 from conftest import dephasing_coherence, random_cptp, random_lindblad_step
@@ -306,8 +306,11 @@ def test_criterion_12_spectral_identities():
     t0 = time.perf_counter()
     lam, kappa, dt, k = 1.0, 1.0, 0.02, 500
     noise = NoiseModel.single(lam, kappa, 0.0)
-    c = noise.correlation_entry(0, 0, dt * np.arange(k))
-    omega, s = spectral_density(c.real, dt)
+    values = np.zeros((k, 3, 3), dtype=complex)
+    values[:, 2, 2] = noise.correlation_entry(0, 0, dt * np.arange(k)).real
+    active = np.zeros((3, 3), dtype=bool)
+    active[2, 2] = True
+    omega, s = spectral_density(CorrelationSeries(dt, values, active), ("z", "z"))
 
     s_true = 2.0 * lam * kappa / (kappa ** 2 + omega ** 2)
     mask = np.abs(omega) <= 10.0

@@ -27,6 +27,8 @@ from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
 from ttmkit.io import write_qpt_csv
 
+from conftest import fit_kkt_violation, fit_objective, one_channel_minimum
+
 
 def _sim_cfg(**over):
     cfg = {
@@ -542,6 +544,52 @@ def test_spectroscopy_input_and_inputs_together_are_config_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert "config error" in err and "'input'" in err and "'inputs'" in err
     assert not (tmp_path / "correlation.csv").exists()
+
+
+def _fit_through_main(tmp_path, sim, **spec):
+    """Simulate maps, then fit them, both through main; returns the fit report's fields."""
+    sim_path = _write_cfg(tmp_path, sim, "sim.json")
+    assert main(["run", "--config", sim_path, "--out-dir", str(tmp_path)]) == 0
+    spec_path = _write_cfg(tmp_path, {"mode": "spectroscopy", "system": sim["system"],
+                                      "noise": sim["noise"], **spec}, "spec.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", spec_path, "--out-dir", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    lines = (tmp_path / "fit_report.txt").read_text().splitlines()
+    return dict(line.split(" = ") for line in lines if " = " in line)
+
+
+def test_spectroscopy_one_channel_fit_reaches_the_minimum_on_a_large_kernel(tmp_path,
+                                                                            fit_solves):
+    # one run claimed at two noise strengths: the combined kernels are about 5x
+    # the maps' own, the continuity weight nearly cancels the data slope, and
+    # the reweighted solve used to stop points 1-5 at its cap, residuals up to 15.8
+    sim = _sim_cfg(grid={"dt": 0.2, "n_steps": 6}, sampling={"n_traj": 256, "seed": 3})
+    report = _fit_through_main(tmp_path, sim, inputs=["maps.json", "maps.json"],
+                               gammas=[1.0, 0.5])
+    assert report["iterations"] == "1 1 1 1 1 1"
+    assert len(fit_solves) == 6
+    for a_mat, b_vec, lam, c_prev, c in fit_solves[1:]:
+        got = fit_objective(a_mat, b_vec, lam, c_prev, c)
+        want = one_channel_minimum(a_mat, b_vec, lam, c_prev)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_spectroscopy_two_channel_fit_meets_its_optimality_conditions(tmp_path, fit_solves):
+    # x noise fitted on the xx and zz channels: the reweighted solve used to
+    # stop point 11 at its cap, after leaving point 10 0.55 lam off its
+    # optimality conditions
+    sim = _sim_cfg(system={"n_qubits": 1, "biases": [0.5],
+                           "channels": [{"axis": "x", "qubit": 1}]},
+                   noise={"variances": [0.05], "decay_rates": [1.0]},
+                   grid={"dt": 0.1, "n_steps": 12},
+                   sampling={"n_traj": 256, "seed": 6, "antithetic": True,
+                             "control_variate": True})
+    _fit_through_main(tmp_path, sim, input="maps.json", channels=[["x", "x"], ["z", "z"]])
+    assert len(fit_solves) == 12
+    for a_mat, b_vec, lam, c_prev, c in fit_solves[1:]:
+        assert fit_kkt_violation(a_mat, b_vec, lam, c_prev, c) <= 1e-7
 
 
 @pytest.mark.parametrize("entry,message", [(5, "expected a string, got 5"),

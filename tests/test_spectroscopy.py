@@ -24,7 +24,7 @@ from ttmkit.spectroscopy import (
 
 from ttmkit.ttm import build_ttms, extract_kernel
 
-from conftest import ou_correlation
+from conftest import fit_objective, one_channel_minimum, ou_correlation
 
 
 def _k2_written_out(corr, hs, t):
@@ -150,71 +150,74 @@ def test_default_regularizer_stays_close_on_consistent_data():
     assert np.all(fit.iterations >= 1)
 
 
-def _solve_one_matrix_loop(a_mat, b_vec, lam, c_prev):
-    """Reference: the reweighted loop on matrices, as run for any channel count."""
-    if lam == 0:
-        c, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        return c, float(np.linalg.norm(a_mat @ c - b_vec)), 1
-    eps_data = 1e-12 * max(1.0, float(np.linalg.norm(b_vec)))
-    c = c_prev.copy()
-    ata = a_mat.T @ a_mat
-    atb = a_mat.T @ b_vec
-    for iters in range(1, spectroscopy._MAX_ITER + 1):
-        r = float(np.linalg.norm(a_mat @ c - b_vec))
-        w_data = 1.0 / max(r, eps_data)
-        w_reg = lam / np.maximum(np.abs(c - c_prev), spectroscopy._KNEE)
-        lhs = w_data * ata + np.diag(w_reg)
-        rhs = w_data * atb + w_reg * c_prev
-        c_new = np.linalg.solve(lhs, rhs)
-        shift = float(np.max(np.abs(c_new - c)))
-        c = c_new
-        if shift < 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-            break
-    return c, float(np.linalg.norm(a_mat @ c - b_vec)), iters
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
-def test_one_channel_solve_matches_matrix_loop_bit_for_bit(scale):
+def _one_channel_cases(scale):
+    """(a_mat, b_vec, lam, c_prev, exact c or None): draws at one scale, then corners."""
     rng = np.random.default_rng(41)
     for _ in range(40):
         a_mat = scale * rng.normal(size=(32, 1))
         c_true = rng.normal(size=1)
         b_vec = a_mat[:, 0] * c_true + 0.1 * scale * rng.normal(size=32)
-        c_prev = c_true + rng.normal(size=1)
         lam = float(scale * 10.0 ** rng.uniform(-3, 1))
-        got = _solve_one(a_mat, b_vec, lam, c_prev)
-        want = _solve_one_matrix_loop(a_mat, b_vec, lam, c_prev)
-        npt.assert_array_equal(got[0], want[0])
-        assert got[1:3] == want[1:]
+        yield a_mat, b_vec, lam, c_true + rng.normal(size=1), None
+    a_mat = scale * rng.normal(size=(32, 1))
+    norm = float(np.linalg.norm(a_mat))
+    noisy = 0.5 * a_mat[:, 0] + 0.1 * scale * rng.normal(size=32)
+    exact = 0.5 * a_mat[:, 0]  # halving is exact, so r0 = 0 exactly
+    c_prev = np.array([-0.3])
+    # lam^2 >= |a|^2 pins c to its warm start whatever b is; below that a
+    # noiseless target is met exactly
+    yield a_mat, noisy, 1.5 * norm, c_prev, -0.3
+    yield a_mat, exact, 1.5 * norm, c_prev, -0.3
+    yield a_mat, noisy, 0.2 * norm, c_prev, None
+    yield a_mat, exact, 0.2 * norm, c_prev, 0.5
 
 
-def test_one_channel_fit_matches_matrix_loop_on_dephasing_kernels(monkeypatch):
-    # closed-form dephasing maps -> transfer tensors -> kernels -> regularized fit
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3])
+def test_one_channel_solve_is_the_brute_force_minimum(scale):
+    # one closed-form update solves |a c - b|_2 + lam |c - c_prev| exactly
+    for a_mat, b_vec, lam, c_prev, exact_c in _one_channel_cases(scale):
+        c, res, sweeps, shift = _solve_one(a_mat, b_vec, lam, c_prev)
+        assert sweeps == 1 and shift is None
+        assert res == np.linalg.norm(a_mat @ c - b_vec)
+        got = fit_objective(a_mat, b_vec, lam, c_prev, c)
+        want = one_channel_minimum(a_mat, b_vec, lam, c_prev)
+        assert abs(got - want) <= 1e-12 * want
+        if exact_c is not None:
+            assert c[0] == exact_c
+
+
+def test_one_channel_fit_is_the_brute_force_minimum_on_dephasing_kernels(fit_solves):
+    # closed-form dephasing maps -> transfer tensors -> kernels -> regularized
+    # fit; every point sits at the minimum from its own warm start
     model = weak_dephasing_model(1.0)
     dt = 0.04
     tensors = build_ttms(dephasing_map_series(model, dt, 18))
     kernels = extract_kernel(tensors, hamiltonian_liouvillian(model.h_system), dt)
-    got = fit_correlations(kernels, model.h_system, dt)
-    monkeypatch.setattr(spectroscopy, "_solve_one",
-                        lambda *args: (*_solve_one_matrix_loop(*args), None))
-    want = fit_correlations(kernels, model.h_system, dt)
-    assert np.all(want.iterations[1:] > 1)
-    npt.assert_array_equal(got.values, want.values)
-    npt.assert_array_equal(got.residuals, want.residuals)
-    npt.assert_array_equal(got.iterations, want.iterations)
+    fit = fit_correlations(kernels, model.h_system, dt)
+    npt.assert_array_equal(fit.iterations, 1)
+    assert len(fit_solves) == len(kernels)
+    for a_mat, b_vec, lam, c_prev, c in fit_solves[1:]:
+        got = fit_objective(a_mat, b_vec, lam, c_prev, c)
+        want = one_channel_minimum(a_mat, b_vec, lam, c_prev)
+        assert abs(got - want) <= 1e-12 * want
 
 
-def test_two_channel_regularized_fit_recovers_both_correlations():
-    # the matrix loop: x and z noise at once, default continuity weights
+def _two_channel_kernels(n):
+    """Exact K2 series of x and z OU noise at once, on dt = 0.04."""
     hs = 0.02 * SIGMA_Z
-    dt, n = 0.04, 20
-    times = dt * np.arange(n)
+    times = 0.04 * np.arange(n)
     corr = np.zeros((n, 3, 3), dtype=complex)
     corr[:, 0, 0] = ou_correlation(0.006, 0.5, 0.0, times)
     corr[:, 2, 2] = ou_correlation(0.01, 1.0, 0.0, times)
     # row n of the (n, n) stack pairs C(t_n) with every time; keep t_n alone
     kernels = _k2_stack(corr, *_interaction_superops(hs, times))[np.arange(n), np.arange(n)]
-    fit = fit_correlations(kernels, hs, dt, active=(("x", "x"), ("z", "z")))
+    return kernels, corr, hs
+
+
+def test_two_channel_regularized_fit_recovers_both_correlations():
+    # coordinate descent: x and z noise at once, default continuity weights
+    kernels, corr, hs = _two_channel_kernels(20)
+    fit = fit_correlations(kernels, hs, 0.04, active=(("x", "x"), ("z", "z")))
     for a, idx in (("x", 0), ("z", 2)):
         err = np.max(np.abs(fit.channel(a, a) - corr[:, idx, idx]))
         assert err < 0.02 * corr[0, idx, idx].real, a
@@ -222,19 +225,18 @@ def test_two_channel_regularized_fit_recovers_both_correlations():
 
 
 def test_fit_warns_when_a_point_hits_the_iteration_cap(monkeypatch):
-    hs = 0.02 * SIGMA_Z
-    dt, n = 0.04, 6
-    kernels = _synthetic_kernels(lambda t: ou_correlation(0.01, 1.0, 0.0, t),
-                                 ("z", "z"), hs, dt, n)
+    # only two or more channels iterate, so only they can stop at the cap
+    kernels, _, hs = _two_channel_kernels(6)
+    active = (("x", "x"), ("z", "z"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit_correlations(kernels, hs, dt)  # converges under the shipped cap
+        fit_correlations(kernels, hs, 0.04, active=active)  # converges under the shipped cap
     monkeypatch.setattr(spectroscopy, "_MAX_ITER", 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_correlations(kernels, hs, dt)
+        fit = fit_correlations(kernels, hs, 0.04, active=active)
     npt.assert_array_equal(fit.iterations, [1, 2, 2, 2, 2, 2])
-    assert len(caught) == n - 1
+    assert len(caught) == len(kernels) - 1
     for point, w in enumerate(caught, start=1):
         assert re.fullmatch(rf"correlation fit at point {point} stopped at shift "
                             r"\d\.\d{3}e-\d+ after 2 iterations", str(w.message))
@@ -277,26 +279,20 @@ def test_spectral_density_lorentzian_recovery():
 
 def test_spectral_density_mirrors_a_channel_whose_transpose_is_inactive():
     # only (x, z) is active, so C_xz(-t) = C_zx(t) is unknown and the
-    # channel is mirrored onto itself, as a plain array is
+    # channel is mirrored onto itself, as (z, x) is when both are active
+    # and hold the same values
     dt, n = 0.05, 120
     values = np.zeros((n, 3, 3), dtype=complex)
     values[:, 0, 2] = ou_correlation(1.0, 2.0, 0.0, dt * np.arange(n))
     active = np.zeros((3, 3), dtype=bool)
     active[0, 2] = True
     omega, s = spectral_density(CorrelationSeries(dt, values, active), ("x", "z"))
-    omega_plain, s_plain = spectral_density(values[:, 0, 2], dt)
-    npt.assert_array_equal(omega, omega_plain)
-    npt.assert_array_equal(s, s_plain)
-
-
-def test_spectral_density_plain_array_input():
-    dt, n = 0.05, 120
-    c = ou_correlation(1.0, 2.0, 0.0, dt * np.arange(n))
-    omega, s = spectral_density(c, dt)
-    assert omega.shape == s.shape
+    values[:, 2, 0] = values[:, 0, 2]
+    active[2, 0] = True
+    omega_both, s_both = spectral_density(CorrelationSeries(dt, values, active), ("x", "z"))
+    npt.assert_array_equal(omega, omega_both)
+    npt.assert_array_equal(s, s_both)
     assert abs(s[np.argmin(np.abs(omega))] - 2.0 * 1.0 / 2.0) < 0.05
-    with pytest.raises(ValueError, match="dt"):
-        spectral_density(c, None)
 
 
 def test_spectral_density_guards():
