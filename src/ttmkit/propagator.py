@@ -32,15 +32,23 @@ Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
 sequence n_cycles times over. It owns the midpoint grid, the sampler, the
 seeded chunk loop with its antithetic pairs, chunk means and control variate.
+An antithetic run whose model some Pauli string P maps onto its mirror
+(P h_system P = h_system, P c P = -c for every coupling; see :func:`_mirror`)
+propagates only the drawn half of each chunk: U(-B) = P U(B) P, so the
+mirrored half's sum is Pi S Pi^H of the drawn half's sum S, with
+Pi = P (x) conj(P). The transverse qubit, unbiased z noise and x noise on an
+unbiased pair have such a P; other models, and pulsed runs, which are never
+antithetic, propagate every path.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import _B, _free_superops, commutator_superop, vec
+from .liouville import _B, _free_superops, commutator_superop, pauli_string, unitary_superop, vec
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -286,14 +294,36 @@ def _cv_corrections(model, g, bbar, delta_m, n_seg, dt):
     return _free_superops(model.h_system, dt * np.arange(1, n_seg + 1)) @ acc[substeps - 1::substeps]
 
 
+def _mirror(model):
+    """Pi = P (x) conj(P) for a Pauli string P that fixes h_system and flips every coupling.
+
+    Then H(-B) = P H(B) P, so the mirrored path's propagator is
+    U(-B) = P U(B) P and its map term is Pi (U (x) conj(U)) Pi^H: the sum
+    of an antithetic chunk's mirrors follows from its drawn half's. Only
+    d = 2^n has Pauli strings; None when d is not or no string qualifies.
+    Each qubit tries Z before X before Y, so a diagonal P comes first when
+    one qualifies. P only permutes entries and changes their signs or
+    phases, so the test is exact equality.
+    """
+    n = model.dim.bit_length() - 1
+    if model.dim != 1 << n:
+        return None
+    for label in itertools.islice(itertools.product("IZXY", repeat=n), 1, None):
+        p = pauli_string("".join(label))
+        if np.array_equal(p @ model.h_system @ p, model.h_system) and all(
+                np.array_equal(p @ c @ p, -c) for c in model.couplings):
+            return unitary_superop(p)
+    return None
+
+
 def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
     """Noise draws of an ensemble, chunk by chunk.
 
     Chunk c draws up to ``chunk_size`` paths from its own generator,
     ``SeedSequence((seed, c))``, so a fixed (seed, chunk_size) gives
-    bit-stable draws. With ``antithetic`` every draw is followed by its
-    sign-flipped mirror and n_traj counts both, so it must be even. Yields
-    (draws, paths): the drawn paths and the paths to propagate.
+    bit-stable draws. With ``antithetic`` each chunk's draws stand for
+    themselves and their sign-flipped mirrors, and n_traj counts both, so
+    it must be even and a chunk holds up to ``chunk_size`` draws.
     """
     _check_counts(chunk_size=chunk_size)
     if antithetic and n_traj % 2:
@@ -301,8 +331,7 @@ def _chunks(sampler, n_traj, seed, chunk_size, antithetic=False):
     n_draw = n_traj // 2 if antithetic else n_traj
     for chunk_idx, done in enumerate(range(0, n_draw, chunk_size)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_idx))))
-        draws = sampler.sample(rng, min(chunk_size, n_draw - done))
-        yield draws, np.concatenate([draws, -draws], axis=0) if antithetic else draws
+        yield sampler.sample(rng, min(chunk_size, n_draw - done))
 
 
 def _check_counts(**counts):
@@ -341,8 +370,12 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
     sum_b, sum_gram = np.zeros(n_flat), np.zeros((n_flat, n_flat))
     acc = np.zeros((n_seg, d * d, d * d), dtype=complex)
     chunk_means = []
-    for draws, b in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
+    mirror = _mirror(model) if antithetic else None
+    for draws in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
+        b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
         contrib = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, -1)), tau, pulses)
+        if mirror is not None:
+            contrib += mirror @ contrib @ mirror.conj().T
         acc += contrib
         if control_variate:
             # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
@@ -351,7 +384,7 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
             if not antithetic:
                 sum_b += flat.sum(axis=0)
         if collect_chunk_means:
-            chunk_means.append(contrib / b.shape[0])
+            chunk_means.append(contrib / (2 * len(draws) if antithetic else len(draws)))
 
     maps = acc / n_traj
     if control_variate:
@@ -393,6 +426,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     antithetic : bool
         Pair every path with its sign-flipped noise. Exact variance kill
         for observables odd in B, typically large gains for weak coupling.
+        When a Pauli string P fixes h_system and flips every coupling, the
+        mirrored paths are not propagated: their maps are those of the
+        drawn paths conjugated by P, equal to rounding.
     collect_chunk_means : bool
         Also return the per-chunk map means, shaped
         (n_chunks, n_steps, d^2, d^2), for Monte Carlo error estimates.

@@ -5,9 +5,13 @@ Lindblad exponentials, direct quadrature of correlation functions) so the
 library is checked against independent constructions, not against itself.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from ttmkit import spectroscopy
 from ttmkit.liouville import commutator_superop, left_multiply, right_multiply
@@ -104,6 +108,67 @@ def toggled_variance(signs, seg, lam, kappa):
             cross = lam * np.exp(-kappa * gap) * grow * shrink / kappa**2
             var += 2.0 * signs[j] * signs[k] * cross * np.exp(-kappa * seg)
     return 4.0 * var
+
+
+def ou_map_series(model, dt, n_steps, levels):
+    """Exact ensemble maps at dt, 2 dt, ..., n_steps dt under Ornstein-Uhlenbeck noise.
+
+    For channels with C_ab(tau) = cross[a, b] exp(-kappa_ab |tau|) (every
+    omega zero), write the noise as independent OU modes xi_i of variance
+    s_i^2 and rate k_i, coupled through V_i. Kubo's stochastic Liouville
+    equation, expanded in the Hermite functions of every xi_i, is the
+    hierarchy
+
+        d rho_m/dt = L_s rho_m - (k . m) rho_m
+                     - i sum_i s_i (sqrt(m_i) [V_i, rho_{m - e_i}]
+                                    + sqrt(m_i + 1) [V_i, rho_{m + e_i}]),
+
+    with rho_m(0) = delta_{m0} rho(0) and the averaged state rho_0 (Kubo,
+    J. Math. Phys. 4, 174 (1963); Tanimura, J. Phys. Soc. Jpn. 75, 082001
+    (2006)). It keeps the multi-indices of total order |m| <= ``levels``,
+    and map k is the (0, 0) block of the k-th power of the exponential of
+    its generator over dt. The generator is sparse and applied by
+    ``expm_multiply``: a dense ``expm`` of two modes at 32 levels (side
+    8976 for a pair) would need gigabytes. A diagonal ``cross`` gives one
+    mode per channel; equal kappas rotate ``cross`` to its eigenmodes,
+    V_i = sum_a v_ai c_a, dropping null ones. Any other noise is rejected.
+    """
+    noise = model.noise
+    kappas = np.array(noise.kappas)
+    if any(noise.omegas):
+        raise ValueError("OU hierarchy needs omega = 0 on every channel")
+    if np.array_equal(noise.cross, np.diag(np.diag(noise.cross))):
+        var, vecs = np.diag(noise.cross), np.eye(kappas.size)
+    elif np.all(kappas == kappas[0]):
+        var, vecs = np.linalg.eigh(noise.cross)
+    else:
+        raise ValueError("OU hierarchy needs a diagonal cross matrix or equal kappas")
+    if var.min() < -1e-12 * var.max():
+        raise ValueError("cross matrix is not positive semidefinite")
+    modes = [i for i in range(var.size) if var[i] > 1e-12 * var.max()]
+    comms = [np.sqrt(var[i]) * commutator_superop(
+        sum(vecs[a, i] * c for a, c in enumerate(model.couplings))) for i in modes]
+    rates = kappas[modes]
+    index = {m: j for j, m in enumerate(
+        m for m in itertools.product(range(levels + 1), repeat=len(modes)) if sum(m) <= levels)}
+    d2 = model.dim ** 2
+    ls = -1.0j * commutator_superop(model.h_system)
+    blocks = [[None] * len(index) for _ in index]
+    for m, j in index.items():
+        blocks[j][j] = ls - (rates @ m) * np.eye(d2)
+        for i, comm in enumerate(comms):
+            for shift, weight in ((-1, np.sqrt(m[i])), (1, np.sqrt(m[i] + 1))):
+                k = index.get(m[:i] + (m[i] + shift,) + m[i + 1:])
+                if k is not None:
+                    blocks[j][k] = -1.0j * weight * comm
+    gen = sparse.bmat(blocks, format="csr") * dt
+    x = np.zeros((gen.shape[0], d2), dtype=complex)
+    x[:d2] = np.eye(d2)
+    maps = []
+    for _ in range(n_steps):
+        x = expm_multiply(gen, x)
+        maps.append(x[:d2])
+    return maps
 
 
 def is_density_matrix(rho, tol=1e-9):
