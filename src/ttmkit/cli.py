@@ -21,13 +21,11 @@ import numpy as np
 
 from . import io, presets
 from ._version import __version__
-from .liouville import hamiltonian_liouvillian
 from .noisegen import _PSD_TOL, CovarianceCapError, NoiseModel
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
 from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
-from .spectroscopy import combine_scaled_kernels, fit_correlations, spectral_density
-from .ttm import build_ttms, extract_kernel, norm_profile
+from .ttm import build_ttms
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
@@ -250,11 +248,8 @@ def _mode_ttm(cfg, out_dir):
     meta = _meta_for(cfg, out_dir)
     tensors = _stage("ttm", build_ttms, maps)
     out = os.path.join(out_dir, "ttm_norms.csv")
-    io.write_series_csv(out, {
-        "n": np.arange(1, len(tensors) + 1),
-        "norm": _stage("ttm", norm_profile, tensors, subtract_identity=False),
-        "norm_first_minus_identity": _stage("ttm", norm_profile, tensors),
-    }, {**meta, "dt": info["dt"]})
+    io.write_series_csv(out, _stage("ttm", presets._norm_columns, tensors),
+                        {**meta, "dt": info["dt"]})
     written = [out]
     if save_tensors:
         tpath = os.path.join(out_dir, "tensors.json")
@@ -320,28 +315,23 @@ def _mode_spectroscopy(cfg, out_dir):
         raise ConfigError(f"field 'protocol_biases': its first entry {biases[0]!r} is the "
                           f"reference run's bias and must equal system.biases[0], "
                           f"{reference!r}")
-    fields = [f"inputs[{i}]" for i in range(len(inputs))] if len(inputs) > 1 else ["input"]
-    loaded = [_read_input({f: p}, out_dir, field=f) for f, p in zip(fields, inputs)]
+    names = [f"inputs[{i}]" for i in range(len(inputs))] if len(inputs) > 1 else ["input"]
+    loaded = [_read_input({f: p}, out_dir, field=f) for f, p in zip(names, inputs)]
+    runs = [maps for maps, _ in loaded]
     dt = loaded[0][1]["dt"]
-    for path, (_, info) in zip(inputs[1:], loaded[1:]):
+    for name, path, (maps, info) in zip(names, inputs, loaded):
+        if info["dim"] != 2:
+            raise ConfigError(f"field '{name}': spectroscopy mode needs dim-2 maps")
         if info["dt"] != dt:
             raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
                               f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
-    # a one-qubit Hamiltonian is its bias term, so run i's Liouvillian is
-    # (w_i / w_0) L_0; only the bias ratios enter the protocol
-    ws = biases or [1.0] * len(loaded)
-    ls = hamiltonian_liouvillian(model.h_system)
-    runs = [_stage("ttm", extract_kernel, _stage("ttm", build_ttms, m), (w / ws[0]) * ls, dt)
-            for (m, _), w in zip(loaded, ws)]
-    kernels, protocol = runs[0], {}
-    if len(runs) > 1:
-        combined, diag = _stage("spectroscopy", combine_scaled_kernels, runs,
-                                gammas=gammas, biases=biases, dt=dt)
-        kernels, protocol = list(combined), {"vandermonde_condition": diag["condition"]}
-    n_fit = _integer(cfg, "n_fit", required=False, default=len(kernels), minimum=1)
-    if n_fit > len(kernels):
-        raise ConfigError(f"field 'n_fit': must be <= {len(kernels)}, the number of "
-                          f"kernels, got {n_fit}")
+        if len(maps) != len(runs[0]):
+            raise ConfigError(f"field '{name}': {path} has {len(maps)} maps but "
+                              f"{inputs[0]} has {len(runs[0])}; the runs must share one grid")
+    n_fit = _integer(cfg, "n_fit", required=False, default=len(runs[0]), minimum=1)
+    if n_fit > len(runs[0]):
+        raise ConfigError(f"field 'n_fit': must be <= {len(runs[0])}, the number of "
+                          f"maps per input, got {n_fit}")
     channels = _get(cfg, "channels", required=False, default=[["z", "z"]])
     try:
         active = tuple((a, b) for a, b in channels)
@@ -361,21 +351,15 @@ def _mode_spectroscopy(cfg, out_dir):
     elif lambdas is not None and not (_is_number(lambdas) and lambdas >= 0):
         raise ConfigError(f"field 'lambdas': expected a finite number >= 0 or a list of "
                           f"{n_fit}, got {lambdas!r}")
-    series = _stage("spectroscopy", fit_correlations, kernels[:n_fit], model.h_system,
-                    dt, active=active, lambdas=lambdas)
+    series, omega, s, fields = _stage("spectroscopy", presets._spectroscopy_study, runs,
+                                      model.h_system, dt, active, n_fit=n_fit, gammas=gammas,
+                                      biases=biases, lambdas=lambdas)
     meta = _meta_for(cfg, out_dir)
-    a, b = active[0]
+    c = series.channel(*active[0])
     corr_path = os.path.join(out_dir, "correlation.csv")
-    io.write_series_csv(corr_path, {
-        "time": series.times,
-        "c_re": series.channel(a, b).real,
-        "c_im": series.channel(a, b).imag,
-    }, meta)
-    omega, s = _stage("spectroscopy", spectral_density, series, (a, b))
+    io.write_series_csv(corr_path, {"time": series.times, "c_re": c.real, "c_im": c.imag}, meta)
     spec_path = os.path.join(out_dir, "spectrum.csv")
     io.write_series_csv(spec_path, {"omega": omega, "s": s}, meta)
-    fields = {"n_fit_points": n_fit, "residuals": series.residuals,
-              "iterations": series.iterations, **protocol}
     report_path = os.path.join(out_dir, "fit_report.txt")
     io.write_report(report_path, fields, meta)
     return [corr_path, spec_path, report_path]

@@ -70,8 +70,8 @@ def read_map_series(path):
     dim = _number_field(doc, "dim", int, minimum=1)
     n_traj = _number_field(doc, "n_traj", int, minimum=0, default=0)
     side = dim * dim
-    if not isinstance(doc["maps"], list):
-        raise ValueError("map series file: field 'maps' must be a list")
+    if not isinstance(doc["maps"], list) or not doc["maps"]:
+        raise ValueError("map series file: field 'maps' must be a list of one or more maps")
     maps = []
     for rec in doc["maps"]:
         k = len(maps) + 1

@@ -10,20 +10,13 @@ import os
 
 import numpy as np
 
-from . import io, multiqubit, propagator, ttm
+from . import io, multiqubit, propagator, spectroscopy, ttm
 from ._version import __version__
 from .liouville import SIGMA_X, SIGMA_Y, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
 from .noisegen import NoiseModel
 from .nonmarkov import volume_measure, volume_series
 from .propagator import SystemModel, dephasing_map_series, simulate_process
-from .spectroscopy import combine_scaled_kernels, fit_correlations, spectral_density
-from .ttm import (
-    build_ttms,
-    count_above_threshold,
-    extract_kernel,
-    norm_profile,
-    predict_states,
-)
+from .ttm import build_ttms, count_above_threshold, predict_states
 
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -134,11 +127,7 @@ def run_fig1(out_dir, scale="full", seed=11):
     times = dt * np.arange(1, n_steps + 1)
 
     norms_path = os.path.join(out_dir, "fig1_ttm_norms.csv")
-    io.write_series_csv(norms_path, {
-        "n": np.arange(1, n_steps + 1),
-        "norm": norm_profile(tensors, subtract_identity=False),
-        "norm_first_minus_identity": norm_profile(tensors),
-    }, meta)
+    io.write_series_csv(norms_path, _norm_columns(tensors), meta)
 
     exact = dephasing_map_series(model, dt, n_steps)
     columns = {"time": times,
@@ -177,25 +166,19 @@ def run_fig2(out_dir, scale="full", seed=13):
 def _kernel_spectroscopy(out_dir, stem, model, maps, dt, n_fit, axis, meta):
     # the presets couple one noise channel to one Pauli axis, so the fitted
     # (axis, axis) pair always corresponds to the model's channel 0
-    kernels = extract_kernel(build_ttms(maps), hamiltonian_liouvillian(model.h_system), dt)
-    series = fit_correlations(kernels[:n_fit], model.h_system, dt, active=((axis, axis),))
-    c_true = model.noise.correlation_entry(0, 0, series.times)
+    series, omega, s_fit, fields = _spectroscopy_study([maps], model.h_system, dt,
+                                                       ((axis, axis),), n_fit=n_fit)
     corr_path = os.path.join(out_dir, f"{stem}_correlation.csv")
     io.write_series_csv(corr_path, {
         "time": series.times,
         "c_fit": series.channel(axis, axis).real,
-        "c_true": c_true,
+        "c_true": model.noise.correlation_entry(0, 0, series.times),
     }, meta)
-    omega, s_fit = spectral_density(series, (axis, axis))
-    s_true = model.noise.spectral_density(omega, 0, 0)
     spec_path = os.path.join(out_dir, f"{stem}_spectrum.csv")
-    io.write_series_csv(spec_path, {"omega": omega, "s_fit": s_fit, "s_true": s_true}, meta)
+    io.write_series_csv(spec_path, {"omega": omega, "s_fit": s_fit,
+                                    "s_true": model.noise.spectral_density(omega, 0, 0)}, meta)
     report_path = os.path.join(out_dir, f"{stem}_fit_report.txt")
-    io.write_report(report_path, {
-        "n_fit_points": n_fit,
-        "residuals": series.residuals,
-        "iterations": series.iterations,
-    }, meta)
+    io.write_report(report_path, fields, meta)
     return {"correlation": corr_path, "spectrum": spec_path, "report": report_path}
 
 
@@ -222,21 +205,15 @@ def run_fig3bottom(out_dir, scale="full", seed=0):
     lams = np.array([0.16, 0.49, 1.0, 1.44, 1.96, 2.56])
     params = {"preset": "fig3bottom", "dt": dt, "n_steps": n_steps,
               "lams": list(lams), "t_star_index": t_star_index, "gamma": gamma}
-    naive = []
-    protocol = []
-    exact = []
+    naive, protocol, exact = [], [], []
     for lam in lams:
-        runs = []
-        for scale_factor in (1.0, gamma * gamma):
-            model = weak_dephasing_model(lam * scale_factor)
-            maps = dephasing_map_series(model, dt, n_steps)
-            runs.append(extract_kernel(build_ttms(maps),
-                                       hamiltonian_liouvillian(model.h_system), dt))
+        # the CLI's spectroscopy route: one run, then both runs under gammas
+        runs = [dephasing_map_series(weak_dephasing_model(lam * f), dt, n_steps)
+                for f in (1.0, gamma * gamma)]
         model = weak_dephasing_model(lam)
-        fit_naive = fit_correlations(runs[0], model.h_system, dt, active=(("z", "z"),))
-        combined, _ = combine_scaled_kernels(runs, gammas=[1.0, gamma])
-        fit_protocol = fit_correlations(list(combined), model.h_system, dt,
-                                        active=(("z", "z"),))
+        fit_naive = _spectroscopy_study(runs[:1], model.h_system, dt, (("z", "z"),))[0]
+        fit_protocol = _spectroscopy_study(runs, model.h_system, dt, (("z", "z"),),
+                                           gammas=[1.0, gamma])[0]
         t_star = fit_naive.times[t_star_index]
         naive.append(fit_naive.channel("z", "z")[t_star_index].real)
         protocol.append(fit_protocol.channel("z", "z")[t_star_index].real)
@@ -264,9 +241,43 @@ def run_fig4(out_dir, scale="full", seed=17):
                                 _meta(params, seed))
 
 
-# The CLI's twoqubit and xy4 modes run the next two bodies as well. They
-# reach the layers through module attributes, so that wrappers installed on
-# those modules (bench/tracing.py) see the calls of a CLI run.
+# CLI modes run the next four bodies as well. They reach the layers through
+# module attributes, so that wrappers installed on those modules
+# (bench/tracing.py) see the calls of a CLI run.
+
+def _norm_columns(tensors):
+    """The ``n, norm, norm_first_minus_identity`` columns of a transfer-tensor norms file."""
+    return {"n": np.arange(1, len(tensors) + 1),
+            "norm": ttm.norm_profile(tensors, subtract_identity=False),
+            "norm_first_minus_identity": ttm.norm_profile(tensors)}
+
+
+def _spectroscopy_study(runs, hs, dt, active, n_fit=None, gammas=None, biases=None,
+                        lambdas=None):
+    """(series, omega, s, report fields) of one or more qubit map series on one grid.
+
+    Run i's kernel takes the Liouvillian of ``hs`` times w_i / w_0 (1 without
+    ``biases``); two or more runs are combined under ``gammas`` or ``biases``.
+    The first ``n_fit`` kernels are fitted on ``active``, and the spectrum is
+    that of ``active[0]``. Writes no file.
+    """
+    ws = biases or [1.0] * len(runs)
+    ls = hamiltonian_liouvillian(hs)
+    per_run = [ttm.extract_kernel(ttm.build_ttms(maps), (w / ws[0]) * ls, dt)
+               for maps, w in zip(runs, ws)]
+    kernels, protocol = per_run[0], {}
+    if len(per_run) > 1:
+        combined, diag = spectroscopy.combine_scaled_kernels(per_run, gammas=gammas,
+                                                             biases=biases, dt=dt)
+        kernels, protocol = list(combined), {"vandermonde_condition": diag["condition"]}
+    n_fit = len(kernels) if n_fit is None else n_fit
+    series = spectroscopy.fit_correlations(kernels[:n_fit], hs, dt, active=active,
+                                           lambdas=lambdas)
+    omega, s = spectroscopy.spectral_density(series, active[0])
+    fields = {"n_fit_points": n_fit, "residuals": series.residuals,
+              "iterations": series.iterations, **protocol}
+    return series, omega, s, fields
+
 
 def _pair_study(out_dir, stem, maps, dt, meta, noise=None):
     """Write ``<stem>_norms.csv`` and ``<stem>_report.txt`` for a two-qubit map series.

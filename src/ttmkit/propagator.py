@@ -444,7 +444,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         subtracted functional is linear in those moments; its fluctuation
         from moments up to second order is removed entirely, which is the
         dominant Monte Carlo error at weak coupling once ``antithetic``
-        has killed the odd orders.
+        has killed the odd orders. Beyond it the variate can add error, and
+        nothing warns: on an x-noise pair at variance 0.25 (README) the
+        largest map error grew in 8 of 10 seeds; at 0.01 it fell 9-38x.
 
     Returns
     -------

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import ttmkit
-from ttmkit import cli
+from ttmkit import cli, presets
 from ttmkit.cli import ConfigError, build_model, main, run_config
 from ttmkit.io import read_map_series, read_qpt_csv, read_series_csv, write_map_series
 from ttmkit.liouville import (
@@ -22,7 +22,7 @@ from ttmkit.liouville import (
     right_multiply,
 )
 from ttmkit.noisegen import NoiseModel
-from ttmkit.presets import single_qubit_model
+from ttmkit.presets import single_qubit_model, weak_dephasing_model
 from ttmkit.propagator import SystemModel, dephasing_map_series
 from ttmkit.qpt import simulate_qpt
 from ttmkit.io import write_qpt_csv
@@ -624,6 +624,90 @@ def test_spectroscopy_reference_bias_is_stated_once(tmp_path, capsys):
     assert not (tmp_path / "correlation.csv").exists()
 
 
+
+def _weak_dephasing_runs(tmp_path, lam, gamma=0.2, dt=0.04, n_steps=18):
+    """fig3bottom's two runs at coupling lam, written as maps_a.json and maps_b.json."""
+    for tag, f in (("a", 1.0), ("b", gamma * gamma)):
+        write_map_series(tmp_path / f"maps_{tag}.json",
+                         dephasing_map_series(weak_dephasing_model(lam * f), dt, n_steps),
+                         dt=dt)
+    return {"system": {"n_qubits": 1, "biases": [0.02],
+                       "channels": [{"axis": "z", "qubit": 1}]},
+            "noise": {"variances": [lam], "decay_rates": [1.0]}}
+
+
+def test_spectroscopy_gammas_enter_by_their_ratios(tmp_path):
+    # [2.0, 0.4] used to give a protocol kernel 1/g_0^2 = 4x smaller than [1.0, 0.2]
+    base = _weak_dephasing_runs(tmp_path, 0.16)
+    cols = []
+    for gammas in ([1.0, 0.2], [2.0, 0.4]):
+        out = tmp_path / str(gammas[0])
+        run_config({"mode": "spectroscopy", "inputs": ["../maps_a.json", "../maps_b.json"],
+                    "gammas": gammas, **base}, str(out))
+        cols.append(read_series_csv(out / "correlation.csv")[0])
+    assert cols[0].keys() == cols[1].keys()
+    for name in cols[0]:
+        np.testing.assert_array_equal(cols[1][name], cols[0][name])
+
+
+@pytest.mark.parametrize("inputs, field, detail", [
+    (["pair.json"], "input", "dim-2 maps"),
+    (["maps_a.json", "pair.json"], "inputs[1]", "dim-2 maps"),
+    (["maps_a.json", "short.json"], "inputs[1]", "has 10 maps but maps_a.json has 18"),
+], ids=["dim4-input", "dim4-inputs", "short-inputs"])
+def test_spectroscopy_inputs_must_hold_qubit_maps_of_one_length(tmp_path, capsys, inputs,
+                                                                field, detail):
+    # these used to exit 3 with numpy broadcast and "inhomogeneous shape" errors
+    base = _weak_dephasing_runs(tmp_path, 0.16)
+    write_map_series(tmp_path / "pair.json", [kron_superop(np.eye(4), np.eye(4))] * 18,
+                     dt=0.04)
+    maps, _ = read_map_series(tmp_path / "maps_b.json")
+    write_map_series(tmp_path / "short.json", maps[:10], dt=0.04)
+    cfg = {"mode": "spectroscopy", **base}
+    if len(inputs) == 1:
+        cfg["input"] = inputs[0]
+    else:
+        cfg.update(inputs=inputs, gammas=[1.0, 0.2])
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error - field '{field}': ") and detail in err
+    assert not (tmp_path / "correlation.csv").exists()
+
+
+def test_spectroscopy_mode_reproduces_fig3top(tmp_path):
+    # the preset and the mode run one kernel -> fit -> spectrum route
+    presets.run_fig3top(str(tmp_path))
+    write_map_series(tmp_path / "maps.json",
+                     dephasing_map_series(weak_dephasing_model(), 0.04, 25), dt=0.04)
+    run_config({"mode": "spectroscopy", "input": "maps.json", "n_fit": 20,
+                "system": {"n_qubits": 1, "biases": [0.02],
+                           "channels": [{"axis": "z", "qubit": 1}]},
+                "noise": {"variances": [0.01], "decay_rates": [1.0]}}, str(tmp_path))
+    corr, _ = read_series_csv(tmp_path / "correlation.csv")
+    want, _ = read_series_csv(tmp_path / "fig3top_correlation.csv")
+    np.testing.assert_array_equal(corr["c_re"], want["c_fit"])
+    spec, _ = read_series_csv(tmp_path / "spectrum.csv")
+    want, _ = read_series_csv(tmp_path / "fig3top_spectrum.csv")
+    np.testing.assert_array_equal(spec["omega"], want["omega"])
+    np.testing.assert_array_equal(spec["s"], want["s_fit"])
+
+
+def test_spectroscopy_mode_reproduces_fig3bottom(tmp_path):
+    # fig3bottom's strongest coupling, naive through 'input' and protocol
+    # through 'inputs' + 'gammas', read at its t_star index 15
+    presets.run_fig3bottom(str(tmp_path))
+    sweep, _ = read_series_csv(tmp_path / "fig3bottom_coupling_sweep.csv")
+    assert sweep["lam"][-1] == 2.56
+    base = _weak_dephasing_runs(tmp_path, 2.56)
+    for column, extra in (("c_naive", {"input": "maps_a.json"}),
+                          ("c_protocol", {"inputs": ["maps_a.json", "maps_b.json"],
+                                          "gammas": [1.0, 0.2]})):
+        run_config({"mode": "spectroscopy", **base, **extra}, str(tmp_path))
+        corr, _ = read_series_csv(tmp_path / "correlation.csv")
+        assert corr["c_re"][15] == sweep[column][-1], column
+
+
 def test_nonmarkov_k_trunc_needs_n_total(tmp_path, capsys):
     model = SystemModel(h_system=0.1 * SIGMA_Z, couplings=(SIGMA_Z,),
                         noise=NoiseModel.single(4.0, 1.0))
@@ -645,6 +729,19 @@ def test_nonmarkov_k_trunc_above_map_count_is_config_error(tmp_path, capsys):
     assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'extend.k_trunc'" in err and "<= 4" in err
+    assert not (tmp_path / "volume.csv").exists()
+
+
+
+def test_nonmarkov_on_a_file_without_maps_is_an_io_error(tmp_path, capsys):
+    # "maps": [] used to pass the reader and fail as an IndexError in nonmarkov
+    write_map_series(tmp_path / "maps.json", [np.eye(4)], dt=0.2)
+    doc = json.loads((tmp_path / "maps.json").read_text())
+    (tmp_path / "maps.json").write_text(json.dumps({**doc, "maps": []}))
+    cfg_path = _write_cfg(tmp_path, {"mode": "nonmarkov", "input": "maps.json"})
+    assert main(["nonmarkov", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error - [io] ValueError: ") and "'maps'" in err
     assert not (tmp_path / "volume.csv").exists()
 
 

@@ -123,6 +123,7 @@ def _edited_map_file(tmp_path, edit):
     ({"time_index": 1}, "field 'maps' must be a list"),
     ([1], "maps[0]: expected an object, found 1"),
     ([None], "maps[0]: expected an object, found None"),
+    ([], "field 'maps' must be a list of one or more maps"),
 ])
 def test_map_series_maps_must_be_a_list_of_objects(tmp_path, maps, message):
     # "maps": [1] used to escape as an AttributeError

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ttmkit import io, presets
 from ttmkit.io import read_series_csv
 from ttmkit.liouville import SIGMA_X, SIGMA_Z
 from ttmkit.presets import (
@@ -19,6 +20,8 @@ from ttmkit.presets import (
     two_qubit_dephasing,
     weak_dephasing_model,
 )
+from ttmkit.propagator import dephasing_map_series
+from ttmkit.ttm import build_ttms
 
 
 def test_single_qubit_model_axes():
@@ -95,3 +98,24 @@ def test_fig3bottom_sweep_columns(tmp_path):
     err_naive = abs(cols["c_naive"][-1] - cols["c_exact"][-1])
     err_protocol = abs(cols["c_protocol"][-1] - cols["c_exact"][-1])
     assert err_protocol < err_naive
+
+
+def test_study_bodies_write_no_file(tmp_path, monkeypatch):
+    # the CLI modes and the presets write these results themselves
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study body wrote a file")
+
+    for name in ("write_map_series", "write_qpt_csv", "write_series_csv", "write_report"):
+        monkeypatch.setattr(io, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    model = weak_dephasing_model(0.5)
+    runs = [dephasing_map_series(weak_dephasing_model(lam), 0.04, 12) for lam in (0.5, 0.02)]
+    series, omega, s, fields = presets._spectroscopy_study(
+        runs, model.h_system, 0.04, (("z", "z"),), n_fit=10, gammas=[1.0, 0.2])
+    assert series.values.shape == (10, 3, 3) and omega.shape == s.shape
+    assert list(fields) == ["n_fit_points", "residuals", "iterations",
+                            "vandermonde_condition"]
+    columns = presets._norm_columns(build_ttms(runs[0]))
+    assert list(columns) == ["n", "norm", "norm_first_minus_identity"]
+    assert columns["n"].tolist() == list(range(1, 13))
+    assert list(tmp_path.iterdir()) == []
