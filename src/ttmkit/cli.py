@@ -323,7 +323,7 @@ def _mode_spectroscopy(cfg, out_dir):
         if info["dim"] != 2:
             raise ConfigError(f"field '{name}': spectroscopy mode needs dim-2 maps")
         if info["dt"] != dt:
-            raise ConfigError(f"field 'inputs': {path} has dt {info['dt']!r} but "
+            raise ConfigError(f"field '{name}': {path} has dt {info['dt']!r} but "
                               f"{inputs[0]} has dt {dt!r}; the runs must share one grid")
         if len(maps) != len(runs[0]):
             raise ConfigError(f"field '{name}': {path} has {len(maps)} maps but "

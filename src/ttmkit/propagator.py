@@ -19,14 +19,18 @@ machine precision. Such a model's maps depend on the noise only through
 each segment's integral, so its runs draw those integrals directly: the
 sampler folds the midpoint-rule sum over the segment's substeps into its
 factor. ``substeps`` still sets that midpoint rule, and with it a phase
-variance bias of order dt_sub^2. Other qubits carry each path's propagator
-as its Cayley-Klein pair (alpha, beta), the first column of
+variance bias of order dt_sub^2. Qubit-local models carry each qubit's
+propagator as its Cayley-Klein pair (alpha, beta), the first column of
 U = [[alpha, -conj(beta)], [beta, conj(alpha)]] in SU(2) (up to the global
 phase, which cancels in the maps), so a product of two costs four complex
-multiplies. Any other model keeps all propagators of a chunk in one (d, d, P)
-array, path axis last, and takes each substep's exp(-i H tau) for every
-path at once as a scaled-and-squared degree-15 Taylor polynomial, with no
-eigendecomposition; each step is unitary to rounding.
+multiplies. A lone qubit always qualifies; qubits qualify when h_system and
+every coupling have no Pauli component of weight 2 or more above 1e-14 (no
+zz coupling, say) and the run has no pulses. Each path's U is then the
+tensor product of its qubits' factors, and its maps follow from the
+qubits' pairs. Any other model keeps all propagators of a chunk in one
+(d, d, P) array, path axis last, and takes each substep's exp(-i H tau) for
+every path at once as a scaled-and-squared degree-15 Taylor polynomial, with
+no eigendecomposition; each step is unitary to rounding.
 
 Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
@@ -181,6 +185,60 @@ def _expm_paths(a, powers):
     return e
 
 
+def _local_bloch_vectors(model):
+    """Each qubit's Bloch vectors of h_system and of the couplings, or None.
+
+    A Hermitian op on n qubits is sum_P c_P P over Pauli strings, with
+    c = Re(B^H vec(op)) / 2^n for the columns B of the vec(P). The model is
+    qubit-local when every c_P of weight 2 or more is 0 (to 1e-14) for every
+    op: then returns v_sys (n, 3) and v_coup (n, n_ch, 3), qubit q's
+    (x, y, z) components, the qubit labelled q + 1 being the q-th tensor
+    factor. The identity part only adds a global phase. None when d is not
+    2^n or a term of weight 2 or more is present.
+    """
+    n = model.dim.bit_length() - 1
+    if model.dim != 1 << n:
+        return None
+    # columns vec(P) of the Pauli strings, first qubit slowest: vec(A (x) B)
+    # holds A[a, b] B[c, d] in row (a c, b d)
+    basis = _B
+    for q in range(1, n):
+        s = 1 << q
+        basis = np.einsum("abk,cdl->acbdkl", basis.reshape(s, s, -1),
+                          _B.reshape(2, 2, 4)).reshape(4 * s * s, -1)
+    ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
+    c = np.real(ops @ basis.conj()) / 2**n
+    # the column of Pauli k (x, y, z = 1, 2, 3) on qubit q, identity elsewhere
+    local = [[k * 4 ** (n - 1 - q) for k in (1, 2, 3)] for q in range(n)]
+    if np.abs(np.delete(c, [0, *np.ravel(local)], axis=1)).max(initial=0.0) > 1e-14:
+        return None
+    # C order: the kernel's einsum lays out its step vectors after these rows
+    v = np.ascontiguousarray(c[:, local].transpose(1, 0, 2))  # (n, 1 + n_ch, 3)
+    return v[:, 0], v[:, 1:]
+
+
+def _grams_to_superops(grams, n):
+    """Path sums of U (x) conj(U), U = U_1 (x) ... (x) U_n, from Gram matrices.
+
+    ``grams`` (n_seg, 4^n, 4^n) are the sums over paths of R R^T with
+    R = r_1 (x) ... (x) r_n the Kronecker product of the qubits' real pairs
+    r_q. Each entry of U (x) conj(U) is a product of one qubit's factor per
+    qubit, so ``_GRAM_TO_SUPEROP`` maps one qubit's pair of Gram indices at
+    a time, and a final transpose orders the rows (a_1..a_n, c_1..c_n) and
+    columns (b_1..b_n, d_1..d_n) row-major.
+    """
+    n_seg = len(grams)
+    t = grams.reshape((n_seg,) + (4,) * (2 * n))
+    for q in range(n):
+        # qubit q's Gram indices sit at axes 1 and n - q + 1; its
+        # (a, c, b, d) block joins the end
+        t = np.moveaxis(t, (1, n - q + 1), (-2, -1))
+        t = (t.reshape(t.shape[:-2] + (16,)) @ _GRAM_TO_SUPEROP.T).reshape(t.shape[:-2] + (2,) * 4)
+    order = [1 + 4 * q + s for s in range(4) for q in range(n)]
+    d = 1 << n
+    return t.transpose(0, *order).reshape(n_seg, d * d, d * d)
+
+
 def _chunk_map_sums(model, b, tau, pulses):
     """One chunk's sums (not means) of the maps after each segment, for :func:`_ensemble`.
 
@@ -188,41 +246,49 @@ def _chunk_map_sums(model, b, tau, pulses):
     values per segment, each held for the substep length ``tau[k]`` of its
     segment k. A diagonal model takes one value per segment (m = 1), the
     segment's noise integral, and ``tau[k]`` is then the whole segment. The
-    model's structure alone picks one of three step kernels: a diagonal model
+    model's structure alone picks one of three step kernels. A diagonal model
     scales the rows of its (d, d, P) propagators by one phase factor per
-    segment, any other qubit multiplies Cayley-Klein pairs (alpha, beta) of
-    SU(2), and any other model carries its (d, d, P) propagators with the
-    path axis last, multiplied by one :func:`_expm_paths` step per substep.
-    Each step is unitary to rounding, so the summed maps stay trace
-    preserving. ``pulses`` holds one
-    unitary or None per segment, applied at its end and included in its sum.
+    segment. A qubit-local model (:func:`_local_bloch_vectors`: a lone qubit,
+    or qubits whose h_system and couplings are sums of single-qubit terms,
+    run without pulses) multiplies one Cayley-Klein pair (alpha, beta) of
+    SU(2) per qubit and path, every qubit's pairs stacked on the path axis.
+    Any other model carries its (d, d, P) propagators with the path axis
+    last, multiplied by one :func:`_expm_paths` step per substep. Each step
+    is unitary to rounding, so the summed maps stay trace preserving.
+    ``pulses`` holds one unitary or None per segment, applied at its end and
+    included in its sum.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
-    out = np.empty((n_seg, d * d, d * d), dtype=complex)
     diagonal = model.is_diagonal
-    if d == 2 and not diagonal:
-        # Hermitian op = a0 I + v . sigma with v = Re(B^H vec(op))[1:] / 2; a0
-        # only adds a global phase, which cancels in U (x) conj(U)
-        ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
-        pv = 0.5 * np.real(ops @ _B.conj())[:, 1:]
-        v_sys, v_coup = pv[0], pv[1:]
+    local = None if diagonal else _local_bloch_vectors(model)
+    if local is not None and (d == 2 or all(p is None for p in pulses)):
+        v_sys, v_coup = local
+        n = len(v_sys)
         # a pulse p = e^{i phi} U has det p = e^{2 i phi}, so its first column
         # over sqrt(det p) is U's pair; the sign the root leaves open flips
-        # both entries, which leaves r r^T unchanged
+        # both entries, which leaves r r^T unchanged (only a lone qubit has
+        # pulses here)
         pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(np.linalg.det(p)) for p in pulses]
-        alpha, beta = np.ones(n_paths, dtype=complex), np.zeros(n_paths, dtype=complex)
-        grams = np.empty((n_seg, 4, 4))
+        # qubit q's pairs fill entries q P .. (q + 1) P - 1 of the path axis
+        alpha, beta = np.ones(n * n_paths, dtype=complex), np.zeros(n * n_paths, dtype=complex)
+        grams = np.empty((n_seg, 4**n, 4**n))
         for k in range(n_seg):
-            v = np.einsum("ak,paj->kjp", v_coup, b[:, :, k])
-            v += v_sys[:, None, None]
+            # concatenate keeps the einsum's memory order, by which the step norms round
+            v = np.concatenate([np.einsum("ak,paj->kjp", vq, b[:, :, k]) for vq in v_coup], axis=2)
+            for q in range(n):
+                v[:, :, q * n_paths:(q + 1) * n_paths] += v_sys[q][:, None, None]
             alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
             if pulse_pairs[k] is not None:
                 alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
-            r = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
-            grams[k] = r @ r.T
-        return (grams.reshape(n_seg, 16) @ _GRAM_TO_SUPEROP.T).reshape(n_seg, 4, 4)
+            r = np.stack([alpha.real, alpha.imag, beta.real, beta.imag]).reshape(4, n, n_paths)
+            rk = r[:, 0]  # becomes each path's r_1 (x) ... (x) r_n
+            for q in range(1, n):
+                rk = (rk[:, None] * r[:, q]).reshape(-1, n_paths)
+            grams[k] = rk @ rk.T
+        return _grams_to_superops(grams, n)
 
+    out = np.empty((n_seg, d * d, d * d), dtype=complex)
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
     if diagonal:
         # segment k multiplies row r of every U by exp(-i dphi[k, r]), with

@@ -144,6 +144,10 @@ def simulate_qpt(maps, shots=0, seed=None):
     if shots > 0:
         # Clip guards non-CP inputs whose expectations spill out of [-1, 1].
         probs = np.clip((1.0 + vals) / 2.0, 0.0, 1.0)
+        # binomial draws p > 1/2 as shots minus a draw at 1 - p, so a zero
+        # expectation that rounding leaves a few ulp off 1/2 would flip its
+        # record's sign; such a probability is taken as exactly 1/2
+        probs[np.abs(probs - 0.5) <= 4 * np.spacing(0.5)] = 0.5
         vals = 2.0 * np.random.default_rng(seed).binomial(shots, probs) / shots - 1.0
     return [QptRecord(k, lab, p, float(val), shots)
             for k, row in enumerate(vals, start=1)

@@ -219,8 +219,9 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
 
     Two ways to declare the scaling:
     - gammas: direct scale factors g_i, e.g. coupling ratios
-      sqrt(lambda_i / lambda_0). Only the ratios g_i / g_0 enter, so run 0
-      is the reference whatever g_0 is. All runs share the same time grid.
+      sqrt(lambda_i / lambda_0), each finite and nonzero. Only the ratios
+      g_i / g_0 enter, so run 0 is the reference whatever g_0 is. All runs
+      share the same time grid.
     - biases: system frequencies w_i with w_0 the reference; g_i = w_0/w_i.
       Runs are compared on the dimensionless grid tau = w_i t, so the
       kernels are rescaled by 1/w_i^2 and linearly interpolated onto the
@@ -242,6 +243,9 @@ def combine_scaled_kernels(kernels, gammas=None, biases=None, dt=None):
         raise ValueError("need one scale factor per kernel series")
 
     if gammas is not None:
+        for i, gamma in enumerate(gammas):
+            if not (math.isfinite(gamma) and gamma != 0):
+                raise ValueError(f"gammas[{i}] must be finite and nonzero, got {gamma!r}")
         g = np.asarray(gammas, dtype=float) / gammas[0]  # run 0 is the reference
         tilde = stack
     else:

@@ -479,7 +479,7 @@ def test_spectroscopy_inputs_must_share_dt(tmp_path, capsys):
     write_map_series(tmp_path / "maps_b.json", maps, dt=0.4)
     assert main(["spectroscopy", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'inputs'" in err and "0.04" in err and "0.4 " in err
+    assert "config error" in err and "'inputs[1]'" in err and "0.04" in err and "0.4 " in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 

@@ -391,21 +391,76 @@ def test_diagonal_control_variate_equals_substep_correction(antithetic):
     npt.assert_allclose(np.stack(raw) - np.stack(cv), want, rtol=0, atol=1e-13)
 
 
+def _local_pair(zz=0.0):
+    """Two qubits with local x, y and z terms and biases in h_system and in
+    both cross-correlated couplings, plus zz sigma_z (x) sigma_z."""
+    eye = np.eye(2)
+    h = (0.3 * np.kron(SIGMA_Z, eye) - 0.2 * np.kron(eye, SIGMA_Z) + 0.1 * np.kron(SIGMA_X, eye)
+         + 0.4 * np.eye(4) + zz * np.kron(SIGMA_Z, SIGMA_Z))
+    couplings = (np.kron(SIGMA_X, eye) + 0.5 * np.kron(eye, SIGMA_Z),
+                 np.kron(eye, SIGMA_Y) - 0.3 * np.kron(SIGMA_Z, eye) + 0.2 * np.eye(4))
+    return SystemModel(h_system=h, couplings=couplings,
+                       noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                                        cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+
+
 def test_su2_kernel_matches_per_path_expm_products():
-    # transverse qubit with a global-phase term: the kernel's summed maps
-    # must equal the sum of per-path superoperators of expm step products,
-    # at odd and even substep counts (the pairwise product's odd tail) and
-    # a different substep length in each segment
+    # a transverse qubit with a global-phase term, and a qubit-local pair
+    # (one Cayley-Klein pair per qubit) on cross-correlated channels: the
+    # kernel's summed maps must equal the sum of per-path superoperators of
+    # expm step products, at odd and even substep counts (the pairwise
+    # product's odd tail) and a different substep length in each segment
     noise = NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0), cross=np.eye(2))
-    model = SystemModel(h_system=0.3 * SIGMA_Z + 0.2 * np.eye(2),
+    qubit = SystemModel(h_system=0.3 * SIGMA_Z + 0.2 * np.eye(2),
                         couplings=(SIGMA_X, SIGMA_Y + 0.5 * np.eye(2)), noise=noise)
     rng = np.random.default_rng(3)
     tau = np.array([0.15, 0.05, 0.3, 0.1])
-    for substeps in (1, 2, 3, 5, 8):
-        b = rng.normal(scale=2.0, size=(12, 2, tau.size, substeps))
-        got = _chunk_map_sums(model, b, tau, [None] * tau.size)
-        npt.assert_allclose(got, _expm_map_sums(model, b, tau, [None] * tau.size),
-                            rtol=0, atol=1e-12)
+    for model in (qubit, _local_pair()):
+        for substeps in (1, 2, 3, 5, 8):
+            b = rng.normal(scale=2.0, size=(12, 2, tau.size, substeps))
+            got = _chunk_map_sums(model, b, tau, [None] * tau.size)
+            npt.assert_allclose(got, _expm_map_sums(model, b, tau, [None] * tau.size),
+                                rtol=0, atol=1e-12)
+
+
+def _random_model(d, seed):
+    rng = np.random.default_rng(seed)
+    return SystemModel(h_system=_random_hermitian(d, rng), couplings=(_random_hermitian(d, rng),),
+                       noise=NoiseModel.single(1.0, 1.0))
+
+
+@pytest.mark.parametrize("model, pulsed, kernel", [
+    (transverse_noise_model(), False, "su2"),
+    (transverse_noise_model(), True, "su2"),
+    (_local_pair(), False, "su2"),
+    (_local_pair(zz=0.1), False, "taylor"),
+    (_local_pair(zz=1e-12), False, "taylor"),
+    (_random_model(4, 5), False, "taylor"),
+    (_local_pair(), True, "taylor"),
+    (_random_model(3, 6), False, "taylor"),
+    (two_qubit_dephasing(), True, "phase"),
+], ids=["qubit", "qubit-pulsed", "local-pair", "zz-pair", "tiny-zz-pair", "random-4x4",
+        "local-pair-pulsed", "qutrit", "dephasing-pair-pulsed"])
+def test_step_kernel_follows_the_model_structure(model, pulsed, kernel, monkeypatch):
+    # a lone qubit and a pulse-free pair of qubit-local terms take the SU(2)
+    # kernel; any weight-2 Pauli term above 1e-14 (a zz coupling, a random
+    # Hermitian), pulses on a pair and a qutrit take the Taylor kernel; a
+    # diagonal model takes neither
+    calls = {"su2": 0, "taylor": 0}
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(propagator, "_su2_segment", count("su2", propagator._su2_segment))
+    monkeypatch.setattr(propagator, "_expm_paths", count("taylor", propagator._expm_paths))
+    d = model.dim
+    pulses = [np.eye(d), None] if pulsed else [None, None]
+    b = np.random.default_rng(7).normal(size=(3, model.noise.n_channels, 2, 2))
+    _chunk_map_sums(model, b, np.array([0.1, 0.2]), pulses)
+    assert calls == {"su2": 2 * (kernel == "su2"), "taylor": 4 * (kernel == "taylor")}
 
 
 def test_su2_kernel_takes_a_zero_step_vector_as_the_identity():
@@ -635,9 +690,10 @@ def test_pulsed_xy4_suppresses_static_noise():
     assert free < 0.05 < 0.9 < want  # an order of magnitude of protection
 
 
-def _x_pair(variance=1.0, cross=0.5, bias=0.0):
-    """Two qubits under cross-correlated x noise on each, with equal z biases."""
-    h, couplings = _qubit_operators([bias, bias], [("x", 1), ("x", 2)])
+def _x_pair(variance=1.0, cross=0.5, bias=0.0, zz=0.0):
+    """Two qubits under cross-correlated x noise on each, with equal z biases
+    and a zz coupling."""
+    h, couplings = _qubit_operators([bias, bias], [("x", 1), ("x", 2)], zz)
     noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
                        cross=np.array([[variance, cross], [cross, variance]]))
     return SystemModel(h_system=h, couplings=couplings, noise=noise)
@@ -679,8 +735,9 @@ def test_mirror_is_the_pauli_string_that_flips_every_coupling(model, label):
 @pytest.mark.parametrize("model, dt, n_steps", [
     (transverse_noise_model(), 0.04, 6),
     (_x_pair(), 0.2, 4),
+    (_x_pair(zz=0.1), 0.2, 4),
     (dd_demo_model(), 2.0, 3),
-], ids=["su2", "taylor", "diagonal"])
+], ids=["su2", "su2-pair", "taylor", "diagonal"])
 def test_mirrored_antithetic_runs_equal_the_explicit_pairs(model, dt, n_steps,
                                                            control_variate, monkeypatch):
     # a mirrored chunk sums S + Pi S Pi^H over its draws; without the mirror
@@ -711,7 +768,8 @@ def test_ou_hierarchy_matches_the_closed_form_dephasing_maps(model, dt, n_steps,
 @pytest.mark.parametrize("model, dt, n_steps, levels", [
     (transverse_noise_model(), 0.04, 25, 8),
     (_x_pair(0.25, 0.125, bias=0.1), 0.2, 8, 16),
-], ids=["transverse", "x-pair"])
+    (_x_pair(0.25, 0.125, bias=0.1, zz=0.1), 0.2, 8, 16),
+], ids=["transverse", "x-pair", "x-pair-zz"])
 def test_ou_hierarchy_converges_under_level_doubling(model, dt, n_steps, levels):
     npt.assert_allclose(np.stack(ou_map_series(model, dt, n_steps, levels)),
                         np.stack(ou_map_series(model, dt, n_steps, 2 * levels)),
@@ -722,7 +780,8 @@ def test_ou_hierarchy_converges_under_level_doubling(model, dt, n_steps, levels)
     (transverse_noise_model(), 0.04, 25, 8, False),
     (transverse_noise_model(), 0.04, 25, 8, True),
     (_x_pair(0.25, 0.125, bias=0.1), 0.2, 8, 16, False),
-], ids=["su2", "su2-control-variate", "taylor"])
+    (_x_pair(0.25, 0.125, bias=0.1, zz=0.1), 0.2, 8, 16, False),
+], ids=["su2", "su2-control-variate", "su2-pair", "taylor"])
 def test_mirrored_ensemble_means_match_the_ou_hierarchy(model, dt, n_steps, levels,
                                                         control_variate):
     # exact maps from Kubo's hierarchy, not from the simulator: the mirrored

@@ -16,6 +16,9 @@ from ttmkit.liouville import (
     vec,
 )
 from ttmkit import qpt
+from ttmkit.noisegen import NoiseModel
+from ttmkit.presets import _qubit_operators
+from ttmkit.propagator import SystemModel, simulate_process
 from ttmkit.qpt import (
     QptRecord,
     _design_matrix,
@@ -108,6 +111,28 @@ def test_shot_noise_is_seeded_and_unbiased():
     sampled = simulate_qpt(maps, shots=200_000, seed=7)
     worst = max(abs(r.expectation - exact[(r.prep_label, r.pauli)]) for r in sampled)
     assert worst < 0.02
+
+
+def test_records_of_maps_moved_by_one_ulp_are_identical():
+    # mirrored antithetic maps of an x-noise pair hold exact zero
+    # expectations. Moving every entry one ulp leaves some of their
+    # probabilities a few ulp across 1/2, where binomial draws p > 1/2 as the
+    # mirrored count of 1 - p; each is taken as exactly 1/2, so no record changes
+    h, couplings = _qubit_operators([0.0, 0.0], [("x", 1), ("x", 2)])
+    model = SystemModel(h_system=h, couplings=couplings,
+                        noise=NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
+                                         cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+    maps = np.stack(simulate_process(model, 0.2, 2, 64, substeps=2, seed=1, antithetic=True))
+    rng = np.random.default_rng(0)
+    moved = (np.nextafter(maps.real, rng.choice([-2.0, 2.0], maps.shape))
+             + 1j * np.nextafter(maps.imag, rng.choice([-2.0, 2.0], maps.shape)))
+    p_maps, p_moved = ((1.0 + np.array([r.expectation for r in simulate_qpt(m)])) / 2.0
+                       for m in (maps, moved))
+    window = np.abs(p_maps - 0.5) <= 4 * np.spacing(0.5)
+    assert np.all(np.abs(p_moved[window] - 0.5) <= 4 * np.spacing(0.5))
+    assert np.any((p_moved[window] > 0.5) != (p_maps[window] > 0.5))
+    records = [simulate_qpt(m, shots=4096, seed=3) for m in (maps, moved)]
+    assert [r.expectation for r in records[0]] == [r.expectation for r in records[1]]
 
 
 def test_shot_error_shrinks_like_inverse_sqrt():

@@ -391,6 +391,20 @@ def test_two_run_protocol_first_point_matches_naive_fit():
     assert abs(protocol - naive) < 1e-3 * abs(naive)
 
 
+@pytest.mark.parametrize("gammas, index", [([0.0, 0.5], 0), ([1.0, 0.0], 1),
+                                           ([1.0, float("nan")], 1)],
+                         ids=["zero-reference", "zero-run", "nan-run"])
+def test_combine_scaled_kernels_rejects_zero_and_non_finite_gammas(gammas, index):
+    # a zero g_0 would divide every ratio by zero and a zero or NaN g_i
+    # would leave the Vandermonde system singular; each is named before
+    # any arithmetic, with no warning on the way
+    stack, _ = _poly_family([1.0, 0.5], (1, 2), np.random.default_rng(19))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"gammas\[{index}\] must be finite and nonzero"):
+            combine_scaled_kernels(stack, gammas=gammas)
+
+
 def test_combine_scaled_kernels_argument_checks():
     stack = np.zeros((2, 3, 4, 4))
     with pytest.raises(ValueError, match="exactly one"):
