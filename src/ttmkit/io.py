@@ -85,9 +85,11 @@ def read_map_series(path):
             raise ValueError(f"maps[{k - 1}]: entries must be a list of {side * side} "
                              f"[re, im] pairs")
         try:
-            # complex() rejects strings, null and lists; only booleans need the type test
+            # complex() rejects strings, null and lists; the type test catches
+            # booleans and the finite test the NaN and Infinity that json reads
             flat = np.array([complex(re, im) for re, im in entries])
-            numbers = {type(x) for pair in entries for x in pair} <= {int, float}
+            numbers = ({type(x) for pair in entries for x in pair} <= {int, float}
+                       and np.isfinite(flat).all())
         except (TypeError, ValueError, OverflowError):
             numbers = False
         if not numbers:
@@ -132,15 +134,20 @@ def read_qpt_csv(path):
             if len(row) != 5:
                 raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
             try:
-                records.append(QptRecord(
+                record = QptRecord(
                     time_index=int(row[0]),
                     prep_label=row[1],
                     pauli=row[2],
                     expectation=float(row[3]),
                     shots=int(row[4]),
-                ))
+                )
+                if not math.isfinite(record.expectation):
+                    raise ValueError(f"expectation must be finite, got {row[3]!r}")
+                if record.shots < 0:
+                    raise ValueError(f"shots must be >= 0, got {record.shots}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            records.append(record)
     return records
 
 

@@ -157,6 +157,20 @@ def min_choi_eigenvalue(sop):
 _B = np.stack([vec(SIGMA_I), vec(SIGMA_X), vec(SIGMA_Y), vec(SIGMA_Z)], axis=1)
 
 
+def _pauli_columns(n_qubits):
+    """Columns vec(P) of the 4^n Pauli strings P, in :func:`all_pauli_labels` order.
+
+    Built from ``_B`` by one Kronecker step per qubit after the first, the
+    first qubit slowest: vec(A (x) B) holds A[a, b] B[c, d] in row (a c, b d).
+    """
+    basis = _B
+    for q in range(1, n_qubits):
+        s = 1 << q
+        basis = np.einsum("abk,cdl->acbdkl", basis.reshape(s, s, -1),
+                          _B.reshape(2, 2, 4)).reshape(4 * s * s, -1)
+    return basis
+
+
 def bloch_affine(sop):
     """Affine Bloch representation (M, c) of a single-qubit map.
 

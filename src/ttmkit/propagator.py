@@ -26,11 +26,13 @@ phase, which cancels in the maps), so a product of two costs four complex
 multiplies. A lone qubit always qualifies; qubits qualify when h_system and
 every coupling have no Pauli component of weight 2 or more above 1e-14 (no
 zz coupling, say) and the run has no pulses. Each path's U is then the
-tensor product of its qubits' factors, and its maps follow from the
-qubits' pairs. Any other model keeps all propagators of a chunk in one
+tensor product of its qubits' factors, built from the pairs at every map
+boundary. Any other model keeps all propagators of a chunk in one
 (d, d, P) array, path axis last, and takes each substep's exp(-i H tau) for
 every path at once as a scaled-and-squared degree-15 Taylor polynomial, with
-no eigendecomposition; each step is unitary to rounding.
+no eigendecomposition; each step is unitary to rounding. All three kernels
+hand their (d, d, P) propagators to one path sum: sum_p U_p (x) conj(U_p)
+is the Gram matrix of the vec(U_p), reordered.
 
 Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
@@ -52,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import _B, _free_superops, commutator_superop, pauli_string, unitary_superop, vec
+from .liouville import (_free_superops, _pauli_columns, commutator_superop, pauli_string,
+                        unitary_superop, vec)
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -101,18 +104,6 @@ def _diag_parts(model):
     h = np.real(np.diagonal(model.h_system))
     z = np.stack([np.real(np.diagonal(c)) for c in model.couplings])
     return h, z
-
-
-# A Cayley-Klein pair (alpha, beta) stands for U = [[alpha, -conj(beta)],
-# [beta, conj(alpha)]], so each entry U[a, b] = sum_i _SU2_ENTRIES[a, b, i] r_i
-# is linear in r = (Re alpha, Im alpha, Re beta, Im beta) and each entry of
-# U (x) conj(U) is bilinear. Summed over paths, the superoperator is
-# therefore a fixed linear image of the real 4x4 Gram matrix sum_p r_p r_p^T:
-# vec(S) = _GRAM_TO_SUPEROP @ vec(G).
-_SU2_ENTRIES = np.array([[[1, 1j, 0, 0], [0, 0, -1, 1j]],
-                         [[0, 0, 1, 1j], [1, -1j, 0, 0]]])
-_GRAM_TO_SUPEROP = np.einsum("abi,cdj->acbdij", _SU2_ENTRIES,
-                             _SU2_ENTRIES.conj()).reshape(16, 16)
 
 
 def _su2_mul(a, b):
@@ -189,25 +180,19 @@ def _local_bloch_vectors(model):
     """Each qubit's Bloch vectors of h_system and of the couplings, or None.
 
     A Hermitian op on n qubits is sum_P c_P P over Pauli strings, with
-    c = Re(B^H vec(op)) / 2^n for the columns B of the vec(P). The model is
-    qubit-local when every c_P of weight 2 or more is 0 (to 1e-14) for every
-    op: then returns v_sys (n, 3) and v_coup (n, n_ch, 3), qubit q's
-    (x, y, z) components, the qubit labelled q + 1 being the q-th tensor
-    factor. The identity part only adds a global phase. None when d is not
-    2^n or a term of weight 2 or more is present.
+    c = Re(B^H vec(op)) / 2^n for the columns B of the vec(P)
+    (:func:`~ttmkit.liouville._pauli_columns`). The model is qubit-local
+    when every c_P of weight 2 or more is 0 (to 1e-14) for every op: then
+    returns v_sys (n, 3) and v_coup (n, n_ch, 3), qubit q's (x, y, z)
+    components, the qubit labelled q + 1 being the q-th tensor factor. The
+    identity part only adds a global phase. None when d is not 2^n or a
+    term of weight 2 or more is present.
     """
     n = model.dim.bit_length() - 1
     if model.dim != 1 << n:
         return None
-    # columns vec(P) of the Pauli strings, first qubit slowest: vec(A (x) B)
-    # holds A[a, b] B[c, d] in row (a c, b d)
-    basis = _B
-    for q in range(1, n):
-        s = 1 << q
-        basis = np.einsum("abk,cdl->acbdkl", basis.reshape(s, s, -1),
-                          _B.reshape(2, 2, 4)).reshape(4 * s * s, -1)
     ops = np.stack([vec(model.h_system), *map(vec, model.couplings)])
-    c = np.real(ops @ basis.conj()) / 2**n
+    c = np.real(ops @ _pauli_columns(n).conj()) / 2**n
     # the column of Pauli k (x, y, z = 1, 2, 3) on qubit q, identity elsewhere
     local = [[k * 4 ** (n - 1 - q) for k in (1, 2, 3)] for q in range(n)]
     if np.abs(np.delete(c, [0, *np.ravel(local)], axis=1)).max(initial=0.0) > 1e-14:
@@ -215,28 +200,6 @@ def _local_bloch_vectors(model):
     # C order: the kernel's einsum lays out its step vectors after these rows
     v = np.ascontiguousarray(c[:, local].transpose(1, 0, 2))  # (n, 1 + n_ch, 3)
     return v[:, 0], v[:, 1:]
-
-
-def _grams_to_superops(grams, n):
-    """Path sums of U (x) conj(U), U = U_1 (x) ... (x) U_n, from Gram matrices.
-
-    ``grams`` (n_seg, 4^n, 4^n) are the sums over paths of R R^T with
-    R = r_1 (x) ... (x) r_n the Kronecker product of the qubits' real pairs
-    r_q. Each entry of U (x) conj(U) is a product of one qubit's factor per
-    qubit, so ``_GRAM_TO_SUPEROP`` maps one qubit's pair of Gram indices at
-    a time, and a final transpose orders the rows (a_1..a_n, c_1..c_n) and
-    columns (b_1..b_n, d_1..d_n) row-major.
-    """
-    n_seg = len(grams)
-    t = grams.reshape((n_seg,) + (4,) * (2 * n))
-    for q in range(n):
-        # qubit q's Gram indices sit at axes 1 and n - q + 1; its
-        # (a, c, b, d) block joins the end
-        t = np.moveaxis(t, (1, n - q + 1), (-2, -1))
-        t = (t.reshape(t.shape[:-2] + (16,)) @ _GRAM_TO_SUPEROP.T).reshape(t.shape[:-2] + (2,) * 4)
-    order = [1 + 4 * q + s for s in range(4) for q in range(n)]
-    d = 1 << n
-    return t.transpose(0, *order).reshape(n_seg, d * d, d * d)
 
 
 def _chunk_map_sums(model, b, tau, pulses):
@@ -251,46 +214,32 @@ def _chunk_map_sums(model, b, tau, pulses):
     segment. A qubit-local model (:func:`_local_bloch_vectors`: a lone qubit,
     or qubits whose h_system and couplings are sums of single-qubit terms,
     run without pulses) multiplies one Cayley-Klein pair (alpha, beta) of
-    SU(2) per qubit and path, every qubit's pairs stacked on the path axis.
-    Any other model carries its (d, d, P) propagators with the path axis
-    last, multiplied by one :func:`_expm_paths` step per substep. Each step
-    is unitary to rounding, so the summed maps stay trace preserving.
-    ``pulses`` holds one unitary or None per segment, applied at its end and
-    included in its sum.
+    SU(2) per qubit and path, every qubit's pairs stacked on the path axis,
+    and builds each path's U = U_1 (x) ... (x) U_n from them at every
+    segment end. Any other model carries its (d, d, P) propagators with the
+    path axis last, multiplied by one :func:`_expm_paths` step per substep.
+    Every kernel hands the segment's (d, d, P) propagators to one path sum,
+    the Gram matrix of the vec(U_p). Each step is unitary to rounding, so the
+    summed maps stay trace preserving. ``pulses`` holds one unitary or None
+    per segment, applied at its end and included in its sum.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
     diagonal = model.is_diagonal
     local = None if diagonal else _local_bloch_vectors(model)
-    if local is not None and (d == 2 or all(p is None for p in pulses)):
+    su2 = local is not None and (d == 2 or all(p is None for p in pulses))
+    out = np.empty((n_seg, d * d, d * d), dtype=complex)
+    u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
+    if su2:
         v_sys, v_coup = local
         n = len(v_sys)
         # a pulse p = e^{i phi} U has det p = e^{2 i phi}, so its first column
         # over sqrt(det p) is U's pair; the sign the root leaves open flips
-        # both entries, which leaves r r^T unchanged (only a lone qubit has
-        # pulses here)
+        # U, which cancels in U (x) conj(U) (only a lone qubit has pulses here)
         pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(np.linalg.det(p)) for p in pulses]
         # qubit q's pairs fill entries q P .. (q + 1) P - 1 of the path axis
         alpha, beta = np.ones(n * n_paths, dtype=complex), np.zeros(n * n_paths, dtype=complex)
-        grams = np.empty((n_seg, 4**n, 4**n))
-        for k in range(n_seg):
-            # concatenate keeps the einsum's memory order, by which the step norms round
-            v = np.concatenate([np.einsum("ak,paj->kjp", vq, b[:, :, k]) for vq in v_coup], axis=2)
-            for q in range(n):
-                v[:, :, q * n_paths:(q + 1) * n_paths] += v_sys[q][:, None, None]
-            alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
-            if pulse_pairs[k] is not None:
-                alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
-            r = np.stack([alpha.real, alpha.imag, beta.real, beta.imag]).reshape(4, n, n_paths)
-            rk = r[:, 0]  # becomes each path's r_1 (x) ... (x) r_n
-            for q in range(1, n):
-                rk = (rk[:, None] * r[:, q]).reshape(-1, n_paths)
-            grams[k] = rk @ rk.T
-        return _grams_to_superops(grams, n)
-
-    out = np.empty((n_seg, d * d, d * d), dtype=complex)
-    u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
-    if diagonal:
+    elif diagonal:
         # segment k multiplies row r of every U by exp(-i dphi[k, r]), with
         # dphi the segment's phase integral: hdiag times its duration plus
         # the couplings applied to its noise integral b[:, :, k]. Row 0's
@@ -307,13 +256,26 @@ def _chunk_map_sums(model, b, tau, pulses):
         powers = np.empty((4, d, d, n_paths), dtype=complex)
         powers[0] = np.eye(d)[:, :, None]
     for k in range(n_seg):
-        if diagonal:
+        if su2:
+            # concatenate keeps the einsum's memory order, by which the step norms round
+            v = np.concatenate([np.einsum("ak,paj->kjp", vq, b[:, :, k]) for vq in v_coup], axis=2)
+            for q in range(n):
+                v[:, :, q * n_paths:(q + 1) * n_paths] += v_sys[q][:, None, None]
+            alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
+            if pulse_pairs[k] is not None:
+                alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
+            # U_q = [[alpha, -conj(beta)], [beta, conj(alpha)]], shaped (2, 2, n, P)
+            uq = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]]).reshape(2, 2, n, n_paths)
+            u = uq[:, :, 0]
+            for q in range(1, n):
+                u = (u[:, None, :, None] * uq[None, :, None, :, q]).reshape(2 << q, 2 << q, n_paths)
+        elif diagonal:
             u[1:] *= factors[k][:, None, :]
         else:
             for j in range(m):
                 a = (-1.0j * tau[k]) * (h + ops @ b[:, :, k, j].T)
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
-        if pulses[k] is not None:
+        if pulses[k] is not None and not su2:
             u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
         # sum_p U (x) conj(U) is the Gram matrix of the vec(U_p), reordered
         flat = u.reshape(d * d, n_paths)

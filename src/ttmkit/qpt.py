@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import all_pauli_labels, pauli_string, superop_dim, to_choi, vec
+from .liouville import _pauli_columns, all_pauli_labels, superop_dim, to_choi, vec
 
 __all__ = [
     "QptRecord",
@@ -96,7 +96,8 @@ def _blocks(n_qubits):
     # Pauli block (rows vec(P^T), Pv Pv^H = d I) and preparation block (rows vec(rho)).
     paulis = all_pauli_labels(n_qubits)
     states = prep_states(n_qubits)
-    p_vecs = np.array([vec(pauli_string(p).T) for p in paulis])
+    d = 1 << n_qubits
+    p_vecs = _pauli_columns(n_qubits).reshape(d, d, -1).transpose(2, 1, 0).reshape(-1, d * d)
     rho_vecs = np.array([vec(rho) for rho in states.values()])
     return p_vecs, rho_vecs, [(lab, p) for lab in states for p in paulis]
 

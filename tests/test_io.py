@@ -1,6 +1,7 @@
 """File formats: map series JSON, tomography CSV, column CSV, reports."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_map_series_maps_must_be_a_list_of_objects(tmp_path, maps, message):
 
 @pytest.mark.parametrize("entry", [
     ["a", 0], [0, "1"], [1, 0, 0], [1], [None, 0], [True, 0], [0, False], [[1], 0],
-    "ab", 1, [10**400, 0],
+    "ab", 1, [10**400, 0], [math.nan, 0], [0, math.inf],
 ])
 def test_map_series_entries_must_be_pairs_of_numbers(tmp_path, entry):
     def edit(doc):
@@ -185,6 +186,16 @@ def test_qpt_csv_error_lines(tmp_path):
 
     path.write_text(good_header + "1,psi0,Z,0.5,0\n1,psi0,X,not_a_number,0\n")
     with pytest.raises(ValueError, match="line 3"):
+        read_qpt_csv(path)
+
+    # float() reads these, and a NaN expectation used to reach the maps
+    for value, message in (("nan", "expectation must be finite, got 'nan'"),
+                           ("-inf", "expectation must be finite, got '-inf'")):
+        path.write_text(good_header + f"1,psi0,Z,0.5,0\n1,psi0,X,{value},0\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
+            read_qpt_csv(path)
+    path.write_text(good_header + "1,psi0,Z,0.5,-1\n")
+    with pytest.raises(ValueError, match=re.escape("line 2: shots must be >= 0, got -1")):
         read_qpt_csv(path)
 
 

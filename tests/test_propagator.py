@@ -404,18 +404,29 @@ def _local_pair(zz=0.0):
                                         cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
 
 
+def _local_triple():
+    """Three qubits with local x, y and z terms and biases on every qubit."""
+    p = pauli_string
+    return SystemModel(
+        h_system=0.3 * p("ZII") - 0.2 * p("IXI") + 0.1 * p("IIY") + 0.4 * np.eye(8),
+        couplings=(p("XII") + 0.5 * p("IZI") - 0.2 * p("IIX"),
+                   p("IIY") - 0.3 * p("ZII") + 0.2 * np.eye(8)),
+        noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0), cross=np.eye(2)))
+
+
 def test_su2_kernel_matches_per_path_expm_products():
-    # a transverse qubit with a global-phase term, and a qubit-local pair
-    # (one Cayley-Klein pair per qubit) on cross-correlated channels: the
-    # kernel's summed maps must equal the sum of per-path superoperators of
-    # expm step products, at odd and even substep counts (the pairwise
+    # a transverse qubit with a global-phase term, a qubit-local pair on
+    # cross-correlated channels and a qubit-local triple (one Cayley-Klein
+    # pair per qubit, each path's U built by one Kronecker step per qubit):
+    # the kernel's summed maps must equal the sum of per-path superoperators
+    # of expm step products, at odd and even substep counts (the pairwise
     # product's odd tail) and a different substep length in each segment
     noise = NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0), cross=np.eye(2))
     qubit = SystemModel(h_system=0.3 * SIGMA_Z + 0.2 * np.eye(2),
                         couplings=(SIGMA_X, SIGMA_Y + 0.5 * np.eye(2)), noise=noise)
     rng = np.random.default_rng(3)
     tau = np.array([0.15, 0.05, 0.3, 0.1])
-    for model in (qubit, _local_pair()):
+    for model in (qubit, _local_pair(), _local_triple()):
         for substeps in (1, 2, 3, 5, 8):
             b = rng.normal(scale=2.0, size=(12, 2, tau.size, substeps))
             got = _chunk_map_sums(model, b, tau, [None] * tau.size)
@@ -433,19 +444,20 @@ def _random_model(d, seed):
     (transverse_noise_model(), False, "su2"),
     (transverse_noise_model(), True, "su2"),
     (_local_pair(), False, "su2"),
+    (_local_triple(), False, "su2"),
     (_local_pair(zz=0.1), False, "taylor"),
     (_local_pair(zz=1e-12), False, "taylor"),
     (_random_model(4, 5), False, "taylor"),
     (_local_pair(), True, "taylor"),
     (_random_model(3, 6), False, "taylor"),
     (two_qubit_dephasing(), True, "phase"),
-], ids=["qubit", "qubit-pulsed", "local-pair", "zz-pair", "tiny-zz-pair", "random-4x4",
-        "local-pair-pulsed", "qutrit", "dephasing-pair-pulsed"])
+], ids=["qubit", "qubit-pulsed", "local-pair", "local-triple", "zz-pair", "tiny-zz-pair",
+        "random-4x4", "local-pair-pulsed", "qutrit", "dephasing-pair-pulsed"])
 def test_step_kernel_follows_the_model_structure(model, pulsed, kernel, monkeypatch):
-    # a lone qubit and a pulse-free pair of qubit-local terms take the SU(2)
-    # kernel; any weight-2 Pauli term above 1e-14 (a zz coupling, a random
-    # Hermitian), pulses on a pair and a qutrit take the Taylor kernel; a
-    # diagonal model takes neither
+    # a lone qubit and pulse-free qubits of qubit-local terms (a pair, a
+    # triple) take the SU(2) kernel; any weight-2 Pauli term above 1e-14 (a
+    # zz coupling, a random Hermitian), pulses on a pair and a qutrit take
+    # the Taylor kernel; a diagonal model takes neither
     calls = {"su2": 0, "taylor": 0}
 
     def count(name, fn):
