@@ -227,13 +227,13 @@ def _mode_simulate(cfg, out_dir):
     model = build_model(cfg)
     n_traj, seed, substeps, antithetic, cv = _sampling(cfg)
     dt, n_steps = _grid(cfg)
+    shots = _integer(cfg, "shots", required=False, minimum=1)
     maps = _stage("propagator", simulate_process, model, dt, n_steps, n_traj,
                   substeps=substeps, seed=seed, antithetic=antithetic,
                   control_variate=cv)
     out = os.path.join(out_dir, "maps.json")
     io.write_map_series(out, maps, dt, n_traj=n_traj, meta=_meta_for(cfg, out_dir))
     written = [out]
-    shots = _integer(cfg, "shots", required=False, minimum=1)
     if shots:
         records = _stage("qpt", simulate_qpt, maps, shots=shots, seed=seed)
         rec_path = os.path.join(out_dir, "qpt_records.csv")
@@ -376,11 +376,11 @@ def _mode_twoqubit(cfg, out_dir):
 
 def _mode_ingest(cfg, out_dir):
     project = _boolean(cfg, "project_cptp", default=False)
+    dt = _number(cfg, "grid.dt", positive=True)
     records = _read_input(cfg, out_dir, io.read_qpt_csv)
     maps = _stage("qpt", reconstruct_maps, records)
     if project:
-        maps = [_stage("qpt", project_cptp, m) for m in maps]
-    dt = _number(cfg, "grid.dt", positive=True)
+        maps = _stage("qpt", project_cptp, maps)
     out = os.path.join(out_dir, "maps.json")
     io.write_map_series(out, maps, dt, meta=_meta_for(cfg, out_dir))
     return [out]

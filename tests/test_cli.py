@@ -142,16 +142,18 @@ def test_cross_must_be_a_covariance(tmp_path, capsys, cross, reason):
     ("noise.modulations", [True]),
     ("grid.dt", float("nan")),
     ("system.biases", [10**400]),
+    ("shots", 0),
 ], ids=["variance-string", "bias-string", "bias-null", "cross-string", "top-level-list",
         "variance-negative", "decay-string", "decay-negative", "variance-nan",
-        "modulation-bool", "dt-nan", "bias-huge-integer"])
+        "modulation-bool", "dt-nan", "bias-huge-integer", "shots-zero"])
 def test_numeric_fields_take_only_finite_numbers(tmp_path, capsys, field, value):
+    # every field is checked before the simulation runs, so no maps.json is left
     cfg = _sim_cfg()
     if field is None:
         cfg = value
     else:
-        section, key = field.split(".")
-        cfg[section][key] = value
+        section, _, key = field.rpartition(".")
+        (cfg[section] if section else cfg)[key] = value
     assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
                  "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -833,6 +835,14 @@ def test_ingest_mode_roundtrip(tmp_path):
     assert info["dt"] == 0.2
     worst = max(np.max(np.abs(a - b)) for a, b in zip(maps, back))
     assert worst < 1e-8
+
+
+def test_ingest_checks_its_grid_before_reading(tmp_path):
+    # a bad dt is named even when the records file is absent
+    cfg = {"mode": "ingest", "input": "absent.csv", "grid": {"dt": float("nan")},
+           "project_cptp": True}
+    with pytest.raises(ConfigError, match=r"grid\.dt"):
+        run_config(cfg, str(tmp_path))
 
 
 def test_xy4_mode(tmp_path):

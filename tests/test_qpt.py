@@ -243,8 +243,42 @@ def test_project_cptp_warns_when_it_stops_unconverged(monkeypatch):
         project_cptp(sop)
 
 
-@pytest.mark.parametrize("shape", [(4, 5), (1, 4, 4)])
+def test_project_cptp_warning_names_the_unconverged_maps(monkeypatch):
+    rng = np.random.default_rng(31)
+    sop = random_cptp(2, rng)
+    non_cp = sop + 0.05 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    monkeypatch.setattr(qpt, "_CPTP_ITERS", 1)
+    with pytest.warns(UserWarning, match=r"after 1 iterations on maps \[1\]$"):
+        project_cptp([sop, non_cp])
+
+
+def test_project_cptp_stack_equals_per_map_calls(monkeypatch):
+    rng = np.random.default_rng(43)
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    for d in (2, 4):
+        exact = [random_cptp(d, rng, env=env) for env in (1, 2, d)]
+        noisy = reconstruct_maps(simulate_qpt(exact, shots=256, seed=d))
+        maps = np.array(noisy[:2] + exact[2:] + noisy[2:])  # one already-CPTP map
+        iterations = []
+        for m in maps:
+            calls.clear()
+            project_cptp(m)
+            iterations.append(len(calls))
+        assert iterations[2] == 1 and len(set(iterations)) > 2  # each leaves on its own
+        stacked = project_cptp(maps)
+        assert stacked.shape == maps.shape
+        for m, got in zip(maps, stacked):
+            assert got.tobytes() == project_cptp(m).tobytes()
+        # a stack of one is the one-map call
+        one = project_cptp(maps[:1])
+        assert one.shape == (1, d * d, d * d)
+        assert one[0].tobytes() == project_cptp(maps[0]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 4, 5), (0, 4, 4)])
 def test_project_cptp_rejects_non_square_input(shape):
     # a (4, 5) array used to fail inside numpy's reshape, naming no shape
-    with pytest.raises(ValueError, match=re.escape(f"square 2-D array, got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         project_cptp(np.ones(shape))
