@@ -176,7 +176,7 @@ def build_model(cfg):
 
 def _sampling(cfg):
     n_traj = _integer(cfg, "sampling.n_traj", minimum=1)
-    seed = _integer(cfg, "sampling.seed")  # mandatory for stochastic modes
+    seed = _integer(cfg, "sampling.seed", minimum=0)  # mandatory for stochastic modes
     substeps = _integer(cfg, "sampling.substeps", required=False, default=8, minimum=1)
     antithetic = _boolean(cfg, "sampling.antithetic", default=True)
     cv = _boolean(cfg, "sampling.control_variate", default=False)
@@ -390,7 +390,10 @@ def _mode_xy4(cfg, out_dir):
     model = build_model(cfg)
     if model.dim != 2:
         raise ConfigError("field 'system.n_qubits': xy4 mode supports one qubit")
-    n_traj, seed, substeps, antithetic, _ = _sampling(cfg)
+    n_traj, seed, substeps, antithetic, cv = _sampling(cfg)
+    if cv:
+        raise ConfigError("field 'sampling.control_variate': xy4 mode takes no control "
+                          "variate")
     dt_cycle, n_cycles = _grid(cfg)
     out = os.path.join(out_dir, "xy4_norms.csv")
     _stage("propagator", presets._xy4_study, out, _meta_for(cfg, out_dir), model, dt_cycle,
@@ -467,6 +470,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "preset":
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"argument '--seed': must be >= 0, got {args.seed}")
             _make_out_dir(args.out_dir)
             # without --seed each preset keeps its own default
             seed = {} if args.seed is None else {"seed": args.seed}

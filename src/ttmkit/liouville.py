@@ -9,6 +9,8 @@ X[(r1, r2), (c1, c2)] = E[(r1, c1), (r2, c2)], normalized so that a
 trace-preserving map has Tr X = d.
 """
 
+import math
+
 import numpy as np
 
 SIGMA_I = np.eye(2, dtype=complex)
@@ -16,10 +18,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-
 # Order matters: index 0..3 used by Bloch-vector routines.
-PAULI_LABELS = ("I", "X", "Y", "Z")
+PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 def pauli_string(label):
@@ -47,7 +47,7 @@ def all_pauli_labels(n_qubits):
     """All 4^n Pauli-string labels in lexicographic order, identity included."""
     labels = [""]
     for _ in range(n_qubits):
-        labels = [s + p for s in labels for p in PAULI_LABELS]
+        labels = [s + p for s in labels for p in PAULIS]
     return labels
 
 
@@ -88,40 +88,49 @@ def hamiltonian_liouvillian(h):
 
 
 def unitary_superop(u):
-    """Superoperator for conjugation rho -> u rho u^dagger."""
+    """Superoperator U (x) conj(U) of rho -> u rho u^dagger.
+
+    ``u`` is one d x d matrix or a (..., d, d) stack, which gives the
+    (..., d^2, d^2) stack of their superoperators; on one matrix the result
+    equals ``np.kron(u, u.conj())``.
+    """
     u = np.asarray(u, dtype=complex)
-    return np.kron(u, u.conj())
+    d = u.shape[-1]
+    return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
+        u.shape[:-2] + (d * d, d * d))
 
 
 def _free_superops(h, times):
     """Superoperators U(t) (x) conj(U(t)) of U(t) = exp(-i h t), one per time."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    u = (v * np.exp(-1.0j * w * np.reshape(times, (-1, 1)))[:, None, :]) @ v.conj().T
-    d = w.size
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    return unitary_superop((v * np.exp(-1.0j * w * np.reshape(times, (-1, 1)))[:, None, :])
+                           @ v.conj().T)
 
 
 def superop_dim(sop):
-    """Hilbert-space dimension d of a d^2 x d^2 superoperator."""
+    """Hilbert-space dimension d of a d^2 x d^2 superoperator or a (..., d^2, d^2) stack."""
     shape = np.shape(sop)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"superoperator must be a square 2-D array, got shape {shape}")
-    n = shape[0]
-    d = int(round(np.sqrt(n)))
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise ValueError(f"superoperator must be a square matrix or a stack of them, "
+                         f"got shape {shape}")
+    n = shape[-1]
+    d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"superoperator side {n} is not a perfect square")
     return d
 
 
 def to_choi(sop):
-    """Choi matrix of a superoperator (row-major reshuffle).
+    """Choi matrix of a superoperator, or the Choi stack of a (..., d^2, d^2) stack.
 
-    The reshuffle X[(r1, r2), (c1, c2)] = E[(r1, c1), (r2, c2)] is an
-    involution, so the same index gymnastics invert it.
+    The row-major reshuffle X[(r1, r2), (c1, c2)] = E[(r1, c1), (r2, c2)]
+    acts on the last two axes. It is an involution, so the same call inverts
+    it.
     """
     sop = np.asarray(sop, dtype=complex)
     d = superop_dim(sop)
-    return sop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    lead = sop.shape[:-2]
+    return sop.reshape(lead + (d, d, d, d)).swapaxes(-3, -2).reshape(lead + (d * d, d * d))
 
 
 def trace_preservation_defect(sop):
@@ -234,13 +243,9 @@ def factorize_bipartite(sop):
     trace preserving when the input is.
     """
     sop = np.asarray(sop, dtype=complex)
-    x = to_choi(sop)
-    xr = reindex_bipartite(x).reshape(4, 4, 4, 4)
+    xr = reindex_bipartite(to_choi(sop)).reshape(4, 4, 4, 4)
     # Partial traces over the other qubit's (row, col) block; the factor
     # 1/2 restores Choi normalization Tr x_i = 2.
-    x1 = np.einsum("abcb->ac", xr) / 2.0
-    x2 = np.einsum("abad->bd", xr) / 2.0
-    product = reindex_bipartite(np.kron(x1, x2))
-    delta_choi = x - product
-    # the Choi reshuffle is an involution, so to_choi also inverts it
-    return to_choi(x1), to_choi(x2), to_choi(delta_choi)
+    sop1 = to_choi(np.einsum("abcb->ac", xr) / 2.0)
+    sop2 = to_choi(np.einsum("abad->bd", xr) / 2.0)
+    return sop1, sop2, sop - kron_superop(sop1, sop2)

@@ -85,17 +85,19 @@ class NoiseModel:
         """Scalar-channel correlation C_ab(tau) with ``tau`` any ndarray."""
         return self.correlation(tau)[..., a, b]
 
+    def _entry(self, a, b):
+        # amplitude, decay rate and modulation of C_ab; b None means b = a
+        b = a if b is None else b
+        return (self.cross[a, b], 0.5 * (self.kappas[a] + self.kappas[b]),
+                0.5 * (self.omegas[a] + self.omegas[b]))
+
     def phase_variance(self, t, a=0, b=None):
         """Double time integral Phi_ab(t) = int_0^t int_0^t C_ab(s - s') ds ds'.
 
         Equals 2 * int_0^t (t - s) C_ab(s) ds by stationarity; closed form.
         """
-        if b is None:
-            b = a
         t = np.asarray(t, dtype=float)
-        amp = self.cross[a, b]
-        kab = 0.5 * (self.kappas[a] + self.kappas[b])
-        wab = 0.5 * (self.omegas[a] + self.omegas[b])
+        amp, kab, wab = self._entry(a, b)
         mu = kab - 1.0j * wab
         if abs(mu) < 1e-300:
             return amp * t * t
@@ -107,12 +109,8 @@ class NoiseModel:
 
         Closed form: a pair of Lorentzians.
         """
-        if b is None:
-            b = a
         omega = np.asarray(omega, dtype=float)
-        amp = self.cross[a, b]
-        kab = 0.5 * (self.kappas[a] + self.kappas[b])
-        wab = 0.5 * (self.omegas[a] + self.omegas[b])
+        amp, kab, wab = self._entry(a, b)
         return amp * kab * (1.0 / (kab**2 + (omega - wab) ** 2)
                             + 1.0 / (kab**2 + (omega + wab) ** 2))
 

@@ -12,13 +12,12 @@ import numpy as np
 
 from . import io, multiqubit, propagator, spectroscopy, ttm
 from ._version import __version__
-from .liouville import SIGMA_X, SIGMA_Y, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
+from .liouville import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, hamiltonian_liouvillian, unvec, vec
 from .noisegen import NoiseModel
 from .nonmarkov import volume_measure, volume_series
 from .propagator import SystemModel, dephasing_map_series, simulate_process
+from .qpt import prep_states
 from .ttm import build_ttms, count_above_threshold, predict_states
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -39,7 +38,7 @@ def _qubit_operators(biases, channels, zz=0.0):
     h = biases[0] * local(SIGMA_Z, 1)
     if len(biases) == 2:
         h = h + biases[1] * local(SIGMA_Z, 2) + zz * np.kron(SIGMA_Z, SIGMA_Z)
-    return h, tuple(local(_PAULI[axis], qubit) for axis, qubit in channels)
+    return h, tuple(local(PAULIS[axis.upper()], qubit) for axis, qubit in channels)
 
 
 def single_qubit_model(bias, axis, coupling, kappa, omega_c=0.0):
@@ -362,13 +361,10 @@ def run_fig6(out_dir, scale="full", seed=23):
     """Full versus separable TTM predictions for the two pair models."""
     n_traj = _scaled(400_000, scale)
     dt, n_maps, n_pred = 0.2, 16, 25
-    psi_x0 = np.zeros(4, dtype=complex)
-    psi_x0[[0, 2]] = 1 / np.sqrt(2)
-    psi_bell = np.zeros(4, dtype=complex)
-    psi_bell[[1, 2]] = 1 / np.sqrt(2)
+    states = prep_states(2)  # |+>|0> and (|01> + |10>) / sqrt(2)
     cases = (
-        ("fig6_independent", coupled_pair_model(1.0), np.outer(psi_x0, psi_x0.conj()), (0, 2)),
-        ("fig6_correlated", correlated_pair_model(1.0), np.outer(psi_bell, psi_bell.conj()), (1, 2)),
+        ("fig6_independent", coupled_pair_model(1.0), states["psiX0"], (0, 2)),
+        ("fig6_correlated", correlated_pair_model(1.0), states["Psi"], (1, 2)),
     )
     out = {}
     for stem, model, rho0, (r, c) in cases:

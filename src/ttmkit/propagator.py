@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import (_free_superops, _pauli_columns, commutator_superop, pauli_string,
-                        unitary_superop, vec)
+                        to_choi, unitary_superop, vec)
 from .noisegen import GaussianPathSampler, NoiseModel
 
 
@@ -277,11 +277,10 @@ def _chunk_map_sums(model, b, tau, pulses):
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
         if pulses[k] is not None and not su2:
             u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
-        # sum_p U (x) conj(U) is the Gram matrix of the vec(U_p), reordered
+        # the Gram matrix of the vec(U_p) is the Choi matrix of sum_p U (x) conj(U)
         flat = u.reshape(d * d, n_paths)
-        gram = (flat @ flat.conj().T).reshape(d, d, d, d)
-        out[k] = gram.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return out
+        out[k] = flat @ flat.conj().T
+    return to_choi(out)
 
 
 def _cv_generators(model, dt_sub, midpoints):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import _pauli_columns, all_pauli_labels, superop_dim, vec
+from .liouville import _pauli_columns, all_pauli_labels, superop_dim, to_choi, vec
 
 __all__ = [
     "QptRecord",
@@ -25,36 +25,15 @@ def _ket(amps):
     return v / np.linalg.norm(v)
 
 
-_K0 = _ket([1, 0])
-_K1 = _ket([0, 1])
-_KX = _ket([1, 1])
-_KY = _ket([1, 1j])
+_SINGLE = {"psi0": _ket([1, 0]), "psi1": _ket([0, 1]), "psiX": _ket([1, 1]),
+           "psiY": _ket([1, 1j])}
 
-_SINGLE = {
-    "psi0": _K0,
-    "psi1": _K1,
-    "psiX": _KX,
-    "psiY": _KY,
-}
-
-_TWO = {
-    "psi00": np.kron(_K0, _K0),
-    "psi01": np.kron(_K0, _K1),
-    "psi10": np.kron(_K1, _K0),
-    "psi11": np.kron(_K1, _K1),
-    "psi0X": np.kron(_K0, _KX),
-    "psi0Y": np.kron(_K0, _KY),
-    "psi1X": np.kron(_K1, _KX),
-    "psi1Y": np.kron(_K1, _KY),
-    "psiX0": np.kron(_KX, _K0),
-    "psiY0": np.kron(_KY, _K0),
-    "psiX1": np.kron(_KX, _K1),
-    "psiY1": np.kron(_KY, _K1),
-    "Phi": _ket([1, 0, 0, 1]),
-    "Psi": _ket([0, 1, 1, 0]),
-    "PhiStar": _ket([1, 0, 0, 1j]),
-    "PsiStar": _ket([0, 1, 1j, 0]),
-}
+# the twelve product states in record order, each the kron of its one-qubit kets,
+# then the four maximally entangled states
+_TWO = {f"psi{a}{b}": np.kron(_SINGLE[f"psi{a}"], _SINGLE[f"psi{b}"])
+        for a, b in "00 01 10 11 0X 0Y 1X 1Y X0 Y0 X1 Y1".split()}
+_TWO.update(Phi=_ket([1, 0, 0, 1]), Psi=_ket([0, 1, 1, 0]), PhiStar=_ket([1, 0, 0, 1j]),
+            PsiStar=_ket([0, 1, 1j, 0]))
 
 _BASES = {1: _SINGLE, 2: _TWO}
 # iteration cap and target residual of the alternating CPTP projection
@@ -137,7 +116,7 @@ def simulate_qpt(maps, shots=0, seed=None):
     if shots > 0 and seed is None:
         raise ValueError("seed is required when shots > 0")
     maps = np.asarray(maps, dtype=complex)
-    d = superop_dim(maps[0])
+    d = superop_dim(maps)
     if d not in (2, 4):
         raise ValueError(f"no preparation basis tabulated for Hilbert dimension {d}")
     a, keys = _design_matrix(d // 2)  # one qubit at d = 2, two at d = 4
@@ -221,17 +200,13 @@ def project_cptp(sop):
     iterations a warning names the unconverged maps and their worst residual.
     """
     sop = np.asarray(sop, dtype=complex)
-    if sop.ndim not in (2, 3) or not sop.size or sop.shape[-1] != sop.shape[-2]:
-        raise ValueError(f"expected a square superoperator or a non-empty stack of them, "
+    if sop.ndim not in (2, 3) or not sop.size:
+        raise ValueError(f"expected one superoperator or a non-empty stack of them, "
                          f"got shape {sop.shape}")
-    d = superop_dim(sop if sop.ndim == 2 else sop[0])
-
-    def choi(a):  # the row-major reshuffle of each map, its own inverse
-        return a.reshape(-1, d, d, d, d).swapaxes(2, 3).reshape(-1, d * d, d * d)
-
+    d = superop_dim(sop)  # names a non-square shape
     eye = np.eye(d)
     eye_over_d = (eye / d)[:, None, :, None]
-    x = choi(sop)
+    x = to_choi(sop).reshape(-1, d * d, d * d)
     live, out = list(range(len(x))), np.empty_like(x)
     for _ in range(_CPTP_ITERS):
         x = 0.5 * (x + x.conj().swapaxes(1, 2))
@@ -255,4 +230,4 @@ def project_cptp(sop):
         warnings.warn(f"CPTP projection stopped at residual {max(residuals):.3e} after "
                       f"{_CPTP_ITERS} iterations on maps {live}", stacklevel=2)
         out[live] = x
-    return choi(out).reshape(sop.shape)
+    return to_choi(out).reshape(sop.shape)

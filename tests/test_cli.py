@@ -143,9 +143,10 @@ def test_cross_must_be_a_covariance(tmp_path, capsys, cross, reason):
     ("grid.dt", float("nan")),
     ("system.biases", [10**400]),
     ("shots", 0),
+    ("sampling.seed", -1),
 ], ids=["variance-string", "bias-string", "bias-null", "cross-string", "top-level-list",
         "variance-negative", "decay-string", "decay-negative", "variance-nan",
-        "modulation-bool", "dt-nan", "bias-huge-integer", "shots-zero"])
+        "modulation-bool", "dt-nan", "bias-huge-integer", "shots-zero", "seed-negative"])
 def test_numeric_fields_take_only_finite_numbers(tmp_path, capsys, field, value):
     # every field is checked before the simulation runs, so no maps.json is left
     cfg = _sim_cfg()
@@ -193,6 +194,16 @@ def test_seed_is_mandatory_for_stochastic_modes(tmp_path):
     del cfg["sampling"]["seed"]
     with pytest.raises(ConfigError, match="sampling.seed"):
         run_config(cfg, str(tmp_path))
+
+
+def test_negative_preset_seed_is_a_config_error(tmp_path, capsys):
+    # it used to die in numpy's generator with a traceback and exit 1
+    out_dir = tmp_path / "xy4"
+    assert main(["preset", "xy4", "--scale", "fast", "--seed", "-1",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'--seed': must be >= 0, got -1" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_mode_rejected(tmp_path):
@@ -855,6 +866,17 @@ def test_xy4_mode(tmp_path):
         cols, _ = read_series_csv(tmp_path / "xy4_norms.csv")
         assert set(cols) == {"n", "free", "xy4"}
         assert cols["n"].size == 3
+
+
+def test_xy4_mode_refuses_the_control_variate(tmp_path):
+    # the field used to be read and dropped, so a run that asked for it got none
+    cfg = _xy4_cfg()
+    cfg["sampling"]["control_variate"] = True
+    with pytest.raises(ConfigError, match="sampling.control_variate"):
+        run_config(cfg, str(tmp_path))
+    assert not (tmp_path / "xy4_norms.csv").exists()
+    cfg["sampling"]["control_variate"] = False
+    assert run_config(cfg, str(tmp_path))[0].endswith("xy4_norms.csv")
 
 
 def test_main_exit_codes_and_subcommands(tmp_path, capsys):

@@ -83,6 +83,30 @@ def test_unitary_superop_matches_conjugation():
                         u @ rho @ u.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_choi_and_unitary_superop_act_on_stacks(d):
+    # a stack gives the stack of per-item results, bit for bit
+    rng = np.random.default_rng(60 + d)
+    sops = np.array([random_cptp(d, rng) for _ in range(3)])
+    assert to_choi(sops).tobytes() == np.array([to_choi(s) for s in sops]).tobytes()
+    assert superop_dim(sops) == d
+    us = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    assert unitary_superop(us).tobytes() == np.array([unitary_superop(u) for u in us]).tobytes()
+    for u in us:  # one matrix gives the Kronecker form U (x) conj(U)
+        assert unitary_superop(u).tobytes() == np.kron(u, u.conj()).tobytes()
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 4, 5), r"got shape \(2, 4, 5\)"),
+    ((4,), r"got shape \(4,\)"),
+    ((2, 5, 5), "side 5 is not a perfect square"),
+    ((6, 6), "side 6 is not a perfect square"),
+], ids=["non-square-stack", "one-dimensional", "stack-side-not-square", "side-not-square"])
+def test_superop_dim_rejects_non_superoperator_shapes(shape, message):
+    with pytest.raises(ValueError, match=message):
+        superop_dim(np.zeros(shape))
+
+
 def test_sigma_z_sign_convention():
     # |0> is the +1 eigenstate; a positive bias advances rho_01 backwards.
     assert SIGMA_Z[0, 0] == 1.0 and SIGMA_Z[1, 1] == -1.0

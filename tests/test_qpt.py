@@ -48,6 +48,24 @@ def test_prep_states_are_valid_and_informationally_complete():
         prep_labels(3)
 
 
+def test_tomography_basis_is_pinned():
+    # record files carry these labels, and rows come out in this order
+    assert prep_labels(1) == ("psi0", "psi1", "psiX", "psiY")
+    assert prep_labels(2) == ("psi00", "psi01", "psi10", "psi11", "psi0X", "psi0Y", "psi1X",
+                              "psi1Y", "psiX0", "psiY0", "psiX1", "psiY1",
+                              "Phi", "Psi", "PhiStar", "PsiStar")
+    one, two = qpt._BASES[1], qpt._BASES[2]
+    r = 1 / np.sqrt(2)
+    explicit = {"psi0": [1, 0], "psi1": [0, 1], "psiX": [r, r], "psiY": [r, 1j * r],
+                "Phi": [r, 0, 0, r], "Psi": [0, r, r, 0],
+                "PhiStar": [r, 0, 0, 1j * r], "PsiStar": [0, r, 1j * r, 0]}
+    for label, ket in explicit.items():
+        npt.assert_array_equal((one | two)[label], np.array(ket, dtype=complex), err_msg=label)
+    for label in prep_labels(2)[:12]:
+        a, b = label[3:]
+        npt.assert_array_equal(two[label], np.kron(one[f"psi{a}"], one[f"psi{b}"]))
+
+
 def test_exact_records_invert_exactly():
     rng = np.random.default_rng(11)
     for d in (2, 4):
