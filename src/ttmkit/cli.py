@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io, presets
 from ._version import __version__
-from .noisegen import _PSD_TOL, CovarianceCapError, NoiseModel
+from .noisegen import _PSD_TOL, CovarianceCapError, IndefiniteCovarianceError, NoiseModel
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
 from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
@@ -108,6 +108,9 @@ def _stage(module, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except CovarianceCapError as exc:  # the sampler's limit on the time grid
         raise ConfigError(f"field 'grid.n_steps': {exc}") from None
+    except IndefiniteCovarianceError as exc:  # C(0) is PSD, C over the grid is not
+        raise ConfigError(f"fields 'noise.cross', 'noise.decay_rates' and "
+                          f"'noise.modulations' admit no Gaussian noise: {exc}") from None
     except Exception as exc:
         raise PipelineError(f"[{module}] {type(exc).__name__}: {exc}") from exc
 
@@ -163,7 +166,7 @@ def build_model(cfg):
         # cross is the equal-time covariance C(0), which no Gaussian noise
         # realizes unless it is positive semidefinite
         low = np.linalg.eigvalsh(cross)
-        if low[0] < -_PSD_TOL * max(low[-1], 1.0):
+        if low[0] < -_PSD_TOL * max(-low[0], low[-1]):
             raise ConfigError(f"field 'noise.cross': must be positive semidefinite, "
                               f"min eigenvalue {low[0]:.3e}")
 

@@ -9,15 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eigh of the space-time covariance scales cubically; this cap keeps a
-# misconfigured grid from silently eating minutes.
+# eigh of the space-time covariance scales cubically and peaks at about 5 N^2
+# doubles (about 640 MiB at this side); the cap keeps a misconfigured grid
+# from silently eating minutes and memory.
 _MAX_COV_SIDE = 4096
-# relative size of a negative covariance eigenvalue that counts as not PSD
+# size of a negative covariance eigenvalue, relative to the largest |eigenvalue|,
+# that counts as not PSD
 _PSD_TOL = 1e-10
 
 
 class CovarianceCapError(ValueError):
     """A sampler grid with more (channel, time) points than the 4096 cap."""
+
+
+class IndefiniteCovarianceError(ValueError):
+    """A noise model whose covariance over the sampler's grid is not PSD."""
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,15 @@ class NoiseModel:
         return cls(kappas=(kappa,), omegas=(omega,), cross=np.array([[float(coupling)]]))
 
     def correlation(self, tau):
-        """Correlation matrix C(tau), shape ``tau.shape + (n, n)``."""
-        tau = np.asarray(tau, dtype=float)
-        k = np.asarray(self.kappas)
-        w = np.asarray(self.omegas)
-        kab = 0.5 * (k[:, None] + k[None, :])
-        wab = 0.5 * (w[:, None] + w[None, :])
-        t = tau[..., None, None]
-        return self.cross * np.exp(-kab * np.abs(t)) * np.cos(wab * t)
+        """Correlation matrix C(tau), shape ``tau.shape + (n, n)``, built in place."""
+        t = np.asarray(tau, dtype=float)[..., None, None]
+        kab, wab = (0.5 * np.add.outer(r, r) for r in (self.kappas, self.omegas))
+        c = np.abs(t, out=np.empty(t.shape[:-2] + kab.shape))
+        np.exp(np.multiply(c, -kab, out=c), out=c)
+        c *= self.cross
+        arg = wab * t
+        c *= np.cos(arg, out=arg)
+        return c
 
     def correlation_entry(self, a, b, tau):
         """Scalar-channel correlation C_ab(tau) with ``tau`` any ndarray."""
@@ -121,7 +128,12 @@ class GaussianPathSampler:
     Builds the full space-time covariance over (channel, time) pairs and
     factorizes it once; each draw is then a matrix product. Exactness on
     the grid matters more here than asymptotic cost because the grids are
-    short (hundreds of points) while the path counts are large.
+    short (hundreds of points) while the path counts are large. The build
+    peaks inside ``np.linalg.eigh`` at about 5 N^2 doubles for N = n_channels
+    * n_times (its input, LAPACK's copy and 2 N^2 of workspace, and the
+    eigenvectors): about 35 MiB at N = 960 and 640 MiB at the 4096 cap. A
+    covariance that is not positive semidefinite beyond rounding, relative
+    to its largest |eigenvalue|, raises :class:`IndefiniteCovarianceError`.
 
     ``windows``, an (n_times, n_windows) matrix W, turns each draw into the
     window sums x W of each channel's grid values x. W is folded into the
@@ -138,23 +150,21 @@ class GaussianPathSampler:
             raise CovarianceCapError(
                 f"covariance side {n * m} (channels x time points) exceeds "
                 f"{_MAX_COV_SIDE}; coarsen the grid")
-        # cov[(a, i), (b, j)] = C_ab(t_i - t_j)
-        lags = self.times[:, None] - self.times[None, :]
-        cmat = model.correlation(lags)  # (m, m, n, n)
-        cov = cmat.transpose(2, 0, 3, 1).reshape(n * m, n * m)
+        # cov[(a, i), (b, j)] = C_ab(t_i - t_j), our one N^2 array while eigh runs
+        cov = model.correlation(self.times[:, None] - self.times[None, :]).transpose(
+            2, 0, 3, 1).reshape(n * m, n * m)
         cov = 0.5 * (cov + cov.T)
         w, v = np.linalg.eigh(cov)
-        scale = max(w[-1], 1.0)
-        if w[0] < -_PSD_TOL * scale:
-            raise ValueError(
-                f"noise model covariance is not positive semidefinite "
-                f"(min eigenvalue {w[0]:.3e}); check the cross matrix")
-        w = np.clip(w, 0.0, None)
+        del cov
+        if w[0] < -_PSD_TOL * max(-w[0], w[-1]):
+            raise IndefiniteCovarianceError(
+                f"noise model covariance over the time grid is not positive semidefinite "
+                f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})")
         # draws are z @ factor.T with z standard normal over the n * m grid
         # points, so with windows the factor's rows become W^T F per channel
-        self._factor = v * np.sqrt(w)
+        self._factor = np.multiply(v, np.sqrt(np.clip(w, 0.0, None)), out=v)
         if windows is not None:
-            self._factor = (windows.T @ self._factor.reshape(n, m, n * m)).reshape(-1, n * m)
+            self._factor = (windows.T @ v.reshape(n, m, n * m)).reshape(-1, n * m)
         self._shape = (n, self._factor.shape[0] // n)
 
     def sample(self, rng, n_paths):

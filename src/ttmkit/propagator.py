@@ -202,8 +202,8 @@ def _local_bloch_vectors(model):
     return v[:, 0], v[:, 1:]
 
 
-def _chunk_map_sums(model, b, tau, pulses):
-    """One chunk's sums (not means) of the maps after each segment, for :func:`_ensemble`.
+def _chunk_map_sums(model, b, tau, pulses, stride=1):
+    """One chunk's sums (not means) of the maps after every ``stride``-th segment.
 
     ``b`` holds the drawn noise values, shaped (P, n_ch, n_seg, m): m frozen
     values per segment, each held for the substep length ``tau[k]`` of its
@@ -221,14 +221,15 @@ def _chunk_map_sums(model, b, tau, pulses):
     Every kernel hands the segment's (d, d, P) propagators to one path sum,
     the Gram matrix of the vec(U_p). Each step is unitary to rounding, so the
     summed maps stay trace preserving. ``pulses`` holds one unitary or None
-    per segment, applied at its end and included in its sum.
+    per segment, applied at its end and included in its sum. Only the ends
+    of segments stride - 1, 2 stride - 1, ... form a sum, for :func:`_ensemble`.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
     diagonal = model.is_diagonal
     local = None if diagonal else _local_bloch_vectors(model)
     su2 = local is not None and (d == 2 or all(p is None for p in pulses))
-    out = np.empty((n_seg, d * d, d * d), dtype=complex)
+    out = np.empty((n_seg // stride, d * d, d * d), dtype=complex)
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
     if su2:
         v_sys, v_coup = local
@@ -264,11 +265,6 @@ def _chunk_map_sums(model, b, tau, pulses):
             alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
             if pulse_pairs[k] is not None:
                 alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
-            # U_q = [[alpha, -conj(beta)], [beta, conj(alpha)]], shaped (2, 2, n, P)
-            uq = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]]).reshape(2, 2, n, n_paths)
-            u = uq[:, :, 0]
-            for q in range(1, n):
-                u = (u[:, None, :, None] * uq[None, :, None, :, q]).reshape(2 << q, 2 << q, n_paths)
         elif diagonal:
             u[1:] *= factors[k][:, None, :]
         else:
@@ -277,9 +273,17 @@ def _chunk_map_sums(model, b, tau, pulses):
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
         if pulses[k] is not None and not su2:
             u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
+        if (k + 1) % stride:
+            continue
+        if su2:
+            # U_q = [[alpha, -conj(beta)], [beta, conj(alpha)]], shaped (2, 2, n, P)
+            uq = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]]).reshape(2, 2, n, n_paths)
+            u = uq[:, :, 0]
+            for q in range(1, n):
+                u = (u[:, None, :, None] * uq[None, :, None, :, q]).reshape(2 << q, 2 << q, n_paths)
         # the Gram matrix of the vec(U_p) is the Choi matrix of sum_p U (x) conj(U)
         flat = u.reshape(d * d, n_paths)
-        out[k] = flat @ flat.conj().T
+        out[k // stride] = flat @ flat.conj().T
     return to_choi(out)
 
 
@@ -369,13 +373,15 @@ def _check_counts(**counts):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
+def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
               antithetic=False, collect_chunk_means=False, control_variate=False):
-    """The (n_seg, d^2, d^2) maps after each segment, and the raw chunk means if asked.
+    """The (n_seg // stride, d^2, d^2) maps after every ``stride``-th segment, and
+    the raw chunk means if asked.
 
     Segment k = (duration_k, pulse_k) evolves for duration_k in ``substeps``
     substeps, noise frozen at the midpoints start_k + (j + 0.5) dt_k with
     dt_k = duration_k / substeps, then applies pulse_k (a unitary or None).
+    The control variate takes stride 1.
     """
     d = model.dim
     n_seg = len(segments)
@@ -395,12 +401,12 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size,
     n_col = n_seg if model.is_diagonal else midpoints.size  # drawn values per channel
     n_flat = n_ch * n_col
     sum_b, sum_gram = np.zeros(n_flat), np.zeros((n_flat, n_flat))
-    acc = np.zeros((n_seg, d * d, d * d), dtype=complex)
+    acc = np.zeros((n_seg // stride, d * d, d * d), dtype=complex)
     chunk_means = []
     mirror = _mirror(model) if antithetic else None
     for draws in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
         b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
-        contrib = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, -1)), tau, pulses)
+        contrib = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, -1)), tau, pulses, stride)
         if mirror is not None:
             contrib += mirror @ contrib @ mirror.conj().T
         acc += contrib
@@ -485,7 +491,7 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     maps, chunk_means = _ensemble(model, [(float(dt), None)] * n_steps, n_traj, substeps,
-                                  seed, chunk_size, antithetic, collect_chunk_means,
+                                  seed, chunk_size, 1, antithetic, collect_chunk_means,
                                   control_variate)
     if collect_chunk_means:
         return list(maps), np.array(chunk_means)
@@ -521,8 +527,8 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
                 pulse @ pulse.conj().T - np.eye(d)) <= 1e-10):
             raise ValueError(f"segment {i}: pulse must be a {d}x{d} unitary")
     cycle = [(float(s[0]), pulse) for s, pulse in zip(segments, pulses)]
-    maps, _ = _ensemble(model, cycle * n_cycles, n_traj, substeps, seed, chunk_size)
-    return list(maps[len(segments) - 1::len(segments)])
+    return list(_ensemble(model, cycle * n_cycles, n_traj, substeps, seed, chunk_size,
+                          len(segments))[0])
 
 
 def dephasing_map(model, t):

@@ -114,18 +114,40 @@ def test_cross_diagonal_must_equal_variances(tmp_path, capsys):
 @pytest.mark.parametrize("cross, reason", [
     ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
     ([[1.0, 3.0], [3.0, 1.0]], "positive semidefinite"),
-], ids=["asymmetric", "not-psd"])
+    ([[1e-12, 1.5e-12], [1.5e-12, 1e-12]], "positive semidefinite"),
+], ids=["asymmetric", "not-psd", "not-psd-weak"])
 def test_cross_must_be_a_covariance(tmp_path, capsys, cross, reason):
-    # cross is C(0): a symmetric positive semidefinite matrix or no noise at all
+    # cross is C(0): a symmetric positive semidefinite matrix or no noise at
+    # all, at any scale: a correlation coefficient of 1.5 is refused at
+    # variance 1e-12 as at variance 1
     cfg = _sim_cfg(system={"n_qubits": 2, "biases": [0.1, 0.2],
                            "channels": [{"axis": "z", "qubit": 1},
                                         {"axis": "z", "qubit": 2}]},
-                   noise={"variances": [1.0, 1.0], "decay_rates": [1.0, 1.0],
+                   noise={"variances": [cross[0][0], cross[1][1]], "decay_rates": [1.0, 1.0],
                           "cross": cross})
     assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
                  "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "noise.cross" in err and reason in err
+    assert not (tmp_path / "maps.json").exists()
+
+
+def test_indefinite_grid_covariance_is_a_config_error(tmp_path, capsys):
+    # C(0) = cross passes its own check, but perfectly correlated channels
+    # with different decay rates admit no joint Gaussian process on the grid;
+    # the error names every noise field that enters it, not cross alone
+    cfg = _sim_cfg(system={"n_qubits": 2, "biases": [0.1, 0.2],
+                           "channels": [{"axis": "z", "qubit": 1},
+                                        {"axis": "z", "qubit": 2}]},
+                   noise={"variances": [1.0, 1.0], "decay_rates": [1.0, 5.0],
+                          "cross": [[1.0, 1.0], [1.0, 1.0]]})
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    for field in ("noise.cross", "noise.decay_rates", "noise.modulations"):
+        assert field in err
+    assert "positive semidefinite" in err and "Traceback" not in err
     assert not (tmp_path / "maps.json").exists()
 
 

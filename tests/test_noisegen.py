@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,8 @@ import pytest
 from scipy import integrate
 
 import ttmkit
-from ttmkit.noisegen import GaussianPathSampler, NoiseModel
+from ttmkit.noisegen import GaussianPathSampler, IndefiniteCovarianceError, NoiseModel
+from ttmkit.presets import correlated_pair_model, revival_demo_model, transverse_noise_model
 
 from conftest import double_integral_correlation, ou_correlation
 
@@ -37,6 +39,28 @@ def test_cross_channel_uses_mean_rates():
     expect = 0.6 * np.exp(-2.0 * tau) * np.cos(1.0 * tau)
     assert abs(model.correlation_entry(0, 1, tau) - expect) < 1e-14
     assert abs(model.correlation_entry(1, 0, tau) - expect) < 1e-14
+
+
+def _written_out_correlation(model, tau):
+    # C_ab(tau) = cross[a, b] exp(-kappa_ab |tau|) cos(omega_ab tau), one expression
+    k, w = np.array(model.kappas), np.array(model.omegas)
+    kab, wab = 0.5 * (k[:, None] + k[None, :]), 0.5 * (w[:, None] + w[None, :])
+    t = np.asarray(tau, dtype=float)[..., None, None]
+    return model.cross * np.exp(-kab * np.abs(t)) * np.cos(wab * t)
+
+
+@pytest.mark.parametrize("tau", [0.7, np.linspace(-3.0, 3.0, 11),
+                                 np.linspace(-3.0, 3.0, 12).reshape(3, 4)],
+                         ids=["scalar", "1d", "2d"])
+def test_correlation_is_the_written_out_product_bit_for_bit(tau):
+    # the in-place evaluation keeps the product's operation order, so it
+    # rounds the same: every draw built on it stays bit-stable
+    model = NoiseModel(kappas=(1.0, 3.0), omegas=(0.5, 2.0),
+                       cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
+    got = model.correlation(tau)
+    want = _written_out_correlation(model, tau)
+    assert got.shape == np.shape(tau) + (2, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_model_validation():
@@ -142,11 +166,69 @@ def test_windowed_draws_are_window_sums_of_grid_draws():
 
 def test_sampler_rejects_inconsistent_cross_correlations():
     # perfectly correlated amplitudes but different decay rates cannot be
-    # realized by any joint Gaussian process
-    model = NoiseModel(kappas=(0.1, 8.0), omegas=(0.0, 0.0),
-                       cross=np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        GaussianPathSampler(model, np.linspace(0.1, 3.0, 12))
+    # realized by any joint Gaussian process, at any overall variance
+    for scale in (1.0, 1e-12):
+        model = NoiseModel(kappas=(0.1, 8.0), omegas=(0.0, 0.0),
+                           cross=scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(IndefiniteCovarianceError, match="positive semidefinite"):
+            GaussianPathSampler(model, np.linspace(0.1, 3.0, 12))
+
+
+def test_sampler_takes_a_zero_noise_model():
+    # all eigenvalues 0: nothing is negative relative to the largest
+    sampler = GaussianPathSampler(NoiseModel.single(0.0, 1.0), _midpoints(0.2, 6))
+    assert not sampler.sample(np.random.default_rng(1), 3).any()
+
+
+def _reference_factor(model, times, windows=None):
+    # the build written out: lags -> correlation -> 0.5 (C + C^T) -> eigh
+    # -> V sqrt(w), clipped at 0 -> window fold
+    n, m = model.n_channels, times.size
+    lags = times[:, None] - times[None, :]
+    cov = _written_out_correlation(model, lags).transpose(2, 0, 3, 1).reshape(n * m, n * m)
+    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    if windows is not None:
+        factor = (windows.T @ factor.reshape(n, m, n * m)).reshape(-1, n * m)
+    return factor
+
+
+def _revival_windows(n_steps=30, substeps=32, dt=0.2):
+    # the driver's grid for a diagonal model: substep midpoints, one window
+    # per step weighting each of its substeps by dt / substeps
+    dt_sub = dt / substeps
+    times = (np.arange(n_steps * substeps) + 0.5) * dt_sub
+    return times, np.repeat(np.diag(np.full(n_steps, dt_sub)), substeps, axis=0)
+
+
+@pytest.mark.parametrize("model, n_steps, windowed", [
+    (revival_demo_model().noise, 5, True),
+    (transverse_noise_model().noise, 2, False),
+    (correlated_pair_model().noise, 2, False),
+], ids=["windowed-diagonal", "transverse", "rank-deficient-pair"])
+def test_sampler_factor_equals_the_written_out_build(model, n_steps, windowed):
+    # the build frees and scales in place but computes the same numbers in
+    # the same order, so its factor (and every draw) is byte-identical
+    times, windows = _revival_windows(n_steps)
+    sampler = GaussianPathSampler(model, times, windows if windowed else None)
+    want = _reference_factor(model, times, windows if windowed else None)
+    assert sampler._factor.shape == want.shape
+    assert sampler._factor.tobytes() == want.tobytes()
+
+
+def test_sampler_build_peak_stays_near_the_eigh_floor():
+    # a 960-point windowed build (dephasing-fine's) traces at most 3.5 N^2
+    # doubles of numpy arrays: the covariance while eigh runs and v after
+    # it, with no lag matrix, correlation array or second factor left alive
+    times, windows = _revival_windows()
+    model = revival_demo_model().noise
+    tracemalloc.start()
+    try:
+        GaussianPathSampler(model, times, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * times.size**2
 
 
 def test_sampler_grid_cap():

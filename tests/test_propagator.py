@@ -505,6 +505,20 @@ def test_long_su2_products_stay_trace_preserving():
         assert max(trace_preservation_defect(sop) for sop in maps) < 1e-12
 
 
+@pytest.mark.parametrize("model", [dd_demo_model(), transverse_noise_model(), _local_pair(),
+                                   _local_pair(zz=0.1)],
+                         ids=["phase", "su2", "su2-pair", "taylor"])
+def test_pulsed_runs_keep_the_cycle_ends_of_the_plain_grid(model):
+    # a cycle of two pulse-free segments of dt is two plain steps; the pulsed
+    # run forms path sums only at cycle ends, which equal steps 2, 4, ..., 2k
+    k, dt = 3, 0.2
+    plain = simulate_process(model, dt, 2 * k, n_traj=48, substeps=2, seed=5, chunk_size=32)
+    pulsed = simulate_pulsed_process(model, [(dt, None), (dt, None)], k, n_traj=48,
+                                     substeps=2, seed=5, chunk_size=32)
+    assert len(pulsed) == k
+    assert np.stack(pulsed).tobytes() == np.stack(plain[1::2]).tobytes()
+
+
 def test_pulsed_kernels_match_per_path_expm_products():
     # a transverse qubit (Cayley-Klein SU(2) kernel), a non-diagonal pair (Taylor
     # kernel) and two diagonal models (phase kernel): a biased z qubit with two
