@@ -21,7 +21,8 @@ import numpy as np
 
 from . import io, presets
 from ._version import __version__
-from .noisegen import _PSD_TOL, CovarianceCapError, IndefiniteCovarianceError, NoiseModel
+from .noisegen import (_PSD_TOL, CovarianceCapError, IndefiniteCovarianceError, NoiseModel,
+                       _is_symmetric)
 from .nonmarkov import extended_volume_measure, volume_measure, volume_series
 from .propagator import SystemModel, simulate_process
 from .qpt import project_cptp, reconstruct_maps, simulate_qpt
@@ -161,7 +162,7 @@ def build_model(cfg):
         if not np.array_equal(np.diag(cross), variances):
             raise ConfigError(f"field 'noise.cross': its diagonal {np.diag(cross).tolist()} "
                               f"must equal noise.variances {variances}")
-        if not np.allclose(cross, cross.T):
+        if not _is_symmetric(cross):
             raise ConfigError("field 'noise.cross': must be symmetric")
         # cross is the equal-time covariance C(0), which no Gaussian noise
         # realizes unless it is positive semidefinite

@@ -9,17 +9,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eigh of the space-time covariance scales cubically and peaks at about 5 N^2
-# doubles (about 640 MiB at this side); the cap keeps a misconfigured grid
-# from silently eating minutes and memory.
+# eigh of the covariance over all drawn values (channels x time points, or
+# channels x segments for segment integrals) scales cubically and peaks at
+# about 5 N^2 doubles (about 640 MiB at this side); the cap keeps a
+# misconfigured grid from silently eating minutes and memory.
 _MAX_COV_SIDE = 4096
 # size of a negative covariance eigenvalue, relative to the largest |eigenvalue|,
 # that counts as not PSD
 _PSD_TOL = 1e-10
+# largest |cross - cross^T| entry, relative to the largest |cross| entry, that
+# still counts as symmetric
+_SYM_TOL = 1e-8
+
+
+def _is_symmetric(cross):
+    """Whether ``cross`` is symmetric to ``_SYM_TOL`` of its largest |entry|, at any scale."""
+    return np.abs(cross - cross.T).max(initial=0.0) <= _SYM_TOL * np.abs(cross).max(initial=0.0)
 
 
 class CovarianceCapError(ValueError):
-    """A sampler grid with more (channel, time) points than the 4096 cap."""
+    """A sampler with more drawn values per path than the 4096 cap."""
 
 
 class IndefiniteCovarianceError(ValueError):
@@ -65,7 +74,7 @@ class NoiseModel:
         n = len(self.kappas)
         if len(self.omegas) != n or cross.shape != (n, n):
             raise ValueError("kappas, omegas and cross disagree on the channel count")
-        if not np.allclose(cross, cross.T):
+        if not _is_symmetric(cross):
             raise ValueError("cross amplitude matrix must be symmetric")
 
     @property
@@ -122,10 +131,23 @@ class NoiseModel:
                             + 1.0 / (kab**2 + (omega + wab) ** 2))
 
 
+def _segment_covariance(model, ends):
+    """Cov(I_a,j, I_b,k) of the segment integrals, shaped (n_ch, m, n_ch, m).
+
+    Phi_ab at every lag between the edges 0, ends[0], ..., ends[-1]; minus
+    half its second difference is the covariance.
+    """
+    edges = np.concatenate([[0.0], ends])
+    lags = np.abs(edges[:, None] - edges[None, :])
+    phi = np.array([[model.phase_variance(lags, a, b) for b in range(model.n_channels)]
+                    for a in range(model.n_channels)])
+    return (-0.5 * np.diff(np.diff(phi, axis=2), axis=3)).transpose(0, 2, 1, 3)
+
+
 class GaussianPathSampler:
     """Exact sampler for jointly Gaussian channel values on a fixed time grid.
 
-    Builds the full space-time covariance over (channel, time) pairs and
+    Builds the full covariance over every drawn (channel, time) value and
     factorizes it once; each draw is then a matrix product. Exactness on
     the grid matters more here than asymptotic cost because the grids are
     short (hundreds of points) while the path counts are large. The build
@@ -135,24 +157,35 @@ class GaussianPathSampler:
     covariance that is not positive semidefinite beyond rounding, relative
     to its largest |eigenvalue|, raises :class:`IndefiniteCovarianceError`.
 
-    ``windows``, an (n_times, n_windows) matrix W, turns each draw into the
-    window sums x W of each channel's grid values x. W is folded into the
-    factor once, so a draw costs n_windows columns per channel and equals
-    the grid draw of the same generator times W in exact arithmetic.
+    By default each draw holds the values B_a(t_i) at ``times``. With
+    ``integrals``, ``times`` are the ends t_1 <= ... <= t_n of consecutive
+    segments starting at t_0 = 0, and each draw holds the exact segment
+    integrals I_a,k = int B_a over [t_(k-1), t_k], whose covariance follows
+    from :meth:`NoiseModel.phase_variance` Phi_ab:
+
+        Cov(I_a,j, I_b,k) = (Phi_ab(|t_k - t_(j-1)|) + Phi_ab(|t_(k-1) - t_j|)
+                             - Phi_ab(|t_(k-1) - t_(j-1)|) - Phi_ab(|t_k - t_j|)) / 2
+
+    A draw then costs one value per channel and segment, with no grid
+    inside the segments and no discretisation bias.
     """
 
-    def __init__(self, model, times, windows=None):
+    def __init__(self, model, times, *, integrals=False):
         self.model = model
         self.times = np.asarray(times, dtype=float)
         n = model.n_channels
         m = self.times.size
         if n * m > _MAX_COV_SIDE:
-            raise CovarianceCapError(
-                f"covariance side {n * m} (channels x time points) exceeds "
-                f"{_MAX_COV_SIDE}; coarsen the grid")
-        # cov[(a, i), (b, j)] = C_ab(t_i - t_j), our one N^2 array while eigh runs
-        cov = model.correlation(self.times[:, None] - self.times[None, :]).transpose(
-            2, 0, 3, 1).reshape(n * m, n * m)
+            what = "segments" if integrals else "time points"
+            raise CovarianceCapError(f"covariance side {n * m} (channels x {what}) exceeds "
+                                     f"{_MAX_COV_SIDE}; coarsen the grid")
+        # cov[(a, i), (b, j)], our one N^2 array while eigh runs
+        if integrals:
+            cov = _segment_covariance(model, self.times)
+        else:
+            cov = model.correlation(self.times[:, None] - self.times[None, :]).transpose(
+                2, 0, 3, 1)
+        cov = cov.reshape(n * m, n * m)
         cov = 0.5 * (cov + cov.T)
         w, v = np.linalg.eigh(cov)
         del cov
@@ -160,23 +193,20 @@ class GaussianPathSampler:
             raise IndefiniteCovarianceError(
                 f"noise model covariance over the time grid is not positive semidefinite "
                 f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})")
-        # draws are z @ factor.T with z standard normal over the n * m grid
-        # points, so with windows the factor's rows become W^T F per channel
+        # draws are z @ factor.T with z standard normal over the n * m values
         self._factor = np.multiply(v, np.sqrt(np.clip(w, 0.0, None)), out=v)
-        if windows is not None:
-            self._factor = (windows.T @ v.reshape(n, m, n * m)).reshape(-1, n * m)
-        self._shape = (n, self._factor.shape[0] // n)
+        self._shape = (n, m)
 
     def sample(self, rng, n_paths):
-        """Draw paths, returned with shape (n_paths, n_channels, n_times or n_windows)."""
+        """Draw paths, returned with shape (n_paths, n_channels, n_times)."""
         z = rng.standard_normal((n_paths, self._factor.shape[1]))
         return (z @ self._factor.T).reshape((n_paths,) + self._shape)
 
     def covariance(self):
         """The exact covariance realized by :meth:`sample`, channel-major.
 
-        Index (a, i) flattens to a * n_times + i (n_windows with windows).
-        Equals the model covariance C, or W^T C W per channel pair with
-        windows, up to the PSD eigenvalue clip applied at construction.
+        Index (a, i) flattens to a * n_times + i. Equals the model covariance
+        of the grid values or of the segment integrals, up to the PSD
+        eigenvalue clip applied at construction.
         """
         return self._factor @ self._factor.T

@@ -1,43 +1,45 @@
 """Ensemble propagation under classical colored noise.
 
 Each trajectory evolves under H(t) = h_system + sum_a B_a(t) coupling_a
-with B drawn from a :class:`~ttmkit.noisegen.NoiseModel`. Noise values are
-frozen at substep midpoints, so every per-path propagator is an ordered
-product of piecewise-constant steps. The ensemble-averaged dynamical maps
+with B drawn from a :class:`~ttmkit.noisegen.NoiseModel`. The ensemble-averaged
+dynamical maps
 
     E_k = < U(k dt) (x) conj(U(k dt)) >
 
 are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
-The model's structure alone picks one of three step kernels for that
-product. A purely longitudinal model (diagonal Hamiltonian and couplings)
-scales each path's propagator by one diagonal phase factor per segment
-between map boundaries or pulses; its generators commute, so the factor,
-built from the segment's phase integral, reproduces the substep product to
-machine precision. Such a model's maps depend on the noise only through
-each segment's integral, so its runs draw those integrals directly: the
-sampler folds the midpoint-rule sum over the segment's substeps into its
-factor. ``substeps`` still sets that midpoint rule, and with it a phase
-variance bias of order dt_sub^2. Qubit-local models carry each qubit's
-propagator as its Cayley-Klein pair (alpha, beta), the first column of
-U = [[alpha, -conj(beta)], [beta, conj(alpha)]] in SU(2) (up to the global
-phase, which cancels in the maps), so a product of two costs four complex
-multiplies. A lone qubit always qualifies; qubits qualify when h_system and
-every coupling have no Pauli component of weight 2 or more above 1e-14 (no
-zz coupling, say) and the run has no pulses. Each path's U is then the
-tensor product of its qubits' factors, built from the pairs at every map
-boundary. Any other model keeps all propagators of a chunk in one
-(d, d, P) array, path axis last, and takes each substep's exp(-i H tau) for
-every path at once as a scaled-and-squared degree-15 Taylor polynomial, with
-no eigendecomposition; each step is unitary to rounding. All three kernels
-hand their (d, d, P) propagators to one path sum: sum_p U_p (x) conj(U_p)
-is the Gram matrix of the vec(U_p), reordered.
+When h_system and every coupling commute pairwise (a purely longitudinal
+model, or x noise on an unbiased pair), a segment of length T between map
+boundaries or pulses propagates by U = exp(-i (h_system T + sum_a I_a c_a)),
+which depends on the noise only through its exact integrals I_a over the
+segment. Such runs draw those integrals, one value per channel and segment
+(:class:`~ttmkit.noisegen.GaussianPathSampler` with ``integrals``), and
+scale each path's propagator by one diagonal phase factor per segment in
+the operators' joint eigenbasis Q, with pulses rotated to Q^H P Q and the
+summed maps rotated back once; ``substeps`` does not reach them. Any other
+model freezes the noise at substep midpoints, so every per-path propagator
+is an ordered product of piecewise-constant steps, and the model's
+structure picks one of two step kernels for that product. Qubit-local
+models carry each qubit's propagator as its Cayley-Klein pair (alpha, beta),
+the first column of U = [[alpha, -conj(beta)], [beta, conj(alpha)]] in
+SU(2) (up to the global phase, which cancels in the maps), so a product of
+two costs four complex multiplies. A lone qubit always qualifies; qubits
+qualify when h_system and every coupling have no Pauli component of weight
+2 or more above 1e-14 (no zz coupling, say) and the run has no pulses. Each
+path's U is then the tensor product of its qubits' factors, built from the
+pairs at every map boundary. Any other model keeps all propagators of a
+chunk in one (d, d, P) array, path axis last, and takes each substep's
+exp(-i H tau) for every path at once as a scaled-and-squared degree-15
+Taylor polynomial, with no eigendecomposition; each step is unitary to
+rounding. All three kernels hand their (d, d, P) propagators to one path
+sum: sum_p U_p (x) conj(U_p) is the Gram matrix of the vec(U_p), reordered.
 
 Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
-sequence n_cycles times over. It owns the midpoint grid, the sampler, the
-seeded chunk loop with its antithetic pairs, chunk means and control variate.
+sequence n_cycles times over. It owns the route (segment integrals or the
+midpoint grid), the sampler, the seeded chunk loop with its antithetic
+pairs, chunk means and control variate.
 An antithetic run whose model some Pauli string P maps onto its mirror
 (P h_system P = h_system, P c P = -c for every coupling; see :func:`_mirror`)
 propagates only the drawn half of each chunk: U(-B) = P U(B) P, so the
@@ -104,6 +106,30 @@ def _diag_parts(model):
     h = np.real(np.diagonal(model.h_system))
     z = np.stack([np.real(np.diagonal(c)) for c in model.couplings])
     return h, z
+
+
+def _phase_frame(model):
+    """(Q, Q^H model Q) when h_system and every coupling commute pairwise, else None.
+
+    Q, a joint eigenbasis, is None (the identity) for a diagonal model and
+    otherwise the eigenbasis of a fixed generic combination of the
+    operators. An accidental degeneracy of that combination can mix joint
+    eigenvectors; then some rotated operator is off-diagonal beyond 1e-10
+    and the result is None.
+    """
+    if model.is_diagonal:
+        return None, model
+    ops = (model.h_system,) + model.couplings
+    norms = [np.linalg.norm(op) for op in ops]
+    if any(np.linalg.norm(a @ b - b @ a) > 1e-14 * na * nb
+           for (a, na), (b, nb) in itertools.combinations(zip(ops, norms), 2)):
+        return None
+    _, q = np.linalg.eigh(sum(math.sqrt(k + 2.0) * op for k, op in enumerate(ops)))
+    rotated = [q.conj().T @ op @ q for op in ops]
+    diag = [np.diag(np.real(np.diagonal(r))) for r in rotated]
+    if any(np.linalg.norm(r - dr) > 1e-10 * n for r, dr, n in zip(rotated, diag, norms)):
+        return None
+    return q, SystemModel(h_system=diag[0], couplings=tuple(diag[1:]), noise=model.noise)
 
 
 def _su2_mul(a, b):
@@ -208,7 +234,8 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
     ``b`` holds the drawn noise values, shaped (P, n_ch, n_seg, m): m frozen
     values per segment, each held for the substep length ``tau[k]`` of its
     segment k. A diagonal model takes one value per segment (m = 1), the
-    segment's noise integral, and ``tau[k]`` is then the whole segment. The
+    segment's exact noise integral, and ``tau[k]`` is then the whole segment
+    (:func:`_ensemble` hands it a commuting model rotated to diagonal). The
     model's structure alone picks one of three step kernels. A diagonal model
     scales the rows of its (d, d, P) propagators by one phase factor per
     segment. A qubit-local model (:func:`_local_bloch_vectors`: a lone qubit,
@@ -378,27 +405,36 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     """The (n_seg // stride, d^2, d^2) maps after every ``stride``-th segment, and
     the raw chunk means if asked.
 
-    Segment k = (duration_k, pulse_k) evolves for duration_k in ``substeps``
-    substeps, noise frozen at the midpoints start_k + (j + 0.5) dt_k with
-    dt_k = duration_k / substeps, then applies pulse_k (a unitary or None).
-    The control variate takes stride 1.
+    Segment k = (duration_k, pulse_k) evolves for duration_k, then applies
+    pulse_k (a unitary or None). A model whose operators commute
+    (:func:`_phase_frame`) draws each segment's exact noise integral and
+    takes the phase kernel in its joint eigenbasis; any other model
+    evolves in ``substeps`` substeps, noise frozen at the midpoints
+    start_k + (j + 0.5) dt_k with dt_k = duration_k / substeps. The control
+    variate takes stride 1.
     """
     d = model.dim
     n_seg = len(segments)
     durations = np.array([duration for duration, _ in segments])
     pulses = [pulse for _, pulse in segments]
-    dt_seg = durations / substeps
-    starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
-    midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
-    if model.is_diagonal:
-        # one draw per segment: its noise integral, spanning the whole segment
-        windows, tau = np.repeat(np.diag(dt_seg), substeps, axis=0), dt_seg * substeps
+    frame = _phase_frame(model)
+    rotate = None
+    if frame is None:
+        dt_seg = durations / substeps
+        starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
+        midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
+        sampler, kernel_model, tau = GaussianPathSampler(model.noise, midpoints), model, dt_seg
     else:
-        windows, tau = None, dt_seg
-    sampler = GaussianPathSampler(model.noise, midpoints, windows)
+        # one draw per segment: its exact noise integral, for the phase
+        # kernel in the joint eigenbasis q
+        q, kernel_model = frame
+        sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
+        tau = durations
+        if q is not None:
+            pulses = [None if p is None else q.conj().T @ p @ q for p in pulses]
+            rotate = unitary_superop(q)
 
-    n_ch = model.noise.n_channels
-    n_col = n_seg if model.is_diagonal else midpoints.size  # drawn values per channel
+    n_ch, n_col = model.noise.n_channels, sampler.times.size  # n_col values per channel
     n_flat = n_ch * n_col
     sum_b, sum_gram = np.zeros(n_flat), np.zeros((n_flat, n_flat))
     acc = np.zeros((n_seg // stride, d * d, d * d), dtype=complex)
@@ -406,7 +442,10 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     mirror = _mirror(model) if antithetic else None
     for draws in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
         b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
-        contrib = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, -1)), tau, pulses, stride)
+        contrib = _chunk_map_sums(kernel_model, b.reshape(b.shape[:2] + (n_seg, -1)), tau,
+                                  pulses, stride)
+        if rotate is not None:
+            contrib = rotate @ contrib @ rotate.conj().T
         if mirror is not None:
             contrib += mirror @ contrib @ mirror.conj().T
         acc += contrib
@@ -422,11 +461,11 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     maps = acc / n_traj
     if control_variate:
         # the correction assumes a uniform, pulse-free grid: every segment
-        # lasts durations[0] and applies no pulse. A diagonal model corrects
+        # lasts durations[0] and applies no pulse. A commuting model corrects
         # on its drawn integrals, one per segment; its generators commute
         # with h_system, so they are constant in time and act on whole integrals
-        g = (_cv_generators(model, 1.0, np.zeros(n_seg)) if model.is_diagonal
-             else _cv_generators(model, dt_seg[0], midpoints))
+        g = (_cv_generators(model, dt_seg[0], midpoints) if frame is None
+             else _cv_generators(model, 1.0, np.zeros(n_seg)))
         bbar = (sum_b / n_traj).reshape(n_ch, n_col)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape((n_ch, n_col) * 2)
         maps -= _cv_corrections(model, g, bbar, delta_m, n_seg, durations[0])
@@ -448,9 +487,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         Total number of trajectories averaged (mirror paths included when
         ``antithetic`` is set, so the count must then be even).
     substeps : int
-        Noise-freezing subdivisions per map step. A diagonal model draws
-        each step's noise integral directly, by the midpoint rule over
-        these subdivisions, so they still set its dt_sub^2 bias.
+        Noise-freezing subdivisions per map step. A model whose h_system
+        and couplings commute pairwise draws each step's exact noise
+        integral instead, so its maps do not depend on ``substeps``.
     seed : int
         Master seed. Each chunk derives its generator from
         ``SeedSequence((seed, chunk_index))``, so results are independent
@@ -504,12 +543,13 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
 
     ``segments`` is a sequence of ``(duration, pulse)`` pairs run in order
     within each cycle: free evolution under the noisy Hamiltonian for
-    ``duration`` in ``substeps`` frozen-noise substeps, then the
+    ``duration`` (in ``substeps`` frozen-noise substeps, or on the exact
+    noise integral when the model's operators commute), then the
     instantaneous ``pulse`` (or None). Any noise model is accepted; each
     pulse must be a d x d unitary. The cycles run as one flat list of
-    segments through the driver of :func:`simulate_process`, on its midpoint
-    grid, step kernels and chunk seeding, so one pulse-free segment of dt
-    per cycle gives its maps bit for bit. Antithetic pairs and the control
+    segments through the driver of :func:`simulate_process`, on its draws,
+    step kernels and chunk seeding, so one pulse-free segment of dt per
+    cycle gives its maps bit for bit. Antithetic pairs and the control
     variate are not offered here.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
@@ -541,7 +581,7 @@ def dephasing_map(model, t):
 
     with Phi_ab the double time integral of the noise correlation. This is
     the closed-form counterpart of :func:`simulate_process` in the limit of
-    infinitely many trajectories and substeps.
+    infinitely many trajectories (its runs draw exact step integrals).
     """
     if not model.is_diagonal:
         raise ValueError("closed-form maps exist only for diagonal models")

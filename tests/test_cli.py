@@ -115,11 +115,12 @@ def test_cross_diagonal_must_equal_variances(tmp_path, capsys):
     ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
     ([[1.0, 3.0], [3.0, 1.0]], "positive semidefinite"),
     ([[1e-12, 1.5e-12], [1.5e-12, 1e-12]], "positive semidefinite"),
-], ids=["asymmetric", "not-psd", "not-psd-weak"])
+    ([[1e-12, 1e-12], [-1e-12, 1e-12]], "symmetric"),
+], ids=["asymmetric", "not-psd", "not-psd-weak", "asymmetric-weak"])
 def test_cross_must_be_a_covariance(tmp_path, capsys, cross, reason):
     # cross is C(0): a symmetric positive semidefinite matrix or no noise at
-    # all, at any scale: a correlation coefficient of 1.5 is refused at
-    # variance 1e-12 as at variance 1
+    # all, at any scale: a correlation coefficient of 1.5, or an asymmetric
+    # matrix, is refused at variance 1e-12 as at variance 1
     cfg = _sim_cfg(system={"n_qubits": 2, "biases": [0.1, 0.2],
                            "channels": [{"axis": "z", "qubit": 1},
                                         {"axis": "z", "qubit": 2}]},
@@ -245,12 +246,18 @@ def _xy4_cfg(n_steps=3, substeps=4):
 
 
 def test_grid_cap_enforced(tmp_path, capsys):
+    # a diagonal run draws one value per step: 4097 steps exceed the cap
     cfg = _sim_cfg()
-    cfg["grid"]["n_steps"] = 4096
+    cfg["grid"]["n_steps"] = 4097
     with pytest.raises(ConfigError, match="4096"):
         run_config(cfg, str(tmp_path))
-    # the xy4 free run samples 4 * substeps values per cycle: 200 * 32 > 4096
-    cfg_path = _write_cfg(tmp_path, _xy4_cfg(n_steps=200, substeps=8))
+    # a transverse run draws one value per substep: 513 * 8 > 4096
+    cfg = _sim_cfg(system={"n_qubits": 1, "biases": [0.1], "channels": [{"axis": "x"}]})
+    cfg["grid"]["n_steps"] = 513
+    with pytest.raises(ConfigError, match="grid.n_steps.*4096"):
+        run_config(cfg, str(tmp_path))
+    # the xy4 pulsed run draws one value per quarter cycle: 4 * 1025 > 4096
+    cfg_path = _write_cfg(tmp_path, _xy4_cfg(n_steps=1025, substeps=8))
     assert main(["xy4", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "grid.n_steps" in err

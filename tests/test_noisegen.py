@@ -69,6 +69,16 @@ def test_model_validation():
     with pytest.raises(ValueError, match="symmetric"):
         NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
                    cross=np.array([[1.0, 0.5], [0.2, 1.0]]))
+    # the symmetry test is relative to max |cross|: the same asymmetric
+    # matrix fails at variance 1e-12 as at 1, and an exactly symmetric one
+    # passes at any scale, 0 included
+    for scale in (1.0, 1e-12):
+        with pytest.raises(ValueError, match="symmetric"):
+            NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                       cross=scale * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    for scale in (1.0, 1e-12, 0.0):
+        NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                   cross=scale * np.array([[1.0, 0.3], [0.3, 1.0]]))
 
 
 def test_phase_variance_closed_form_matches_quadrature():
@@ -144,24 +154,38 @@ def test_sampler_covariance_method_is_exact():
     npt.assert_allclose(sampler.covariance(), want, atol=1e-10)
 
 
-def test_windowed_draws_are_window_sums_of_grid_draws():
-    # two correlated channels, windows of uneven length and weight: each
-    # windowed draw is the grid draw of the same generator times W
+def test_integral_covariance_sums_to_the_phase_variance():
+    # two correlated channels, unequal decay rates, a modulation and
+    # segments of uneven length (one of zero length): the covariance of the
+    # integrals over [0, t_n] is the double integral Phi_ab(t_n), so the
+    # cumulative sums of the segment covariance reproduce it
+    model = NoiseModel(kappas=(1.0, 2.5), omegas=(0.0, 1.3),
+                       cross=np.array([[1.0, 0.4], [0.4, 2.0]]))
+    ends = np.cumsum([0.1, 0.3, 0.0, 0.2, 0.05, 0.4, 0.2])
+    cov = GaussianPathSampler(model, ends, integrals=True).covariance().reshape(2, 7, 2, 7)
+    summed = np.cumsum(np.cumsum(cov, axis=1), axis=3)
+    for a in range(2):
+        for b in range(2):
+            npt.assert_allclose(np.diagonal(summed[a, :, b]), model.phase_variance(ends, a, b),
+                                rtol=0, atol=1e-13)
+
+
+def test_integral_covariance_is_the_written_out_segment_formula():
+    # Cov(I_a,j, I_b,k) = (Phi(|t_k - t_j-1|) + Phi(|t_k-1 - t_j|) - Phi(|t_k-1 - t_j-1|)
+    # - Phi(|t_k - t_j|)) / 2 over edges t_0 = 0, t_1, ..., and the draws
+    # come out shaped (paths, channels, segments)
     model = NoiseModel(kappas=(1.0, 0.5), omegas=(0.0, 2.0),
                        cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
-    times = np.linspace(0.05, 1.15, 12)
-    windows = np.zeros((12, 4))
-    for k, (i, e, w) in enumerate(((0, 3, 0.1), (3, 4, 0.25), (4, 9, 0.05), (9, 12, 0.15))):
-        windows[i:e, k] = w
-    grid = GaussianPathSampler(model, times)
-    windowed = GaussianPathSampler(model, times, windows)
-    b = windowed.sample(np.random.default_rng(5), 7)
-    assert b.shape == (7, 2, 4)
-    npt.assert_allclose(b, grid.sample(np.random.default_rng(5), 7) @ windows,
-                        rtol=0, atol=1e-13)
-    cov = grid.covariance().reshape(2, 12, 2, 12)
-    want = np.einsum("ik,aibj,jl->akbl", windows, cov, windows).reshape(8, 8)
-    npt.assert_allclose(windowed.covariance(), want, rtol=0, atol=1e-13)
+    ends = np.array([0.2, 0.25, 0.6, 1.1])
+    sampler = GaussianPathSampler(model, ends, integrals=True)
+    e = np.concatenate([[0.0], ends])
+    want = np.empty((2, 4, 2, 4))
+    for a, j, b, k in np.ndindex(want.shape):
+        phi = lambda t: model.phase_variance(abs(t), a, b)  # noqa: E731
+        want[a, j, b, k] = 0.5 * (phi(e[k + 1] - e[j]) + phi(e[k] - e[j + 1])
+                                  - phi(e[k] - e[j]) - phi(e[k + 1] - e[j + 1]))
+    npt.assert_allclose(sampler.covariance(), want.reshape(8, 8), rtol=0, atol=1e-13)
+    assert sampler.sample(np.random.default_rng(5), 7).shape == (7, 2, 4)
 
 
 def test_sampler_rejects_inconsistent_cross_correlations():
@@ -180,51 +204,46 @@ def test_sampler_takes_a_zero_noise_model():
     assert not sampler.sample(np.random.default_rng(1), 3).any()
 
 
-def _reference_factor(model, times, windows=None):
+def _reference_factor(model, times):
     # the build written out: lags -> correlation -> 0.5 (C + C^T) -> eigh
-    # -> V sqrt(w), clipped at 0 -> window fold
+    # -> V sqrt(w), clipped at 0
     n, m = model.n_channels, times.size
     lags = times[:, None] - times[None, :]
     cov = _written_out_correlation(model, lags).transpose(2, 0, 3, 1).reshape(n * m, n * m)
     w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    if windows is not None:
-        factor = (windows.T @ factor.reshape(n, m, n * m)).reshape(-1, n * m)
-    return factor
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _revival_windows(n_steps=30, substeps=32, dt=0.2):
-    # the driver's grid for a diagonal model: substep midpoints, one window
-    # per step weighting each of its substeps by dt / substeps
-    dt_sub = dt / substeps
-    times = (np.arange(n_steps * substeps) + 0.5) * dt_sub
-    return times, np.repeat(np.diag(np.full(n_steps, dt_sub)), substeps, axis=0)
+def _revival_grid(n_steps=30, substeps=32, dt=0.2):
+    # substep midpoints of a fine grid, dephasing-fine's before its runs
+    # drew segment integrals
+    return (np.arange(n_steps * substeps) + 0.5) * (dt / substeps)
 
 
-@pytest.mark.parametrize("model, n_steps, windowed", [
-    (revival_demo_model().noise, 5, True),
-    (transverse_noise_model().noise, 2, False),
-    (correlated_pair_model().noise, 2, False),
-], ids=["windowed-diagonal", "transverse", "rank-deficient-pair"])
-def test_sampler_factor_equals_the_written_out_build(model, n_steps, windowed):
+@pytest.mark.parametrize("model, n_steps", [
+    (revival_demo_model().noise, 5),
+    (transverse_noise_model().noise, 2),
+    (correlated_pair_model().noise, 2),
+], ids=["revival", "transverse", "rank-deficient-pair"])
+def test_sampler_factor_equals_the_written_out_build(model, n_steps):
     # the build frees and scales in place but computes the same numbers in
     # the same order, so its factor (and every draw) is byte-identical
-    times, windows = _revival_windows(n_steps)
-    sampler = GaussianPathSampler(model, times, windows if windowed else None)
-    want = _reference_factor(model, times, windows if windowed else None)
+    times = _revival_grid(n_steps)
+    sampler = GaussianPathSampler(model, times)
+    want = _reference_factor(model, times)
     assert sampler._factor.shape == want.shape
     assert sampler._factor.tobytes() == want.tobytes()
 
 
 def test_sampler_build_peak_stays_near_the_eigh_floor():
-    # a 960-point windowed build (dephasing-fine's) traces at most 3.5 N^2
-    # doubles of numpy arrays: the covariance while eigh runs and v after
-    # it, with no lag matrix, correlation array or second factor left alive
-    times, windows = _revival_windows()
+    # a 960-point grid build traces at most 3.5 N^2 doubles of numpy arrays:
+    # the covariance while eigh runs and v after it, with no lag matrix or
+    # correlation array left alive
+    times = _revival_grid()
     model = revival_demo_model().noise
     tracemalloc.start()
     try:
-        GaussianPathSampler(model, times, windows)
+        GaussianPathSampler(model, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,9 +251,14 @@ def test_sampler_build_peak_stays_near_the_eigh_floor():
 
 
 def test_sampler_grid_cap():
+    # the cap counts every drawn value: channels x time points, or channels
+    # x segments for integrals
     model = NoiseModel.single(1.0, 1.0)
     with pytest.raises(ValueError, match="4096"):
         GaussianPathSampler(model, np.arange(4097, dtype=float))
+    pair = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=np.eye(2))
+    with pytest.raises(ValueError, match="segments.*4096"):
+        GaussianPathSampler(pair, np.arange(1, 2050, dtype=float), integrals=True)
 
 
 def test_correlated_channels_sample_together():

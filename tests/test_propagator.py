@@ -20,7 +20,7 @@ from ttmkit.liouville import (
     unvec,
     vec,
 )
-from ttmkit.noisegen import GaussianPathSampler, NoiseModel
+from ttmkit.noisegen import CovarianceCapError, GaussianPathSampler, NoiseModel
 from ttmkit.presets import (
     _qubit_operators,
     correlated_pair_model,
@@ -361,34 +361,129 @@ def test_control_variate_helpers_match_written_out_sums():
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_diagonal_control_variate_equals_substep_correction(antithetic):
     # a diagonal run corrects on its drawn step integrals with constant
-    # generators; that must equal the time-ordered substep-level correction
-    # on the substep draws of the same chunk generators
+    # generators. On substep draws, that equals the time-ordered
+    # substep-level correction applied to their step sums; and a run's
+    # correction is the constant-generator one on its exact step integrals,
+    # drawn by the same chunk generators
     model = two_qubit_dephasing(bias1=0.3, bias2=-0.2, zz=0.15, couplings=(1.0, 0.6),
                                 cross=0.4, kappas=(1.0, 2.0))
     dt, n_steps, substeps, n_traj, seed, chunk = 0.2, 5, 4, 600, 9, 128
     n_ch, n_sub, dt_sub = 2, n_steps * substeps, dt / substeps
     midpoints = (np.arange(n_sub) + 0.5) * dt_sub
 
-    def correction(sampler, g):
-        draws = np.concatenate(list(_chunks(sampler, n_traj, seed, chunk, antithetic)))
+    def correction(draws, covariance, g):
         flat = draws.reshape(draws.shape[0], -1)
         n_col = flat.shape[1] // n_ch
         gram = (2.0 if antithetic else 1.0) * flat.T @ flat
         bbar = np.zeros(flat.shape[1]) if antithetic else flat.sum(axis=0)
-        dm = (gram / n_traj - sampler.covariance()).reshape(n_ch, n_col, n_ch, n_col)
+        dm = (gram / n_traj - covariance).reshape(n_ch, n_col, n_ch, n_col)
         return _cv_corrections(model, g, (bbar / n_traj).reshape(n_ch, n_col), dm,
                                n_steps, dt)
 
-    want = correction(GaussianPathSampler(model.noise, midpoints),
-                      _cv_generators(model, dt_sub, midpoints))
+    def draws(sampler):
+        return np.concatenate(list(_chunks(sampler, n_traj, seed, chunk, antithetic)))
+
+    constant = _cv_generators(model, 1.0, np.zeros(n_steps))
+    grid = GaussianPathSampler(model.noise, midpoints)
+    want = correction(draws(grid), grid.covariance(), _cv_generators(model, dt_sub, midpoints))
     windows = np.repeat(np.eye(n_steps) * dt_sub, substeps, axis=0)
-    got = correction(GaussianPathSampler(model.noise, midpoints, windows),
-                     _cv_generators(model, 1.0, np.zeros(n_steps)))
+    cov = np.einsum("ik,aibj,jl->akbl", windows,
+                    grid.covariance().reshape(n_ch, n_sub, n_ch, n_sub), windows)
+    got = correction(draws(grid) @ windows, cov.reshape(n_ch * n_steps, -1), constant)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+    integrals = GaussianPathSampler(model.noise, dt * np.arange(1, n_steps + 1), integrals=True)
+    want = correction(draws(integrals), integrals.covariance(), constant)
     kwargs = dict(substeps=substeps, seed=seed, antithetic=antithetic, chunk_size=chunk)
     raw = simulate_process(model, dt, n_steps, n_traj, **kwargs)
     cv = simulate_process(model, dt, n_steps, n_traj, control_variate=True, **kwargs)
     npt.assert_allclose(np.stack(raw) - np.stack(cv), want, rtol=0, atol=1e-13)
+
+
+def test_diagonal_runs_do_not_depend_on_substeps():
+    # a diagonal run draws each step's exact noise integral, so the
+    # substep count never reaches its maps
+    model = coupled_pair_model()
+    kwargs = dict(seed=4, antithetic=True, chunk_size=64, control_variate=True)
+    one = simulate_process(model, 0.2, 6, 256, substeps=1, **kwargs)
+    fine = simulate_process(model, 0.2, 6, 256, substeps=32, **kwargs)
+    assert np.stack(one).tobytes() == np.stack(fine).tobytes()
+
+
+def test_diagonal_runs_carry_no_midpoint_bias():
+    # at one value per step the midpoint rule missed the revival qubit's
+    # closed form by 3e-2 (15 sigma); exact step integrals leave the maps
+    # within 3 sigma of it at every step, sigma from the chunk means
+    model = revival_demo_model()
+    maps, means = simulate_process(model, 0.2, 30, 65_536, substeps=1, seed=0,
+                                   antithetic=True, collect_chunk_means=True)
+    sigma = means.std(axis=0) / np.sqrt(len(means))
+    dev = np.abs(np.stack(maps) - np.stack(dephasing_map_series(model, 0.2, 30)))
+    resolved = sigma > 0
+    assert np.all(dev[~resolved] < 1e-12)
+    assert np.max(dev[resolved] / sigma[resolved]) < 3.0
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_commuting_pair_equals_its_rotated_diagonal_twin(control_variate):
+    # x noise on an unbiased pair commutes with itself, so the run draws the
+    # same step integrals as the z-noise twin and its maps are the twin's
+    # conjugated by H (x) H, to rounding
+    twin = two_qubit_dephasing(bias1=0.0, bias2=0.0, zz=0.0, cross=0.5)
+    kwargs = dict(substeps=4, seed=3, antithetic=True, chunk_size=96,
+                  control_variate=control_variate)
+    maps = simulate_process(_x_pair(), 0.2, 6, 256, **kwargs)
+    s = unitary_superop(np.kron(_HADAMARD, _HADAMARD))
+    want = [s @ m @ s.conj().T for m in simulate_process(twin, 0.2, 6, 256, **kwargs)]
+    npt.assert_allclose(np.stack(maps), np.stack(want), rtol=0, atol=1e-12)
+
+
+def test_commuting_pulsed_qubit_equals_its_rotated_diagonal_twin():
+    # an x bias with x noise commutes: the run takes the phase kernel in the
+    # Hadamard basis, pulses rotated into it, and equals the z-bias z-noise
+    # twin under the Hadamard-conjugated pulses
+    noise = NoiseModel.single(1.0, 1.0, omega=2.0)
+    model = SystemModel(h_system=0.3 * SIGMA_X, couplings=(SIGMA_X,), noise=noise)
+    twin = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_Z,), noise=noise)
+    segments = [(0.3, SIGMA_Y), (0.5, None), (0.2, np.exp(0.4j) * SIGMA_Z)]
+    maps = simulate_pulsed_process(model, segments, 5, 200, seed=1)
+    rotated = [(t, None if p is None else _HADAMARD @ p @ _HADAMARD) for t, p in segments]
+    s = unitary_superop(_HADAMARD)
+    want = [s @ m @ s.conj().T for m in simulate_pulsed_process(twin, rotated, 5, 200, seed=1)]
+    npt.assert_allclose(np.stack(maps), np.stack(want), rtol=0, atol=1e-12)
+
+
+def test_phase_frame_refuses_a_basis_that_is_not_joint(monkeypatch):
+    # an accidental degeneracy of the generic combination would let eigh
+    # return a basis that mixes joint eigenvectors; such a basis (forced
+    # here by rotating two eigenvectors of different X1 eigenvalue into
+    # each other) leaves the rotated X1 off-diagonal, so the run keeps the
+    # midpoint grid. The true basis reproduces every operator
+    eye = np.eye(2)
+    noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=np.eye(2))
+    couplings = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_X))
+    model = SystemModel(0.3 * couplings[0], couplings, noise)
+    q, diagonal = propagator._phase_frame(model)
+    for op, d in zip((model.h_system,) + couplings, (diagonal.h_system,) + diagonal.couplings):
+        npt.assert_allclose(q @ d @ q.conj().T, op, rtol=0, atol=1e-14)
+    x1 = np.real(np.diagonal(diagonal.couplings[0]))
+    i, j = np.flatnonzero(x1 > 0)[0], np.flatnonzero(x1 < 0)[0]
+    mixed = q.copy()
+    mixed[:, [i, j]] = q[:, [i, j]] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (None, mixed))
+    assert propagator._phase_frame(model) is None
+
+
+def test_covariance_cap_counts_the_drawn_values():
+    # a commuting run draws one value per channel and step, any other model
+    # one per channel and substep midpoint
+    with pytest.raises(CovarianceCapError, match="segments"):
+        simulate_process(_z_model(), 0.01, 4097, 2)
+    with pytest.raises(CovarianceCapError, match="time points"):
+        simulate_process(transverse_noise_model(), 0.01, 513, 2, substeps=8)
+    assert len(simulate_process(_z_model(), 0.01, 513, 2, substeps=8)) == 513
 
 
 def _local_pair(zz=0.0):
@@ -760,10 +855,11 @@ def test_mirror_is_the_pauli_string_that_flips_every_coupling(model, label):
 @pytest.mark.parametrize("control_variate", [False, True])
 @pytest.mark.parametrize("model, dt, n_steps", [
     (transverse_noise_model(), 0.04, 6),
-    (_x_pair(), 0.2, 4),
+    (_x_pair(bias=0.1), 0.2, 4),
     (_x_pair(zz=0.1), 0.2, 4),
     (dd_demo_model(), 2.0, 3),
-], ids=["su2", "su2-pair", "taylor", "diagonal"])
+    (_x_pair(), 0.2, 4),
+], ids=["su2", "su2-pair", "taylor", "diagonal", "commuting-pair"])
 def test_mirrored_antithetic_runs_equal_the_explicit_pairs(model, dt, n_steps,
                                                            control_variate, monkeypatch):
     # a mirrored chunk sums S + Pi S Pi^H over its draws; without the mirror
