@@ -102,6 +102,34 @@ def test_phase_variance_of_static_noise_is_quadratic():
     npt.assert_array_equal(model.phase_variance(t, 0, 1), 0.5 * t * t)
 
 
+def _slow_phase_variance(kappa, t):
+    # Phi(t) = t^2 - kappa t^3 / 3 + kappa^2 t^4 / 12 - kappa^3 t^5 / 60 + ...
+    # at unit variance, with no cancellation when kappa t is small
+    return t**2 * (1.0 - kappa * t / 3.0 + (kappa * t) ** 2 / 12.0 - (kappa * t) ** 3 / 60.0)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-4])
+def test_phase_variance_of_slow_noise_keeps_its_precision(kappa):
+    # the closed form t/mu - (1 - exp(-mu t))/mu^2 cancels to about
+    # eps/(mu t)^2 of the value; slow decay must not inherit that
+    t = np.linspace(0.0, 6.0, 31)
+    npt.assert_allclose(NoiseModel.single(1.0, kappa).phase_variance(t),
+                        _slow_phase_variance(kappa, t), rtol=1e-14, atol=0)
+    # a slow modulation alone: Phi = 4 sin^2(omega t / 2) / omega^2
+    w = 2.0 * kappa
+    npt.assert_allclose(NoiseModel.single(1.0, 0.0, omega=w).phase_variance(t),
+                        (2.0 * np.sin(0.5 * w * t) / w) ** 2, rtol=1e-14, atol=0)
+
+
+def test_phase_variance_is_continuous_where_its_series_hands_over():
+    # the series and the closed form agree across |mu t| = 1e-2, where the
+    # closed form is within about 2 eps / (mu t)^2 = 4.4e-12 of the value
+    model = NoiseModel.single(1.0, 0.6, omega=0.8)
+    t = 1e-2 * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    below, above = model.phase_variance(t) / t**2
+    assert abs(below - above) < 1e-11 * above
+
+
 def test_spectral_density_is_lorentzian_pair():
     lam, kappa, wc = 4.0, 1.0, 2.0
     model = NoiseModel.single(lam, kappa, omega=wc)
@@ -188,6 +216,27 @@ def test_integral_covariance_is_the_written_out_segment_formula():
     assert sampler.sample(np.random.default_rng(5), 7).shape == (7, 2, 4)
 
 
+@pytest.mark.parametrize("kappa", [1e-6, 1e-4])
+def test_slow_noise_integrals_build_and_sum_to_the_phase_variance(kappa):
+    # quasi-static dephasing at dt 0.2 over 30 steps: a nearly rank-one
+    # covariance that is PSD to rounding, whose cumulative sums are Phi(t_n)
+    ends = 0.2 * np.arange(1, 31)
+    cov = GaussianPathSampler(NoiseModel.single(1.0, kappa), ends,
+                              integrals=True).covariance()
+    summed = np.diagonal(np.cumsum(np.cumsum(cov, axis=0), axis=1))
+    npt.assert_allclose(summed, _slow_phase_variance(kappa, ends), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kappa, omega", [(0.0, 0.0), (1e-6, 0.0), (1e-3, 0.3)])
+def test_fine_segments_of_slow_noise_stay_positive_semidefinite(kappa, omega):
+    # 800 segments over t = 0.5: second differences of Phi would lose
+    # (t / dt)^2 = 6.4e5 of every entry and turn the matrix indefinite
+    ends = 0.5 / 800 * np.arange(1, 801)
+    sampler = GaussianPathSampler(NoiseModel.single(1.0, kappa, omega), ends, integrals=True)
+    w = np.linalg.eigvalsh(sampler.covariance())
+    assert w[0] > -1e-13 * w[-1]
+
+
 def test_sampler_rejects_inconsistent_cross_correlations():
     # perfectly correlated amplitudes but different decay rates cannot be
     # realized by any joint Gaussian process, at any overall variance
@@ -215,8 +264,8 @@ def _reference_factor(model, times):
 
 
 def _revival_grid(n_steps=30, substeps=32, dt=0.2):
-    # substep midpoints of a fine grid, dephasing-fine's before its runs
-    # drew segment integrals
+    # midpoints of n_steps x substeps points; at 30 x 32 the 960-point
+    # build is the largest grid the tests factor
     return (np.arange(n_steps * substeps) + 0.5) * (dt / substeps)
 
 
