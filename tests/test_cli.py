@@ -152,6 +152,19 @@ def test_indefinite_grid_covariance_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "maps.json").exists()
 
 
+@pytest.mark.parametrize("rate", [0.0, 1e-6])
+def test_quasi_static_dephasing_runs(tmp_path, capsys, rate):
+    # slow noise over 30 steps: a nearly rank-one integral covariance that
+    # the sampler must take as PSD, not refuse as a config error
+    cfg = _sim_cfg(noise={"variances": [1.0], "decay_rates": [rate]},
+                   grid={"dt": 0.2, "n_steps": 30})
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "config error" not in capsys.readouterr().err
+    maps, _ = read_map_series(tmp_path / "maps.json")
+    assert len(maps) == 30
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise.variances", ["x"]),
     ("system.biases", ["x"]),
