@@ -231,6 +231,9 @@ class GaussianPathSampler:
                 f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})")
         # draws are z @ factor.T with z standard normal over the n * m values
         self._factor = np.multiply(v, np.sqrt(np.clip(w, 0.0, None)), out=v)
+        if integrals:
+            # eigh's clipped rounding leaves ~1e-8 where a zero-length segment has 0
+            self._factor[np.tile(np.diff(self.times, prepend=0.0) == 0, n)] = 0.0
         self._shape = (n, m)
 
     def sample(self, rng, n_paths):

@@ -10,30 +10,24 @@ are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
 When h_system and every coupling commute pairwise (a purely longitudinal
-model, or x noise on an unbiased pair), a segment of length T between map
-boundaries or pulses propagates by U = exp(-i (h_system T + sum_a I_a c_a)),
-which depends on the noise only through its exact integrals I_a over the
-segment. Such runs draw those integrals, one value per channel and segment
-(:class:`~ttmkit.noisegen.GaussianPathSampler` with ``integrals``), and
-scale each path's propagator by one diagonal phase factor per segment in
-the operators' joint eigenbasis Q, with pulses rotated to Q^H P Q and the
-summed maps rotated back once; ``substeps`` does not reach them. Any other
-model freezes the noise at substep midpoints, so every per-path propagator
-is an ordered product of piecewise-constant steps, and the model's
-structure picks one of two step kernels for that product. Qubit-local
-models carry each qubit's propagator as its Cayley-Klein pair (alpha, beta),
-the first column of U = [[alpha, -conj(beta)], [beta, conj(alpha)]] in
-SU(2) (up to the global phase, which cancels in the maps), so a product of
-two costs four complex multiplies. A lone qubit always qualifies; qubits
-qualify when h_system and every coupling have no Pauli component of weight
-2 or more above 1e-14 (no zz coupling, say) and the run has no pulses. Each
-path's U is then the tensor product of its qubits' factors, built from the
-pairs at every map boundary. Any other model keeps all propagators of a
-chunk in one (d, d, P) array, path axis last, and takes each substep's
-exp(-i H tau) for every path at once as a scaled-and-squared degree-15
-Taylor polynomial, with no eigendecomposition; each step is unitary to
-rounding. All three kernels hand their (d, d, P) propagators to one path
-sum: sum_p U_p (x) conj(U_p) is the Gram matrix of the vec(U_p), reordered.
+model, or x noise on an unbiased pair), a segment of length T propagates by
+U = exp(-i (h_system T + sum_a I_a c_a)), which needs only the exact noise
+integrals I_a over the segment; such runs draw those, one value per channel
+and segment, so ``substeps`` never reaches them. In the operators' joint
+eigenbasis U is diagonal between pulses, and a pulse that is monomial there
+(a permutation times phases, as every Pauli string is) only permutes the
+rows that later phases land on: the toggling frame, in which a pi pulse
+flips the sign of the noise. One loop-free kernel, :func:`_phase_kernel`,
+sums every path's phases over segments and takes one exp per path and row
+at each map boundary. Any other pulse (a Hadamard, say) hands each segment
+to a step kernel as one exact step.
+
+Every other model freezes the noise at substep midpoints and takes one of
+two step kernels (:func:`_chunk_map_sums`): one SU(2) Cayley-Klein pair per
+qubit and path for qubit-local models, or a scaled-and-squared Taylor
+exponential of every path's step at once. Both hand their (d, d, P)
+propagators to one path sum: sum_p U_p (x) conj(U_p) is the Gram matrix of
+the vec(U_p), reordered.
 
 Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
@@ -231,30 +225,21 @@ def _local_bloch_vectors(model):
 def _chunk_map_sums(model, b, tau, pulses, stride=1):
     """One chunk's sums (not means) of the maps after every ``stride``-th segment.
 
-    ``b`` holds the drawn noise values, shaped (P, n_ch, n_seg, m): m frozen
-    values per segment, each held for the substep length ``tau[k]`` of its
-    segment k. A diagonal model takes one value per segment (m = 1), the
-    segment's exact noise integral, and ``tau[k]`` is then the whole segment
-    (:func:`_ensemble` hands it a commuting model rotated to diagonal). The
-    model's structure alone picks one of three step kernels. A diagonal model
-    scales the rows of its (d, d, P) propagators by one phase factor per
-    segment. A qubit-local model (:func:`_local_bloch_vectors`: a lone qubit,
-    or qubits whose h_system and couplings are sums of single-qubit terms,
-    run without pulses) multiplies one Cayley-Klein pair (alpha, beta) of
-    SU(2) per qubit and path, every qubit's pairs stacked on the path axis,
-    and builds each path's U = U_1 (x) ... (x) U_n from them at every
-    segment end. Any other model carries its (d, d, P) propagators with the
-    path axis last, multiplied by one :func:`_expm_paths` step per substep.
-    Every kernel hands the segment's (d, d, P) propagators to one path sum,
-    the Gram matrix of the vec(U_p). Each step is unitary to rounding, so the
-    summed maps stay trace preserving. ``pulses`` holds one unitary or None
-    per segment, applied at its end and included in its sum. Only the ends
-    of segments stride - 1, 2 stride - 1, ... form a sum, for :func:`_ensemble`.
+    ``b`` holds the noise values (P, n_ch, n_seg, m): m frozen values per
+    segment k, each held for its step length ``tau[k]``. A qubit-local model
+    (:func:`_local_bloch_vectors`: a lone qubit, or pulse-free qubits of
+    single-qubit terms) multiplies one SU(2) pair (alpha, beta) per qubit
+    and path, all stacked on the path axis, and builds each path's
+    U = U_1 (x) ... (x) U_n at every sum. Any other model multiplies its
+    (d, d, P) propagators, path axis last, by one :func:`_expm_paths` step
+    per value. The path sum is the Gram matrix of the vec(U_p); every step is
+    unitary to rounding, so the maps stay trace preserving. ``pulses`` holds
+    a unitary or None per segment, applied at its end, inside its sum. Only
+    the ends of segments stride - 1, 2 stride - 1, ... form a sum.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
-    diagonal = model.is_diagonal
-    local = None if diagonal else _local_bloch_vectors(model)
+    local = _local_bloch_vectors(model)
     su2 = local is not None and (d == 2 or all(p is None for p in pulses))
     out = np.empty((n_seg // stride, d * d, d * d), dtype=complex)
     u = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None], (d, d, n_paths)).copy()
@@ -267,17 +252,6 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
         pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(np.linalg.det(p)) for p in pulses]
         # qubit q's pairs fill entries q P .. (q + 1) P - 1 of the path axis
         alpha, beta = np.ones(n * n_paths, dtype=complex), np.zeros(n * n_paths, dtype=complex)
-    elif diagonal:
-        # segment k multiplies row r of every U by exp(-i dphi[k, r]), with
-        # dphi the segment's phase integral: hdiag times its duration plus
-        # the couplings applied to its noise integral b[:, :, k]. Row 0's
-        # factor is a global phase of the path, which cancels in
-        # U (x) conj(U), so it is divided out of every row and row 0 is
-        # never scaled
-        hdiag, zdiag = _diag_parts(model)
-        dphi = np.einsum("pak,ar->krp", b[..., 0], zdiag[:, 1:] - zdiag[:, :1]) \
-            + np.multiply.outer(tau, hdiag[1:] - hdiag[0])[:, :, None]
-        factors = np.exp(-1.0j * dphi)
     else:
         ops = np.stack(model.couplings).reshape(-1, d * d).T
         h = model.h_system.reshape(-1, 1)
@@ -292,14 +266,12 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
             alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
             if pulse_pairs[k] is not None:
                 alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
-        elif diagonal:
-            u[1:] *= factors[k][:, None, :]
         else:
             for j in range(m):
                 a = (-1.0j * tau[k]) * (h + ops @ b[:, :, k, j].T)
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
-        if pulses[k] is not None and not su2:
-            u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
+            if pulses[k] is not None:
+                u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
         if (k + 1) % stride:
             continue
         if su2:
@@ -312,6 +284,63 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
         flat = u.reshape(d * d, n_paths)
         out[k // stride] = flat @ flat.conj().T
     return to_choi(out)
+
+
+def _phase_kernel(model, durations, pulses, stride=1):
+    """The chunk kernel of a run whose operators commute, or None when they do not.
+
+    It maps a chunk's segment integrals (P, n_ch, n_seg) to its map sums
+    after every ``stride``-th segment. In the joint eigenbasis q of
+    :func:`_phase_frame` segment k scales row r of U by exp(-i dphi[k, r]),
+    dphi = h T_k + sum_a I_a z_a. When every q^H P q is monomial (one
+    nonzero per row and column, tested on exact zeros as :func:`_mirror`
+    tests exact equality), so is each toggling frame Q_k = P_k ... P_1,
+    Q_k e_c = lam_c e_sigma(c), and U = Q_k D_k after segment k: segment
+    j's phases enter the diagonal D_k on rows permuted by Q_(j-1). The
+    kernel sums them, relative to row 0 (a global phase), over segments and
+    takes exp only where a sum forms. The d x d Gram matrix g of D's rows
+    gives sum_p D_p (x) conj(D_p); its row 0 is the path count and path sum,
+    so only the (d-1) x (d-1) block takes a product. Q_k (x) conj(Q_k)
+    moves entry d r + c of g to row d sigma(r) + sigma(c) with the factor
+    lam_r conj(lam_c), and unitary_superop(q) rotates back. Any other pulse
+    hands the run to :func:`_chunk_map_sums`, exactly: each segment is one
+    step of the constant values I_a / T_k (0 when T_k = 0).
+    """
+    frame = _phase_frame(model)
+    if frame is None:
+        return None
+    q, diagonal = frame
+    d = model.dim
+    rotated = [p if p is None or q is None else q.conj().T @ p @ q for p in pulses]
+    if not all(p is None or all((np.count_nonzero(p, axis=i) == 1).all() for i in (0, 1))
+               for p in rotated):
+        def sums(b):
+            values = np.divide(b, durations, out=np.zeros_like(b), where=durations > 0)
+            return _chunk_map_sums(model, values[..., None], durations, pulses, stride)
+        return sums
+    frames = np.array(list(itertools.accumulate(
+        rotated, lambda f, p: f if p is None else p @ f, initial=np.eye(d, dtype=complex))))
+    sigma = np.argmax(frames != 0, axis=1)  # (n_seg + 1, d)
+    lam = np.take_along_axis(frames, sigma[:, None, :], axis=1)[stride::stride, 0]
+    ends = sigma[stride::stride]
+    rows = (d * ends[:, :, None] + ends[:, None, :]).reshape(len(ends), -1)
+    factors = (lam[:, :, None] * lam[:, None, :].conj()).reshape(len(ends), -1)
+    hz = np.vstack(_diag_parts(diagonal))[:, sigma[:-1]]  # (1 + n_ch, n_seg, d)
+    hz = hz[:, :, 1:] - hz[:, :, :1]
+    h_rel, z_rel = hz[0] * durations[:, None], hz[1:]
+    rotate = None if q is None else unitary_superop(q)
+
+    def sums(b):
+        phases = np.einsum("pak,akc->kcp", b, z_rel, order="C")
+        phases += h_rel[:, :, None]
+        e = np.exp(-1.0j * np.cumsum(phases, axis=0)[stride - 1::stride])  # (n_sums, d - 1, P)
+        g = np.empty((len(e), d, d), dtype=complex)
+        g[:, 0, 0], g[:, 1:, 0] = len(b), e.sum(axis=2)
+        g[:, 0, 1:], g[:, 1:, 1:] = g[:, 1:, 0].conj(), e @ e.conj().swapaxes(1, 2)
+        out = np.zeros((len(e), d * d, d * d), dtype=complex)
+        out[np.arange(len(e))[:, None], rows, np.arange(d * d)] = factors * g.reshape(len(e), -1)
+        return out if rotate is None else rotate @ out @ rotate.conj().T
+    return sums
 
 
 def _cv_generators(model, dt_sub, midpoints):
@@ -406,10 +435,9 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     the raw chunk means if asked.
 
     Segment k = (duration_k, pulse_k) evolves for duration_k, then applies
-    pulse_k (a unitary or None). A model whose operators commute
-    (:func:`_phase_frame`) draws each segment's exact noise integral and
-    takes the phase kernel in its joint eigenbasis; any other model
-    evolves in ``substeps`` substeps, noise frozen at the midpoints
+    pulse_k (a unitary or None). A model whose operators commute draws each
+    segment's exact noise integral for :func:`_phase_kernel`; any other
+    model evolves in ``substeps`` substeps, noise frozen at the midpoints
     start_k + (j + 0.5) dt_k with dt_k = duration_k / substeps. The control
     variate takes stride 1.
     """
@@ -417,22 +445,20 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     n_seg = len(segments)
     durations = np.array([duration for duration, _ in segments])
     pulses = [pulse for _, pulse in segments]
-    frame = _phase_frame(model)
-    rotate = None
-    if frame is None:
+    kernel = _phase_kernel(model, durations, pulses, stride)
+    on_grid = kernel is None
+    if on_grid:
         dt_seg = durations / substeps
         starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
         midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
-        sampler, kernel_model, tau = GaussianPathSampler(model.noise, midpoints), model, dt_seg
+        sampler = GaussianPathSampler(model.noise, midpoints)
+
+        def kernel(b):
+            return _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, substeps)), dt_seg,
+                                   pulses, stride)
     else:
-        # one draw per segment: its exact noise integral, for the phase
-        # kernel in the joint eigenbasis q
-        q, kernel_model = frame
+        # one draw per segment: its exact noise integral
         sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
-        tau = durations
-        if q is not None:
-            pulses = [None if p is None else q.conj().T @ p @ q for p in pulses]
-            rotate = unitary_superop(q)
 
     n_ch, n_col = model.noise.n_channels, sampler.times.size  # n_col values per channel
     n_flat = n_ch * n_col
@@ -442,10 +468,7 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     mirror = _mirror(model) if antithetic else None
     for draws in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
         b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
-        contrib = _chunk_map_sums(kernel_model, b.reshape(b.shape[:2] + (n_seg, -1)), tau,
-                                  pulses, stride)
-        if rotate is not None:
-            contrib = rotate @ contrib @ rotate.conj().T
+        contrib = kernel(b)
         if mirror is not None:
             contrib += mirror @ contrib @ mirror.conj().T
         acc += contrib
@@ -464,7 +487,7 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
         # lasts durations[0] and applies no pulse. A commuting model corrects
         # on its drawn integrals, one per segment; its generators commute
         # with h_system, so they are constant in time and act on whole integrals
-        g = (_cv_generators(model, dt_seg[0], midpoints) if frame is None
+        g = (_cv_generators(model, dt_seg[0], midpoints) if on_grid
              else _cv_generators(model, 1.0, np.zeros(n_seg)))
         bbar = (sum_b / n_traj).reshape(n_ch, n_col)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape((n_ch, n_col) * 2)
@@ -543,10 +566,14 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
 
     ``segments`` is a sequence of ``(duration, pulse)`` pairs run in order
     within each cycle: free evolution under the noisy Hamiltonian for
-    ``duration`` (in ``substeps`` frozen-noise substeps, or on the exact
-    noise integral when the model's operators commute), then the
-    instantaneous ``pulse`` (or None). Any noise model is accepted; each
-    pulse must be a d x d unitary. The cycles run as one flat list of
+    ``duration``, then the instantaneous ``pulse`` (a d x d unitary, or
+    None). Any noise model is accepted. A model whose operators commute
+    draws each segment's exact noise integral, whatever ``substeps`` says;
+    with pulses monomial in its joint eigenbasis (every Pauli string on a
+    dephasing model) one loop-free kernel sums the run in their toggling
+    frame, and any other pulse (a Hadamard) sends it through the step
+    kernels, one exact step per segment. Other models take ``substeps``
+    frozen-noise substeps per segment. The cycles run as one flat list of
     segments through the driver of :func:`simulate_process`, on its draws,
     step kernels and chunk seeding, so one pulse-free segment of dt per
     cycle gives its maps bit for bit. Antithetic pairs and the control

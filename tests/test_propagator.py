@@ -40,6 +40,7 @@ from ttmkit.propagator import (
     _cv_corrections,
     _cv_generators,
     _mirror,
+    _phase_kernel,
     dephasing_map,
     dephasing_map_series,
     simulate_process,
@@ -54,6 +55,9 @@ from conftest import (
     random_density,
     toggled_variance,
 )
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def _z_model(coupling=4.0, kappa=1.0, omega_c=0.0, bias=0.1):
@@ -92,12 +96,13 @@ def _draw_paths(model, dt, n_steps, seed, n_paths):
 def _mean_states(model, b, dt, rho0):
     """Path-averaged states at every step of the noise values b (P, n_ch, n_steps).
 
-    Each step is one segment of one substep; the diagonal kernel takes each
-    step's noise integral, b dt."""
-    if model.is_diagonal:
-        b = b * dt
+    Each step is one segment of one substep; a diagonal model takes the
+    phase kernel on each step's noise integral, b dt."""
     n_steps = b.shape[-1]
-    maps = _chunk_map_sums(model, b[..., None], np.full(n_steps, dt), [None] * n_steps)
+    if model.is_diagonal:
+        maps = _phase_kernel(model, np.full(n_steps, dt), [None] * n_steps)(b * dt)
+    else:
+        maps = _chunk_map_sums(model, b[..., None], np.full(n_steps, dt), [None] * n_steps)
     return (maps / b.shape[0] @ vec(rho0)).reshape(-1, model.dim, model.dim)
 
 
@@ -423,9 +428,6 @@ def test_diagonal_runs_carry_no_midpoint_bias():
     assert np.max(dev[resolved] / sigma[resolved]) < 3.0
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
 @pytest.mark.parametrize("control_variate", [False, True])
 def test_commuting_pair_equals_its_rotated_diagonal_twin(control_variate):
     # x noise on an unbiased pair commutes with itself, so the run draws the
@@ -535,24 +537,29 @@ def _random_model(d, seed):
                        noise=NoiseModel.single(1.0, 1.0))
 
 
-@pytest.mark.parametrize("model, pulsed, kernel", [
-    (transverse_noise_model(), False, "su2"),
-    (transverse_noise_model(), True, "su2"),
-    (_local_pair(), False, "su2"),
-    (_local_triple(), False, "su2"),
-    (_local_pair(zz=0.1), False, "taylor"),
-    (_local_pair(zz=1e-12), False, "taylor"),
-    (_random_model(4, 5), False, "taylor"),
-    (_local_pair(), True, "taylor"),
-    (_random_model(3, 6), False, "taylor"),
-    (two_qubit_dephasing(), True, "phase"),
+@pytest.mark.parametrize("model, pulse, kernel", [
+    (transverse_noise_model(), None, "su2"),
+    (transverse_noise_model(), np.eye(2), "su2"),
+    (_local_pair(), None, "su2"),
+    (_local_triple(), None, "su2"),
+    (_local_pair(zz=0.1), None, "taylor"),
+    (_local_pair(zz=1e-12), None, "taylor"),
+    (_random_model(4, 5), None, "taylor"),
+    (_local_pair(), np.eye(4), "taylor"),
+    (_random_model(3, 6), None, "taylor"),
+    (two_qubit_dephasing(), pauli_string("XY"), "phase"),
+    (_z_model(), _HADAMARD, "su2"),
+    (two_qubit_dephasing(), np.kron(_HADAMARD, np.eye(2)), "taylor"),
 ], ids=["qubit", "qubit-pulsed", "local-pair", "local-triple", "zz-pair", "tiny-zz-pair",
-        "random-4x4", "local-pair-pulsed", "qutrit", "dephasing-pair-pulsed"])
-def test_step_kernel_follows_the_model_structure(model, pulsed, kernel, monkeypatch):
+        "random-4x4", "local-pair-pulsed", "qutrit", "dephasing-pair-pulsed",
+        "dephasing-qubit-hadamard", "dephasing-pair-hadamard"])
+def test_step_kernel_follows_the_model_structure(model, pulse, kernel, monkeypatch):
     # a lone qubit and pulse-free qubits of qubit-local terms (a pair, a
     # triple) take the SU(2) kernel; any weight-2 Pauli term above 1e-14 (a
     # zz coupling, a random Hermitian), pulses on a pair and a qutrit take
-    # the Taylor kernel; a diagonal model takes neither
+    # the Taylor kernel; a diagonal model with monomial pulses takes
+    # neither, and one with a Hadamard pulse hands its segment integrals to
+    # the kernel its structure picks, one value per segment
     calls = {"su2": 0, "taylor": 0}
 
     def count(name, fn):
@@ -563,11 +570,9 @@ def test_step_kernel_follows_the_model_structure(model, pulsed, kernel, monkeypa
 
     monkeypatch.setattr(propagator, "_su2_segment", count("su2", propagator._su2_segment))
     monkeypatch.setattr(propagator, "_expm_paths", count("taylor", propagator._expm_paths))
-    d = model.dim
-    pulses = [np.eye(d), None] if pulsed else [None, None]
-    b = np.random.default_rng(7).normal(size=(3, model.noise.n_channels, 2, 2))
-    _chunk_map_sums(model, b, np.array([0.1, 0.2]), pulses)
-    assert calls == {"su2": 2 * (kernel == "su2"), "taylor": 4 * (kernel == "taylor")}
+    simulate_pulsed_process(model, [(0.1, pulse), (0.2, None)], 1, n_traj=3, substeps=2)
+    m = 2 if propagator._phase_frame(model) is None else 1  # Taylor steps per segment
+    assert calls == {"su2": 2 * (kernel == "su2"), "taylor": 2 * m * (kernel == "taylor")}
 
 
 def test_su2_kernel_takes_a_zero_step_vector_as_the_identity():
@@ -616,11 +621,13 @@ def test_pulsed_runs_keep_the_cycle_ends_of_the_plain_grid(model):
 
 def test_pulsed_kernels_match_per_path_expm_products():
     # a transverse qubit (Cayley-Klein SU(2) kernel), a non-diagonal pair (Taylor
-    # kernel) and two diagonal models (phase kernel): a biased z qubit with two
-    # cross-correlated z channels and a pair with zz and per-qubit biases,
-    # each also run without pulses. Odd and even substep counts, a different
-    # substep length in each segment and a pulse carrying a global phase:
-    # pulses act at the end of their segment, inside its sum
+    # kernel) and two diagonal models on the phase route: a biased z qubit
+    # with two cross-correlated z channels and a pair with zz and per-qubit
+    # biases, whose Hadamard pulses hand each segment's integral to the
+    # SU(2) and Taylor kernels, each also run without pulses (the toggling
+    # kernel). Odd and even substep counts, a different substep length in
+    # each segment and a pulse carrying a global phase: pulses act at the
+    # end of their segment, inside its sum
     eye = np.eye(2)
     hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
     cross = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -650,12 +657,79 @@ def test_pulsed_kernels_match_per_path_expm_products():
             b = rng.normal(scale=2.0, size=(6, 2, tau.size, substeps))
             want = _expm_map_sums(model, b, tau, pulses)
             if model.is_diagonal:
-                # the phase kernel takes each segment's noise integral and length
-                got = _chunk_map_sums(model, b.sum(axis=-1, keepdims=True) * tau[:, None],
-                                      substeps * tau, pulses)
+                # the phase route takes each segment's noise integral and length
+                got = _phase_kernel(model, substeps * tau, pulses)(b.sum(axis=-1) * tau)
             else:
                 got = _chunk_map_sums(model, b, tau, pulses)
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _integral_map_sums(model, integrals, durations, pulses):
+    """Per-path expm products of exp(-i (h T + sum_a I_a c_a)), summed into maps."""
+    values = np.divide(integrals, durations, out=np.zeros_like(integrals),
+                       where=durations > 0)
+    return _expm_map_sums(model, values[..., None], durations, pulses)
+
+
+def test_monomial_pulses_take_the_toggling_frame_exactly(monkeypatch):
+    # pulses that permute the joint eigenbasis and carry phases (a
+    # phase-carrying X, a CNOT on the z pair, a cyclic shift with phases on
+    # the qutrit) take the toggling kernel, every stride of sums matching
+    # per-path expm products; a Hadamard after monomial pulses hands the
+    # run to the SU(2) or Taylor kernel, exactly as well
+    eye = np.eye(2)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    shift = np.eye(3)[[2, 0, 1]] * np.exp([0.3j, -1.1j, 2.0j])
+    z_qubit = SystemModel(h_system=0.3 * SIGMA_Z, couplings=(SIGMA_Z, 0.5 * SIGMA_Z + 0.2 * eye),
+                          noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
+                                           cross=np.array([[1.0, 0.5], [0.5, 1.0]])))
+    z_pair = two_qubit_dephasing(bias1=0.1, bias2=-0.2, zz=0.05, cross=0.5)
+    qutrit = SystemModel(h_system=np.diag([0.2, -0.5, 0.1]), couplings=_QUTRIT.couplings,
+                         noise=_QUTRIT.noise)
+    cases = [
+        (z_qubit, [np.exp(0.7j) * SIGMA_X, None, SIGMA_Y, np.exp(-0.2j) * SIGMA_X], True),
+        (z_pair, [cnot, np.kron(SIGMA_X, SIGMA_Y), None, np.exp(0.4j) * cnot], True),
+        (_QUTRIT, [shift, None, shift, shift.conj().T], True),
+        (qutrit, [shift, shift, None, shift], True),
+        (z_qubit, [SIGMA_X, SIGMA_Y, _HADAMARD, None], False),
+        (z_pair, [cnot, None, np.kron(eye, _HADAMARD), np.kron(SIGMA_X, eye)], False),
+    ]
+    handoffs = []
+
+    def step_kernel(*args):
+        handoffs.append(args[0])
+        return _chunk_map_sums(*args)
+
+    monkeypatch.setattr(propagator, "_chunk_map_sums", step_kernel)
+    rng = np.random.default_rng(11)
+    durations = np.array([0.1, 0.25, 0.05, 0.15])
+    for model, pulses, monomial in cases:
+        pulses = [None if p is None else np.asarray(p, dtype=complex) for p in pulses]
+        integrals = rng.normal(scale=0.5, size=(5, model.noise.n_channels, durations.size))
+        want = _integral_map_sums(model, integrals, durations, pulses)
+        for stride in (1, 2, 4):
+            handoffs.clear()
+            got = _phase_kernel(model, durations, pulses, stride)(integrals)
+            assert [m is model for m in handoffs] == ([] if monomial else [True])
+            npt.assert_allclose(got, want[stride - 1::stride], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pulse", [SIGMA_X, _HADAMARD], ids=["toggling", "handoff"])
+def test_zero_length_segments_match_per_path_expm_products(pulse):
+    # a zero-length segment draws an integral of exactly 0 and propagates by
+    # the identity on both phase routes, with no divide warning; the maps
+    # equal per-path expm products on the run's own draws
+    model = _z_model()
+    segments, n_cycles, n_traj = [(0.5, pulse), (0.0, SIGMA_Y)], 3, 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = simulate_pulsed_process(model, segments, n_cycles, n_traj, seed=4)
+    durations = np.array([0.5, 0.0] * n_cycles)
+    sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
+    (draws,) = _chunks(sampler, n_traj, 4, 1024)
+    assert not draws[:, :, 1::2].any()
+    want = _integral_map_sums(model, draws, durations, [pulse, SIGMA_Y] * n_cycles)
+    npt.assert_allclose(np.stack(maps), want[1::2] / n_traj, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
