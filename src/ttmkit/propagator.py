@@ -18,9 +18,8 @@ eigenbasis U is diagonal between pulses, and a pulse that is monomial there
 (a permutation times phases, as every Pauli string is) only permutes the
 rows that later phases land on: the toggling frame, in which a pi pulse
 flips the sign of the noise. One loop-free kernel, :func:`_phase_kernel`,
-sums every path's phases over segments and takes one exp per path and row
-at each map boundary. Any other pulse (a Hadamard, say) hands each segment
-to a step kernel as one exact step.
+sums the phases over segments and takes one exp per path and row at each
+map boundary; any other pulse (a Hadamard) makes each segment one step.
 
 Every other model freezes the noise at substep midpoints and takes one of
 two step kernels (:func:`_chunk_map_sums`): one SU(2) Cayley-Klein pair per
@@ -33,14 +32,13 @@ Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
 sequence n_cycles times over. It owns the route (segment integrals or the
 midpoint grid), the sampler, the seeded chunk loop with its antithetic
-pairs, chunk means and control variate.
-An antithetic run whose model some Pauli string P maps onto its mirror
-(P h_system P = h_system, P c P = -c for every coupling; see :func:`_mirror`)
-propagates only the drawn half of each chunk: U(-B) = P U(B) P, so the
-mirrored half's sum is Pi S Pi^H of the drawn half's sum S, with
-Pi = P (x) conj(P). The transverse qubit, unbiased z noise and x noise on an
-unbiased pair have such a P; other models, and pulsed runs, which are never
-antithetic, propagate every path.
+pairs, chunk means and control variate. On the midpoint grid an antithetic
+run whose model some Pauli string P maps onto its mirror (P h_system P =
+h_system, P c P = -c for every coupling; see :func:`_mirror`; the
+transverse qubit has P = Z) propagates only the drawn half of each chunk:
+U(-B) = P U(B) P, so the mirrored half's sum is Pi S Pi^H of the drawn
+half's sum S, Pi = P (x) conj(P). Other grid models propagate both halves;
+the phase route never propagates mirrors.
 """
 
 import itertools
@@ -232,10 +230,9 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
     and path, all stacked on the path axis, and builds each path's
     U = U_1 (x) ... (x) U_n at every sum. Any other model multiplies its
     (d, d, P) propagators, path axis last, by one :func:`_expm_paths` step
-    per value. The path sum is the Gram matrix of the vec(U_p); every step is
+    per value. The path sum is the Gram matrix of the vec(U_p); each step is
     unitary to rounding, so the maps stay trace preserving. ``pulses`` holds
-    a unitary or None per segment, applied at its end, inside its sum. Only
-    the ends of segments stride - 1, 2 stride - 1, ... form a sum.
+    a unitary or None per segment, applied at its end, inside its sum.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
@@ -286,25 +283,27 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
     return to_choi(out)
 
 
-def _phase_kernel(model, durations, pulses, stride=1):
+def _phase_kernel(model, durations, pulses, stride=1, antithetic=False):
     """The chunk kernel of a run whose operators commute, or None when they do not.
 
     It maps a chunk's segment integrals (P, n_ch, n_seg) to its map sums
     after every ``stride``-th segment. In the joint eigenbasis q of
     :func:`_phase_frame` segment k scales row r of U by exp(-i dphi[k, r]),
     dphi = h T_k + sum_a I_a z_a. When every q^H P q is monomial (one
-    nonzero per row and column, tested on exact zeros as :func:`_mirror`
-    tests exact equality), so is each toggling frame Q_k = P_k ... P_1,
-    Q_k e_c = lam_c e_sigma(c), and U = Q_k D_k after segment k: segment
-    j's phases enter the diagonal D_k on rows permuted by Q_(j-1). The
-    kernel sums them, relative to row 0 (a global phase), over segments and
-    takes exp only where a sum forms. The d x d Gram matrix g of D's rows
-    gives sum_p D_p (x) conj(D_p); its row 0 is the path count and path sum,
-    so only the (d-1) x (d-1) block takes a product. Q_k (x) conj(Q_k)
-    moves entry d r + c of g to row d sigma(r) + sigma(c) with the factor
-    lam_r conj(lam_c), and unitary_superop(q) rotates back. Any other pulse
-    hands the run to :func:`_chunk_map_sums`, exactly: each segment is one
-    step of the constant values I_a / T_k (0 when T_k = 0).
+    nonzero per row and column, on exact zeros as in :func:`_mirror`), so
+    is each toggling frame Q_k = P_k ... P_1, Q_k e_c = lam_c e_sigma(c),
+    and U = Q_k D_k after segment k: segment j's phases enter the diagonal
+    D_k on rows permuted by Q_(j-1). The kernel sums them, relative to row 0
+    (a global phase), over segments and takes exp only where a sum forms.
+    The d x d Gram matrix g of D's rows gives sum_p D_p (x) conj(D_p): its
+    diagonal is the path count and row 0 the path sums, so only the rest of
+    the (d-1) x (d-1) block takes a product. Q_k (x) conj(Q_k) moves entry
+    d r + c of g to row d sigma(r) + sigma(c) with the factor
+    lam_r conj(lam_c), and unitary_superop(q) rotates back. Rows factor into
+    a path-free exp(-i sum h T) and a noise part w, and a mirrored path has
+    conj(w): ``antithetic`` sums take 2 Re of the drawn half's. Any other
+    pulse (never antithetic) hands the run to :func:`_chunk_map_sums`,
+    exactly, as one step of the values I_a / T_k (0 when T_k = 0).
     """
     frame = _phase_frame(model)
     if frame is None:
@@ -327,18 +326,21 @@ def _phase_kernel(model, durations, pulses, stride=1):
     factors = (lam[:, :, None] * lam[:, None, :].conj()).reshape(len(ends), -1)
     hz = np.vstack(_diag_parts(diagonal))[:, sigma[:-1]]  # (1 + n_ch, n_seg, d)
     hz = hz[:, :, 1:] - hz[:, :, :1]
-    h_rel, z_rel = hz[0] * durations[:, None], hz[1:]
+    a = np.exp(-1.0j * np.cumsum(hz[0] * durations[:, None], axis=0)[stride - 1::stride])
     rotate = None if q is None else unitary_superop(q)
 
     def sums(b):
-        phases = np.einsum("pak,akc->kcp", b, z_rel, order="C")
-        phases += h_rel[:, :, None]
-        e = np.exp(-1.0j * np.cumsum(phases, axis=0)[stride - 1::stride])  # (n_sums, d - 1, P)
-        g = np.empty((len(e), d, d), dtype=complex)
-        g[:, 0, 0], g[:, 1:, 0] = len(b), e.sum(axis=2)
-        g[:, 0, 1:], g[:, 1:, 1:] = g[:, 1:, 0].conj(), e @ e.conj().swapaxes(1, 2)
-        out = np.zeros((len(e), d * d, d * d), dtype=complex)
-        out[np.arange(len(e))[:, None], rows, np.arange(d * d)] = factors * g.reshape(len(e), -1)
+        phases = np.einsum("pak,akc->kcp", b, hz[1:], order="C")
+        w = np.exp(-1.0j * np.cumsum(phases, axis=0)[stride - 1::stride])  # (n_sums, d - 1, P)
+        s, gram = w.sum(axis=2), w @ w.conj().swapaxes(1, 2)
+        if antithetic:
+            s, gram = 2.0 * s.real, 2.0 * gram.real
+        g = np.empty((len(w), d, d), dtype=complex)
+        g[:, 1:, 0] = a * s
+        g[:, 0, 1:], g[:, 1:, 1:] = g[:, 1:, 0].conj(), a[:, :, None] * a[:, None].conj() * gram
+        g[:, range(d), range(d)] = len(b) * (1 + antithetic)
+        out = np.zeros((len(w), d * d, d * d), dtype=complex)
+        out[np.arange(len(w))[:, None], rows, np.arange(d * d)] = factors * g.reshape(len(w), -1)
         return out if rotate is None else rotate @ out @ rotate.conj().T
     return sums
 
@@ -445,17 +447,20 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     n_seg = len(segments)
     durations = np.array([duration for duration, _ in segments])
     pulses = [pulse for _, pulse in segments]
-    kernel = _phase_kernel(model, durations, pulses, stride)
+    kernel = _phase_kernel(model, durations, pulses, stride, antithetic)
     on_grid = kernel is None
     if on_grid:
         dt_seg = durations / substeps
         starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
         midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
         sampler = GaussianPathSampler(model.noise, midpoints)
+        mirror = _mirror(model) if antithetic else None
 
-        def kernel(b):
-            return _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, substeps)), dt_seg,
-                                   pulses, stride)
+        def kernel(draws):
+            b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
+            s = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, substeps)), dt_seg,
+                                pulses, stride)
+            return s if mirror is None else s + mirror @ s @ mirror.conj().T
     else:
         # one draw per segment: its exact noise integral
         sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
@@ -465,12 +470,8 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     sum_b, sum_gram = np.zeros(n_flat), np.zeros((n_flat, n_flat))
     acc = np.zeros((n_seg // stride, d * d, d * d), dtype=complex)
     chunk_means = []
-    mirror = _mirror(model) if antithetic else None
     for draws in _chunks(sampler, n_traj, seed, chunk_size, antithetic):
-        b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
-        contrib = kernel(b)
-        if mirror is not None:
-            contrib += mirror @ contrib @ mirror.conj().T
+        contrib = kernel(draws)
         acc += contrib
         if control_variate:
             # a mirrored pair [x; -x] has twice the Gram matrix of x and sums to 0
@@ -521,9 +522,9 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
     antithetic : bool
         Pair every path with its sign-flipped noise. Exact variance kill
         for observables odd in B, typically large gains for weak coupling.
-        When a Pauli string P fixes h_system and flips every coupling, the
-        mirrored paths are not propagated: their maps are those of the
-        drawn paths conjugated by P, equal to rounding.
+        Mirrored paths are not propagated when the operators commute (their
+        phases are the drawn ones conjugated) or a Pauli string P fixes
+        h_system and flips every coupling (conjugation by P), to rounding.
     collect_chunk_means : bool
         Also return the per-chunk map means, shaped
         (n_chunks, n_steps, d^2, d^2), for Monte Carlo error estimates.
@@ -567,17 +568,16 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     ``segments`` is a sequence of ``(duration, pulse)`` pairs run in order
     within each cycle: free evolution under the noisy Hamiltonian for
     ``duration``, then the instantaneous ``pulse`` (a d x d unitary, or
-    None). Any noise model is accepted. A model whose operators commute
-    draws each segment's exact noise integral, whatever ``substeps`` says;
-    with pulses monomial in its joint eigenbasis (every Pauli string on a
-    dephasing model) one loop-free kernel sums the run in their toggling
-    frame, and any other pulse (a Hadamard) sends it through the step
-    kernels, one exact step per segment. Other models take ``substeps``
-    frozen-noise substeps per segment. The cycles run as one flat list of
-    segments through the driver of :func:`simulate_process`, on its draws,
-    step kernels and chunk seeding, so one pulse-free segment of dt per
-    cycle gives its maps bit for bit. Antithetic pairs and the control
-    variate are not offered here.
+    None). A model whose operators commute draws each segment's exact noise
+    integral, whatever ``substeps`` says, and one loop-free kernel sums the
+    run in the toggling frame of pulses monomial in its joint eigenbasis
+    (every Pauli string on a dephasing model); any other pulse (a Hadamard)
+    sends each segment through a step kernel as one exact step. Other
+    models take ``substeps`` frozen-noise substeps. The cycles run as one
+    flat list of segments through the driver of :func:`simulate_process`,
+    on its draws, step kernels and chunk seeding, so one pulse-free segment
+    of dt per cycle gives its maps bit for bit. Antithetic pairs and the
+    control variate are not offered here.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """

@@ -58,6 +58,8 @@ from conftest import (
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_QUTRIT = SystemModel(h_system=np.zeros((3, 3)), couplings=(np.diag([1.0, 0.0, -1.0]),),
+                      noise=NoiseModel.single(1.0, 1.0))
 
 
 def _z_model(coupling=4.0, kappa=1.0, omega_c=0.0, bias=0.1):
@@ -714,6 +716,27 @@ def test_monomial_pulses_take_the_toggling_frame_exactly(monkeypatch):
             npt.assert_allclose(got, want[stride - 1::stride], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [
+    dd_demo_model(),
+    two_qubit_dephasing(bias1=0.1, bias2=-0.2, zz=0.05, cross=0.5),
+    _QUTRIT,
+    SystemModel(h_system=np.diag([0.2, -0.5, 0.1]), couplings=_QUTRIT.couplings,
+                noise=_QUTRIT.noise),
+], ids=["unbiased-qubit", "biased-pair", "qutrit", "biased-qutrit"])
+def test_phase_kernel_sums_mirrored_paths_by_conjugation(model):
+    # an antithetic chunk's mirrored paths negate the noise phases, so their
+    # noise rows are the conjugates of the drawn ones: the kernel's
+    # antithetic sums equal its sums over [draws; -draws], with or without
+    # a Pauli string that flips the couplings, and at every stride
+    rng = np.random.default_rng(12)
+    durations = np.array([0.3, 0.1, 0.25, 0.2])
+    draws = rng.normal(size=(7, model.noise.n_channels, durations.size))
+    for stride in (1, 2):
+        got = _phase_kernel(model, durations, [None] * 4, stride, antithetic=True)(draws)
+        want = _phase_kernel(model, durations, [None] * 4, stride)(np.concatenate([draws, -draws]))
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("pulse", [SIGMA_X, _HADAMARD], ids=["toggling", "handoff"])
 def test_zero_length_segments_match_per_path_expm_products(pulse):
     # a zero-length segment draws an integral of exactly 0 and propagates by
@@ -898,10 +921,6 @@ def _xz_qubit(bias):
     return SystemModel(h_system=bias * SIGMA_Z, couplings=(SIGMA_X, SIGMA_Z),
                        noise=NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 0.0),
                                         cross=np.eye(2)))
-
-
-_QUTRIT = SystemModel(h_system=np.zeros((3, 3)), couplings=(np.diag([1.0, 0.0, -1.0]),),
-                      noise=NoiseModel.single(1.0, 1.0))
 
 
 @pytest.mark.parametrize("model, label", [
