@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eigh of the covariance over all drawn values (channels x time points, or
-# channels x segments for segment integrals) scales cubically and peaks at
-# about 5 N^2 doubles (about 640 MiB at this side); the cap keeps a
-# misconfigured grid from silently eating minutes and memory.
+# eigh of the covariance over all drawn values (channels x intervals)
+# scales cubically and peaks at about 5 N^2 doubles (about 640 MiB at this
+# side); the cap keeps a misconfigured grid from silently eating minutes and
+# memory.
 _MAX_COV_SIDE = 4096
 # size of a negative covariance eigenvalue, relative to the largest |eigenvalue|,
 # that counts as not PSD
@@ -93,15 +93,10 @@ class NoiseModel:
         return cls(kappas=(kappa,), omegas=(omega,), cross=np.array([[float(coupling)]]))
 
     def correlation(self, tau):
-        """Correlation matrix C(tau), shape ``tau.shape + (n, n)``, built in place."""
+        """Correlation matrix C(tau), shape ``tau.shape + (n, n)``."""
         t = np.asarray(tau, dtype=float)[..., None, None]
         kab, wab = (0.5 * np.add.outer(r, r) for r in (self.kappas, self.omegas))
-        c = np.abs(t, out=np.empty(t.shape[:-2] + kab.shape))
-        np.exp(np.multiply(c, -kab, out=c), out=c)
-        c *= self.cross
-        arg = wab * t
-        c *= np.cos(arg, out=arg)
-        return c
+        return self.cross * np.exp(np.abs(t) * -kab) * np.cos(wab * t)
 
     def correlation_entry(self, a, b, tau):
         """Scalar-channel correlation C_ab(tau) with ``tau`` any ndarray."""
@@ -151,13 +146,13 @@ class NoiseModel:
 
 
 def _segment_covariance(model, ends):
-    """Cov(I_a,j, I_b,k) of the segment integrals, shaped (n_ch, m, n_ch, m).
+    """Cov(I_a,j, I_b,k) of the interval integrals, shaped (n_ch, m, n_ch, m).
 
     Equals minus half the second difference of Phi_ab over the edges 0,
     ends[0], ..., ends[-1], but that difference loses (t_n / dt)^2 of each
     entry to cancellation, enough to turn slow noise on a fine grid
     indefinite. Each entry is built to rounding instead: Phi_ab(L_j) on the
-    diagonal, and for distinct segments of lengths L_j, L_k a gap g apart,
+    diagonal, and for distinct intervals of lengths L_j, L_k a gap g apart,
     C_ab(tau) = cross[a, b] Re exp(-mu |tau|) factorizes the double integral
     into cross[a, b] Re(exp(-mu g) G_j G_k), G = (1 - exp(-mu L)) / mu.
     """
@@ -165,87 +160,76 @@ def _segment_covariance(model, ends):
     edges = np.concatenate([[0.0], ends])
     starts, stops = edges[:-1], edges[1:]
     lengths = stops - starts
-    gaps = np.maximum(starts[None, :] - stops[:, None], starts[:, None] - stops[None, :])
     cov = np.empty((n, m, n, m))
     for a, b in np.ndindex(n, n):
         amp, kab, wab = model._entry(a, b)
         mu = kab - 1.0j * wab
         g = lengths if abs(mu) < 1e-300 else -np.expm1(-mu * lengths) / mu
-        block = np.exp(np.multiply(gaps, -mu))
+        # the gaps g_jk go into the target block, so the complex exponent is
+        # the only other m x m array
+        target = cov[a, :, b]
+        np.subtract(starts[None, :], stops[:, None], out=target)
+        np.maximum(target, target.T, out=target)
+        block = np.multiply(target, -mu)
+        np.exp(block, out=block)
         block *= g[:, None]
         block *= g[None, :]
-        np.multiply(np.real(block), amp, out=cov[a, :, b])
-        cov[a, :, b][np.diag_indices(m)] = model.phase_variance(lengths, a, b)
+        np.multiply(np.real(block), amp, out=target)
+        target[np.diag_indices(m)] = model.phase_variance(lengths, a, b)
     return cov
 
 
 class GaussianPathSampler:
-    """Exact sampler for jointly Gaussian channel values on a fixed time grid.
+    """Exact sampler of the noise integrals over consecutive intervals.
 
-    Builds the full covariance over every drawn (channel, time) value and
-    factorizes it once; each draw is then a matrix product. Exactness on
-    the grid matters more here than asymptotic cost because the grids are
-    short (hundreds of points) while the path counts are large. The build
-    peaks inside ``np.linalg.eigh`` at about 5 N^2 doubles for N = n_channels
-    * n_times (its input, LAPACK's copy and 2 N^2 of workspace, and the
+    ``times`` are the ends t_1 <= ... <= t_n of intervals starting at
+    t_0 = 0; each draw holds the exact integrals I_a,k = int B_a over
+    [t_(k-1), t_k], one per channel and interval. They carry no quadrature
+    error, and k equal intervals sum to the integral over their union. Their
+    covariance (:func:`_segment_covariance`, from the phase variance Phi_ab)
+    is factorized once; each draw is then a matrix product. Exactness
+    matters more here than asymptotic cost because the interval counts are
+    small (hundreds) while the path counts are large. The build peaks
+    inside ``np.linalg.eigh`` at about 5 N^2 doubles for N = n_channels *
+    n_intervals (its input, LAPACK's copy and 2 N^2 of workspace, and the
     eigenvectors): about 35 MiB at N = 960 and 640 MiB at the 4096 cap. A
     covariance that is not positive semidefinite beyond rounding, relative
     to its largest |eigenvalue|, raises :class:`IndefiniteCovarianceError`.
-
-    By default each draw holds the values B_a(t_i) at ``times``. With
-    ``integrals``, ``times`` are the ends t_1 <= ... <= t_n of consecutive
-    segments starting at t_0 = 0, and each draw holds the exact segment
-    integrals I_a,k = int B_a over [t_(k-1), t_k], whose covariance follows
-    from :meth:`NoiseModel.phase_variance` Phi_ab:
-
-        Cov(I_a,j, I_b,k) = (Phi_ab(|t_k - t_(j-1)|) + Phi_ab(|t_(k-1) - t_j|)
-                             - Phi_ab(|t_(k-1) - t_(j-1)|) - Phi_ab(|t_k - t_j|)) / 2
-
-    and is built entry by entry to rounding, since the second difference
-    cancels badly for slow noise on fine segments. A draw then costs one value per channel and segment, with no grid
-    inside the segments and no discretisation bias.
     """
 
-    def __init__(self, model, times, *, integrals=False):
+    def __init__(self, model, times):
         self.model = model
         self.times = np.asarray(times, dtype=float)
         n = model.n_channels
         m = self.times.size
         if n * m > _MAX_COV_SIDE:
-            what = "segments" if integrals else "time points"
-            raise CovarianceCapError(f"covariance side {n * m} (channels x {what}) exceeds "
+            raise CovarianceCapError(f"covariance side {n * m} (channels x intervals) exceeds "
                                      f"{_MAX_COV_SIDE}; coarsen the grid")
         # cov[(a, i), (b, j)], our one N^2 array while eigh runs
-        if integrals:
-            cov = _segment_covariance(model, self.times)
-        else:
-            cov = model.correlation(self.times[:, None] - self.times[None, :]).transpose(
-                2, 0, 3, 1)
-        cov = cov.reshape(n * m, n * m)
+        cov = _segment_covariance(model, self.times).reshape(n * m, n * m)
         cov = 0.5 * (cov + cov.T)
         w, v = np.linalg.eigh(cov)
         del cov
         if w[0] < -_PSD_TOL * max(-w[0], w[-1]):
             raise IndefiniteCovarianceError(
-                f"noise model covariance over the time grid is not positive semidefinite "
+                f"noise model covariance over the intervals is not positive semidefinite "
                 f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})")
         # draws are z @ factor.T with z standard normal over the n * m values
         self._factor = np.multiply(v, np.sqrt(np.clip(w, 0.0, None)), out=v)
-        if integrals:
-            # eigh's clipped rounding leaves ~1e-8 where a zero-length segment has 0
-            self._factor[np.tile(np.diff(self.times, prepend=0.0) == 0, n)] = 0.0
+        # eigh's clipped rounding leaves ~1e-8 where a zero-length interval has 0
+        self._factor[np.tile(np.diff(self.times, prepend=0.0) == 0, n)] = 0.0
         self._shape = (n, m)
 
     def sample(self, rng, n_paths):
-        """Draw paths, returned with shape (n_paths, n_channels, n_times)."""
+        """Draw paths, returned with shape (n_paths, n_channels, n_intervals)."""
         z = rng.standard_normal((n_paths, self._factor.shape[1]))
         return (z @ self._factor.T).reshape((n_paths,) + self._shape)
 
     def covariance(self):
         """The exact covariance realized by :meth:`sample`, channel-major.
 
-        Index (a, i) flattens to a * n_times + i. Equals the model covariance
-        of the grid values or of the segment integrals, up to the PSD
-        eigenvalue clip applied at construction.
+        Index (a, i) flattens to a * n_intervals + i. Equals the model
+        covariance of the interval integrals, up to the PSD eigenvalue clip
+        applied at construction.
         """
         return self._factor @ self._factor.T

@@ -9,36 +9,36 @@ dynamical maps
 are trace preserving for every sample size because each summand is a
 unitary conjugation; no per-map renormalization is ever needed.
 
-When h_system and every coupling commute pairwise (a purely longitudinal
-model, or x noise on an unbiased pair), a segment of length T propagates by
-U = exp(-i (h_system T + sum_a I_a c_a)), which needs only the exact noise
-integrals I_a over the segment; such runs draw those, one value per channel
-and segment, so ``substeps`` never reaches them. In the operators' joint
-eigenbasis U is diagonal between pulses, and a pulse that is monomial there
-(a permutation times phases, as every Pauli string is) only permutes the
-rows that later phases land on: the toggling frame, in which a pi pulse
-flips the sign of the noise. One loop-free kernel, :func:`_phase_kernel`,
-sums the phases over segments and takes one exp per path and row at each
-map boundary; any other pulse (a Hadamard) makes each segment one step.
+Every run draws the exact noise integrals I_a over each interval, and an
+interval of length T steps by U = exp(-i (h_system T + sum_a I_a c_a)), its
+first-order Magnus term. When h_system and every coupling commute pairwise
+(a purely longitudinal model, or x noise on an unbiased pair) that step is
+exact, so such runs draw one interval per segment and ``substeps`` never
+reaches them. In the operators' joint eigenbasis U is then diagonal between
+pulses, and a pulse that is monomial there (a permutation times phases, as
+every Pauli string is) only permutes the rows that later phases land on:
+the toggling frame, in which a pi pulse flips the sign of the noise. One
+loop-free kernel, :func:`_phase_kernel`, sums the phases over segments and
+takes one exp per path and row at each map boundary.
 
-Every other model freezes the noise at substep midpoints and takes one of
-two step kernels (:func:`_chunk_map_sums`): one SU(2) Cayley-Klein pair per
-qubit and path for qubit-local models, or a scaled-and-squared Taylor
-exponential of every path's step at once. Both hand their (d, d, P)
-propagators to one path sum: sum_p U_p (x) conj(U_p) is the Gram matrix of
-the vec(U_p), reordered.
+Other runs, on ``substeps`` intervals per segment (one for a commuting run
+with another pulse, such as a Hadamard), take one of two step kernels
+(:func:`_chunk_map_sums`): one SU(2) Cayley-Klein pair per qubit and path
+for qubit-local models, or a scaled-and-squared Taylor exponential of every
+path's step at once. Both hand their (d, d, P) propagators to one path sum:
+sum_p U_p (x) conj(U_p) is the Gram matrix of the vec(U_p), reordered.
 
 Both simulators hand one private driver, :func:`_ensemble`, a flat list of
 (duration, pulse) segments: n_steps pulse-free segments of dt, or a pulse
-sequence n_cycles times over. It owns the route (segment integrals or the
-midpoint grid), the sampler, the seeded chunk loop with its antithetic
-pairs, chunk means and control variate. On the midpoint grid an antithetic
-run whose model some Pauli string P maps onto its mirror (P h_system P =
-h_system, P c P = -c for every coupling; see :func:`_mirror`; the
-transverse qubit has P = Z) propagates only the drawn half of each chunk:
-U(-B) = P U(B) P, so the mirrored half's sum is Pi S Pi^H of the drawn
-half's sum S, Pi = P (x) conj(P). Other grid models propagate both halves;
-the phase route never propagates mirrors.
+sequence n_cycles times over. It owns the intervals, the sampler, the
+seeded chunk loop with its antithetic pairs, chunk means and control
+variate. On the step kernels an antithetic run whose model some Pauli
+string P maps onto its mirror (P h_system P = h_system, P c P = -c for
+every coupling; see :func:`_mirror`; the transverse qubit has P = Z)
+propagates only the drawn half of each chunk: U(-I) = P U(I) P, so the
+mirrored half's sum is Pi S Pi^H of the drawn half's sum S,
+Pi = P (x) conj(P). Other step-kernel runs propagate both halves; the
+phase kernel never propagates mirrors.
 """
 
 import itertools
@@ -129,17 +129,16 @@ def _su2_mul(a, b):
     return a[0] * b[0] - a[1].conj() * b[1], a[1] * b[0] + a[0].conj() * b[1]
 
 
-def _su2_segment(v, dt_sub):
-    """Time-ordered product of exp(-i v_j . sigma dt_sub) over axis 1 of v (3, m, P).
+def _su2_segment(v):
+    """Time-ordered product of exp(-i v_j . sigma) over axis 1 of v (3, m, P).
 
-    Each step is the pair (cos t - i s v_z, s v_y - i s v_x) with
-    t = |v| dt_sub and s = sin(t) / |v|; the m steps are multiplied
-    pairwise, later steps on the left.
+    Each step is the pair (cos t - i s v_z, s v_y - i s v_x) with t = |v|
+    and s = sin(t) / |v|; the m steps are multiplied pairwise, later steps
+    on the left.
     """
-    norm = np.sqrt(np.einsum("kjp,kjp->jp", v, v))
-    theta = norm * dt_sub
+    theta = np.sqrt(np.einsum("kjp,kjp->jp", v, v))
     s = np.sin(theta)
-    np.divide(s, norm, out=s, where=norm > 0)  # where norm = 0, v = 0 as well
+    np.divide(s, theta, out=s, where=theta > 0)  # where |v| = 0, v = 0 as well
     alpha, beta = np.cos(theta) - 1j * (s * v[2]), s * v[1] - 1j * (s * v[0])
     while alpha.shape[0] > 1:
         m = alpha.shape[0]
@@ -223,16 +222,17 @@ def _local_bloch_vectors(model):
 def _chunk_map_sums(model, b, tau, pulses, stride=1):
     """One chunk's sums (not means) of the maps after every ``stride``-th segment.
 
-    ``b`` holds the noise values (P, n_ch, n_seg, m): m frozen values per
-    segment k, each held for its step length ``tau[k]``. A qubit-local model
+    ``b`` holds the noise integrals (P, n_ch, n_seg, m) over m intervals per
+    segment k, each of length ``tau[k]``; an interval steps by
+    exp(-i (tau[k] h_system + sum_a I_a c_a)). A qubit-local model
     (:func:`_local_bloch_vectors`: a lone qubit, or pulse-free qubits of
     single-qubit terms) multiplies one SU(2) pair (alpha, beta) per qubit
     and path, all stacked on the path axis, and builds each path's
     U = U_1 (x) ... (x) U_n at every sum. Any other model multiplies its
     (d, d, P) propagators, path axis last, by one :func:`_expm_paths` step
-    per value. The path sum is the Gram matrix of the vec(U_p); each step is
-    unitary to rounding, so the maps stay trace preserving. ``pulses`` holds
-    a unitary or None per segment, applied at its end, inside its sum.
+    per interval. The path sum is the Gram matrix of the vec(U_p); each step
+    is unitary to rounding, so the maps stay trace preserving. ``pulses``
+    holds a unitary or None per segment, applied at its end, inside its sum.
     """
     d = model.dim
     n_paths, _, n_seg, m = b.shape
@@ -244,9 +244,11 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
         v_sys, v_coup = local
         n = len(v_sys)
         # a pulse p = e^{i phi} U has det p = e^{2 i phi}, so its first column
-        # over sqrt(det p) is U's pair; the sign the root leaves open flips
-        # U, which cancels in U (x) conj(U) (only a lone qubit has pulses here)
-        pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(np.linalg.det(p)) for p in pulses]
+        # over sqrt(det p), a complex root for real p too, is U's pair; the sign
+        # the root leaves open flips U, which cancels in U (x) conj(U) (only a
+        # lone qubit has pulses here)
+        pulse_pairs = [None if p is None else p[:, 0] / np.sqrt(complex(np.linalg.det(p)))
+                       for p in pulses]
         # qubit q's pairs fill entries q P .. (q + 1) P - 1 of the path axis
         alpha, beta = np.ones(n * n_paths, dtype=complex), np.zeros(n * n_paths, dtype=complex)
     else:
@@ -259,13 +261,13 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
             # concatenate keeps the einsum's memory order, by which the step norms round
             v = np.concatenate([np.einsum("ak,paj->kjp", vq, b[:, :, k]) for vq in v_coup], axis=2)
             for q in range(n):
-                v[:, :, q * n_paths:(q + 1) * n_paths] += v_sys[q][:, None, None]
-            alpha, beta = _su2_mul(_su2_segment(v, tau[k]), (alpha, beta))
+                v[:, :, q * n_paths:(q + 1) * n_paths] += tau[k] * v_sys[q][:, None, None]
+            alpha, beta = _su2_mul(_su2_segment(v), (alpha, beta))
             if pulse_pairs[k] is not None:
                 alpha, beta = _su2_mul(pulse_pairs[k], (alpha, beta))
         else:
             for j in range(m):
-                a = (-1.0j * tau[k]) * (h + ops @ b[:, :, k, j].T)
+                a = -1.0j * (tau[k] * h + ops @ b[:, :, k, j].T)
                 u = _mm(_expm_paths(a.reshape(d, d, n_paths), powers), u)
             if pulses[k] is not None:
                 u = (pulses[k] @ u.reshape(d, -1)).reshape(u.shape)
@@ -284,7 +286,7 @@ def _chunk_map_sums(model, b, tau, pulses, stride=1):
 
 
 def _phase_kernel(model, durations, pulses, stride=1, antithetic=False):
-    """The chunk kernel of a run whose operators commute, or None when they do not.
+    """The loop-free chunk kernel of a commuting run with monomial pulses, else None.
 
     It maps a chunk's segment integrals (P, n_ch, n_seg) to its map sums
     after every ``stride``-th segment. In the joint eigenbasis q of
@@ -301,9 +303,9 @@ def _phase_kernel(model, durations, pulses, stride=1, antithetic=False):
     d r + c of g to row d sigma(r) + sigma(c) with the factor
     lam_r conj(lam_c), and unitary_superop(q) rotates back. Rows factor into
     a path-free exp(-i sum h T) and a noise part w, and a mirrored path has
-    conj(w): ``antithetic`` sums take 2 Re of the drawn half's. Any other
-    pulse (never antithetic) hands the run to :func:`_chunk_map_sums`,
-    exactly, as one step of the values I_a / T_k (0 when T_k = 0).
+    conj(w): ``antithetic`` sums take 2 Re of the drawn half's. With any
+    other pulse (a Hadamard) the result is None, and the run steps each
+    segment exactly on its integral through :func:`_chunk_map_sums`.
     """
     frame = _phase_frame(model)
     if frame is None:
@@ -313,10 +315,7 @@ def _phase_kernel(model, durations, pulses, stride=1, antithetic=False):
     rotated = [p if p is None or q is None else q.conj().T @ p @ q for p in pulses]
     if not all(p is None or all((np.count_nonzero(p, axis=i) == 1).all() for i in (0, 1))
                for p in rotated):
-        def sums(b):
-            values = np.divide(b, durations, out=np.zeros_like(b), where=durations > 0)
-            return _chunk_map_sums(model, values[..., None], durations, pulses, stride)
-        return sums
+        return None
     frames = np.array(list(itertools.accumulate(
         rotated, lambda f, p: f if p is None else p @ f, initial=np.eye(d, dtype=complex))))
     sigma = np.argmax(frames != 0, axis=1)  # (n_seg + 1, d)
@@ -345,22 +344,23 @@ def _phase_kernel(model, durations, pulses, stride=1, antithetic=False):
     return sums
 
 
-def _cv_generators(model, dt_sub, midpoints):
-    """Interaction-picture noise generators, one per (channel, substep).
+def _cv_generators(model, times):
+    """Interaction-picture noise generators, one per (channel, interval).
 
-    g[a, j] = dt_sub * S_free(s_j)^H (-i [sigma_a, .]) S_free(s_j) with s_j
-    the substep midpoint. These are the linear-response coefficients of the
-    exact per-path map with respect to the frozen noise values.
+    g[a, j] = S_free(s_j)^H (-i [c_a, .]) S_free(s_j), per unit integral of
+    channel a over interval j, with s_j the interval's midpoint. These are
+    the linear-response coefficients of the per-path map with respect to
+    the drawn integrals.
     """
     lv = np.stack([-1.0j * commutator_superop(c) for c in model.couplings])
-    s = _free_superops(model.h_system, midpoints)
-    return dt_sub * (s.conj().swapaxes(-1, -2) @ lv[:, None] @ s)
+    s = _free_superops(model.h_system, times)
+    return s.conj().swapaxes(-1, -2) @ lv[:, None] @ s
 
 
 def _cv_corrections(model, g, bbar, delta_m, n_seg, dt):
     """Second-order map functional evaluated on the sampled-moment excess.
 
-    Sums, over the substeps up to the end of each of ``n_seg`` equal segments,
+    Sums, over the intervals up to the end of each of ``n_seg`` equal segments,
 
         sum_J bbar_J g_J
       + sum_{j > j'} sum_{a a'} dM[(a,j),(a',j')] g_{a j} g_{a' j'}
@@ -369,18 +369,18 @@ def _cv_corrections(model, g, bbar, delta_m, n_seg, dt):
     and left-multiplies by the free map at dt, 2 dt, ... for the successive
     segment ends. Subtracting this from the raw ensemble mean removes the
     sampling fluctuation of the first and second noise moments while leaving
-    the expectation untouched. ``delta_m``, shaped (n_ch, n_sub, n_ch, n_sub),
+    the expectation untouched. ``delta_m``, shaped (n_ch, n_int, n_ch, n_int),
     is overwritten by its time-ordered weighting.
     """
-    n_ch, n_sub = g.shape[:2]
-    delta_m *= (np.tril(np.ones((n_sub, n_sub)), -1) + 0.5 * np.eye(n_sub))[:, None, :]
+    n_ch, n_int = g.shape[:2]
+    delta_m *= (np.tril(np.ones((n_int, n_int)), -1) + 0.5 * np.eye(n_int))[:, None, :]
     # real weights act on the real and imaginary parts alike, so the
-    # (n_ch n_sub)^2 weight matrix is never copied to complex
-    g_flat = g.reshape(n_ch * n_sub, -1).view(float)
+    # (n_ch n_int)^2 weight matrix is never copied to complex
+    g_flat = g.reshape(n_ch * n_int, -1).view(float)
     inner = (delta_m.reshape(g_flat.shape[0], -1) @ g_flat).view(complex).reshape(g.shape)
     acc = np.cumsum((g @ inner + bbar[:, :, None, None] * g).sum(axis=0), axis=0)
-    substeps = n_sub // n_seg
-    return _free_superops(model.h_system, dt * np.arange(1, n_seg + 1)) @ acc[substeps - 1::substeps]
+    m = n_int // n_seg
+    return _free_superops(model.h_system, dt * np.arange(1, n_seg + 1)) @ acc[m - 1::m]
 
 
 def _mirror(model):
@@ -437,33 +437,29 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     the raw chunk means if asked.
 
     Segment k = (duration_k, pulse_k) evolves for duration_k, then applies
-    pulse_k (a unitary or None). A model whose operators commute draws each
-    segment's exact noise integral for :func:`_phase_kernel`; any other
-    model evolves in ``substeps`` substeps, noise frozen at the midpoints
-    start_k + (j + 0.5) dt_k with dt_k = duration_k / substeps. The control
-    variate takes stride 1.
+    pulse_k (a unitary or None). Every run draws the exact noise integral
+    of each interval: one per segment for a model whose operators commute,
+    where that step is exact, and ``substeps`` equal intervals per segment
+    for any other model. :func:`_phase_kernel` takes commuting runs with
+    monomial pulses; the rest step through :func:`_chunk_map_sums`. The
+    control variate takes stride 1.
     """
     d = model.dim
     n_seg = len(segments)
     durations = np.array([duration for duration, _ in segments])
     pulses = [pulse for _, pulse in segments]
+    commuting = _phase_frame(model) is not None
+    m = 1 if commuting else substeps  # intervals per segment
+    tau = durations / m
+    sampler = GaussianPathSampler(model.noise, np.cumsum(np.repeat(tau, m)))
     kernel = _phase_kernel(model, durations, pulses, stride, antithetic)
-    on_grid = kernel is None
-    if on_grid:
-        dt_seg = durations / substeps
-        starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
-        midpoints = (starts[:, None] + (np.arange(substeps) + 0.5) * dt_seg[:, None]).ravel()
-        sampler = GaussianPathSampler(model.noise, midpoints)
+    if kernel is None:
         mirror = _mirror(model) if antithetic else None
 
         def kernel(draws):
             b = np.concatenate([draws, -draws]) if antithetic and mirror is None else draws
-            s = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, substeps)), dt_seg,
-                                pulses, stride)
+            s = _chunk_map_sums(model, b.reshape(b.shape[:2] + (n_seg, m)), tau, pulses, stride)
             return s if mirror is None else s + mirror @ s @ mirror.conj().T
-    else:
-        # one draw per segment: its exact noise integral
-        sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
 
     n_ch, n_col = model.noise.n_channels, sampler.times.size  # n_col values per channel
     n_flat = n_ch * n_col
@@ -485,11 +481,10 @@ def _ensemble(model, segments, n_traj, substeps, seed, chunk_size, stride,
     maps = acc / n_traj
     if control_variate:
         # the correction assumes a uniform, pulse-free grid: every segment
-        # lasts durations[0] and applies no pulse. A commuting model corrects
-        # on its drawn integrals, one per segment; its generators commute
-        # with h_system, so they are constant in time and act on whole integrals
-        g = (_cv_generators(model, dt_seg[0], midpoints) if on_grid
-             else _cv_generators(model, 1.0, np.zeros(n_seg)))
+        # lasts durations[0] and applies no pulse. Generators are taken at
+        # the interval midpoints; those of a commuting run commute with
+        # h_system, so they are constant and taken at 0
+        g = _cv_generators(model, np.zeros(n_seg) if commuting else sampler.times - 0.5 * tau[0])
         bbar = (sum_b / n_traj).reshape(n_ch, n_col)
         delta_m = (sum_gram / n_traj - sampler.covariance()).reshape((n_ch, n_col) * 2)
         maps -= _cv_corrections(model, g, bbar, delta_m, n_seg, durations[0])
@@ -511,9 +506,10 @@ def simulate_process(model, dt, n_steps, n_traj, substeps=8, seed=0,
         Total number of trajectories averaged (mirror paths included when
         ``antithetic`` is set, so the count must then be even).
     substeps : int
-        Noise-freezing subdivisions per map step. A model whose h_system
-        and couplings commute pairwise draws each step's exact noise
-        integral instead, so its maps do not depend on ``substeps``.
+        Equal intervals per map step, each stepped on its exact noise
+        integrals, for a model whose operators do not commute (bias figures
+        in the README). A model whose h_system and couplings commute
+        pairwise draws one integral per step, so ``substeps`` never reaches it.
     seed : int
         Master seed. Each chunk derives its generator from
         ``SeedSequence((seed, chunk_index))``, so results are independent
@@ -568,16 +564,17 @@ def simulate_pulsed_process(model, segments, n_cycles, n_traj, substeps=2,
     ``segments`` is a sequence of ``(duration, pulse)`` pairs run in order
     within each cycle: free evolution under the noisy Hamiltonian for
     ``duration``, then the instantaneous ``pulse`` (a d x d unitary, or
-    None). A model whose operators commute draws each segment's exact noise
-    integral, whatever ``substeps`` says, and one loop-free kernel sums the
-    run in the toggling frame of pulses monomial in its joint eigenbasis
-    (every Pauli string on a dephasing model); any other pulse (a Hadamard)
-    sends each segment through a step kernel as one exact step. Other
-    models take ``substeps`` frozen-noise substeps. The cycles run as one
-    flat list of segments through the driver of :func:`simulate_process`,
-    on its draws, step kernels and chunk seeding, so one pulse-free segment
-    of dt per cycle gives its maps bit for bit. Antithetic pairs and the
-    control variate are not offered here.
+    None). Every run draws exact noise integrals over ``substeps`` equal
+    intervals per segment, or over one per segment, whatever ``substeps``
+    says, for a model whose operators commute. Such a run is summed by one
+    loop-free kernel in the toggling frame of pulses monomial in its joint
+    eigenbasis (every Pauli string on a dephasing model); any other pulse
+    (a Hadamard) sends each segment through a step kernel as one exact
+    interval. The cycles
+    run as one flat list of segments through the driver of
+    :func:`simulate_process`, on its draws, step kernels and chunk seeding,
+    so one pulse-free segment of dt per cycle gives its maps bit for bit.
+    Antithetic pairs and the control variate are not offered here.
 
     Returns a list of n_cycles superoperators, one per completed cycle.
     """

@@ -53,8 +53,8 @@ def _written_out_correlation(model, tau):
                                  np.linspace(-3.0, 3.0, 12).reshape(3, 4)],
                          ids=["scalar", "1d", "2d"])
 def test_correlation_is_the_written_out_product_bit_for_bit(tau):
-    # the in-place evaluation keeps the product's operation order, so it
-    # rounds the same: every draw built on it stays bit-stable
+    # C_ab(tau) = cross[a, b] exp(-kappa_ab |tau|) cos(omega_ab tau) with the
+    # mean rates of the two channels, for scalar and array lags alike
     model = NoiseModel(kappas=(1.0, 3.0), omegas=(0.5, 2.0),
                        cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
     got = model.correlation(tau)
@@ -143,12 +143,25 @@ def test_spectral_density_is_lorentzian_pair():
     assert abs(power - model.correlation_entry(0, 0, 0.0)) < 1e-2
 
 
-def _midpoints(dt, n_steps):
-    return (np.arange(n_steps) + 0.5) * dt
+def _ends(dt, n_steps):
+    return dt * np.arange(1, n_steps + 1)
+
+
+def _written_out_segment_covariance(model, ends):
+    # Cov(I_a,j, I_b,k) = (Phi(|t_k - t_j-1|) + Phi(|t_k-1 - t_j|) - Phi(|t_k-1 - t_j-1|)
+    # - Phi(|t_k - t_j|)) / 2 over edges t_0 = 0, t_1, ..., channel-major
+    n, m = model.n_channels, ends.size
+    e = np.concatenate([[0.0], ends])
+    want = np.empty((n, m, n, m))
+    for a, j, b, k in np.ndindex(want.shape):
+        phi = lambda t: model.phase_variance(abs(t), a, b)  # noqa: E731
+        want[a, j, b, k] = 0.5 * (phi(e[k + 1] - e[j]) + phi(e[k] - e[j + 1])
+                                  - phi(e[k] - e[j]) - phi(e[k + 1] - e[j + 1]))
+    return want.reshape(n * m, n * m)
 
 
 def test_sample_paths_deterministic_and_shaped():
-    sampler = GaussianPathSampler(NoiseModel.single(4.0, 1.0), _midpoints(0.2, 10))
+    sampler = GaussianPathSampler(NoiseModel.single(4.0, 1.0), _ends(0.2, 10))
     one = sampler.sample(np.random.default_rng(42), 5)
     assert one.shape == (5, 1, 10)
     npt.assert_array_equal(one, sampler.sample(np.random.default_rng(42), 5))
@@ -157,29 +170,19 @@ def test_sample_paths_deterministic_and_shaped():
 
 
 def test_sampled_covariance_matches_model():
-    # ensemble second moments on the grid must match C(|m-n| dt)
+    # ensemble second moments of the interval integrals must match their
+    # covariance, the second difference of Phi over the interval edges
     model = NoiseModel(kappas=(1.0, 2.0), omegas=(0.0, 1.0),
                        cross=np.array([[4.0, 1.0], [1.0, 2.0]]))
     dt, n_steps, n_paths = 0.3, 8, 120_000
-    times = _midpoints(dt, n_steps)
-    paths = GaussianPathSampler(model, times).sample(np.random.default_rng(7), n_paths)
+    ends = _ends(dt, n_steps)
+    paths = GaussianPathSampler(model, ends).sample(np.random.default_rng(7), n_paths)
     flat = paths.reshape(n_paths, -1)
     emp = flat.T @ flat / n_paths
-    lags = times[:, None] - times[None, :]
-    want = model.correlation(lags).transpose(2, 0, 3, 1).reshape(16, 16)
+    want = _written_out_segment_covariance(model, ends)
     scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
     assert np.max(np.abs(emp - want) / scale) < 0.02
     assert np.max(np.abs(flat.mean(axis=0)) / np.sqrt(np.diag(want))) < 0.02
-
-
-def test_sampler_covariance_method_is_exact():
-    model = NoiseModel(kappas=(1.0, 0.5), omegas=(0.0, 2.0),
-                       cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
-    times = np.linspace(0.05, 1.05, 6)
-    sampler = GaussianPathSampler(model, times)
-    lags = times[:, None] - times[None, :]
-    want = model.correlation(lags).transpose(2, 0, 3, 1).reshape(12, 12)
-    npt.assert_allclose(sampler.covariance(), want, atol=1e-10)
 
 
 def test_integral_covariance_sums_to_the_phase_variance():
@@ -190,7 +193,7 @@ def test_integral_covariance_sums_to_the_phase_variance():
     model = NoiseModel(kappas=(1.0, 2.5), omegas=(0.0, 1.3),
                        cross=np.array([[1.0, 0.4], [0.4, 2.0]]))
     ends = np.cumsum([0.1, 0.3, 0.0, 0.2, 0.05, 0.4, 0.2])
-    cov = GaussianPathSampler(model, ends, integrals=True).covariance().reshape(2, 7, 2, 7)
+    cov = GaussianPathSampler(model, ends).covariance().reshape(2, 7, 2, 7)
     summed = np.cumsum(np.cumsum(cov, axis=1), axis=3)
     for a in range(2):
         for b in range(2):
@@ -199,21 +202,32 @@ def test_integral_covariance_sums_to_the_phase_variance():
 
 
 def test_integral_covariance_is_the_written_out_segment_formula():
-    # Cov(I_a,j, I_b,k) = (Phi(|t_k - t_j-1|) + Phi(|t_k-1 - t_j|) - Phi(|t_k-1 - t_j-1|)
-    # - Phi(|t_k - t_j|)) / 2 over edges t_0 = 0, t_1, ..., and the draws
-    # come out shaped (paths, channels, segments)
+    # the second difference of Phi over the edges, and the draws come out
+    # shaped (paths, channels, intervals)
     model = NoiseModel(kappas=(1.0, 0.5), omegas=(0.0, 2.0),
                        cross=np.array([[1.0, 0.3], [0.3, 2.0]]))
     ends = np.array([0.2, 0.25, 0.6, 1.1])
-    sampler = GaussianPathSampler(model, ends, integrals=True)
-    e = np.concatenate([[0.0], ends])
-    want = np.empty((2, 4, 2, 4))
-    for a, j, b, k in np.ndindex(want.shape):
-        phi = lambda t: model.phase_variance(abs(t), a, b)  # noqa: E731
-        want[a, j, b, k] = 0.5 * (phi(e[k + 1] - e[j]) + phi(e[k] - e[j + 1])
-                                  - phi(e[k] - e[j]) - phi(e[k + 1] - e[j + 1]))
-    npt.assert_allclose(sampler.covariance(), want.reshape(8, 8), rtol=0, atol=1e-13)
+    sampler = GaussianPathSampler(model, ends)
+    npt.assert_allclose(sampler.covariance(), _written_out_segment_covariance(model, ends),
+                        rtol=0, atol=1e-13)
     assert sampler.sample(np.random.default_rng(5), 7).shape == (7, 2, 4)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("model", [
+    revival_demo_model().noise,
+    transverse_noise_model().noise,
+    correlated_pair_model().noise,
+], ids=["revival", "transverse", "correlated-pair"])
+def test_interval_integrals_aggregate(model, k):
+    # k equal intervals per segment sum to the segment's integral, so
+    # W^T C_fine W, with W summing each segment's k intervals, is the
+    # segment covariance: finer intervals only refine a run's draws
+    lengths = np.array([0.2, 0.05, 0.3, 0.2, 0.15])
+    fine = GaussianPathSampler(model, np.cumsum(np.repeat(lengths / k, k))).covariance()
+    coarse = GaussianPathSampler(model, np.cumsum(lengths)).covariance()
+    w = np.kron(np.eye(model.n_channels), np.repeat(np.eye(lengths.size), k, axis=0))
+    npt.assert_allclose(w.T @ fine @ w, coarse, rtol=0, atol=1e-12 * np.abs(coarse).max())
 
 
 @pytest.mark.parametrize("kappa", [1e-6, 1e-4])
@@ -221,8 +235,7 @@ def test_slow_noise_integrals_build_and_sum_to_the_phase_variance(kappa):
     # quasi-static dephasing at dt 0.2 over 30 steps: a nearly rank-one
     # covariance that is PSD to rounding, whose cumulative sums are Phi(t_n)
     ends = 0.2 * np.arange(1, 31)
-    cov = GaussianPathSampler(NoiseModel.single(1.0, kappa), ends,
-                              integrals=True).covariance()
+    cov = GaussianPathSampler(NoiseModel.single(1.0, kappa), ends).covariance()
     summed = np.diagonal(np.cumsum(np.cumsum(cov, axis=0), axis=1))
     npt.assert_allclose(summed, _slow_phase_variance(kappa, ends), rtol=1e-12, atol=0)
 
@@ -232,7 +245,7 @@ def test_fine_segments_of_slow_noise_stay_positive_semidefinite(kappa, omega):
     # 800 segments over t = 0.5: second differences of Phi would lose
     # (t / dt)^2 = 6.4e5 of every entry and turn the matrix indefinite
     ends = 0.5 / 800 * np.arange(1, 801)
-    sampler = GaussianPathSampler(NoiseModel.single(1.0, kappa, omega), ends, integrals=True)
+    sampler = GaussianPathSampler(NoiseModel.single(1.0, kappa, omega), ends)
     w = np.linalg.eigvalsh(sampler.covariance())
     assert w[0] > -1e-13 * w[-1]
 
@@ -249,24 +262,33 @@ def test_sampler_rejects_inconsistent_cross_correlations():
 
 def test_sampler_takes_a_zero_noise_model():
     # all eigenvalues 0: nothing is negative relative to the largest
-    sampler = GaussianPathSampler(NoiseModel.single(0.0, 1.0), _midpoints(0.2, 6))
+    sampler = GaussianPathSampler(NoiseModel.single(0.0, 1.0), _ends(0.2, 6))
     assert not sampler.sample(np.random.default_rng(1), 3).any()
 
 
-def _reference_factor(model, times):
-    # the build written out: lags -> correlation -> 0.5 (C + C^T) -> eigh
-    # -> V sqrt(w), clipped at 0
-    n, m = model.n_channels, times.size
-    lags = times[:, None] - times[None, :]
-    cov = _written_out_correlation(model, lags).transpose(2, 0, 3, 1).reshape(n * m, n * m)
+def _reference_factor(model, ends):
+    # the build written out: gaps -> Re(exp(-mu g) G_j G_k) per channel pair,
+    # Phi on the diagonal -> 0.5 (C + C^T) -> eigh -> V sqrt(w), clipped at 0
+    n, m = model.n_channels, ends.size
+    starts = np.concatenate([[0.0], ends[:-1]])
+    lengths = ends - starts
+    gaps = np.maximum(starts[None, :] - ends[:, None], starts[:, None] - ends[None, :])
+    cov = np.empty((n, m, n, m))
+    for a, b in np.ndindex(n, n):
+        amp, kab, wab = model._entry(a, b)
+        mu = kab - 1.0j * wab
+        g = -np.expm1(-mu * lengths) / mu
+        cov[a, :, b] = np.real(np.exp(gaps * -mu) * g[:, None] * g[None, :]) * amp
+        cov[a, :, b][np.diag_indices(m)] = model.phase_variance(lengths, a, b)
+    cov = cov.reshape(n * m, n * m)
     w, v = np.linalg.eigh(0.5 * (cov + cov.T))
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _revival_grid(n_steps=30, substeps=32, dt=0.2):
-    # midpoints of n_steps x substeps points; at 30 x 32 the 960-point
-    # build is the largest grid the tests factor
-    return (np.arange(n_steps * substeps) + 0.5) * (dt / substeps)
+def _revival_intervals(n_steps=30, substeps=32, dt=0.2):
+    # ends of n_steps x substeps equal intervals; at 30 x 32 the 960-interval
+    # build is the largest the tests factor
+    return np.cumsum(np.full(n_steps * substeps, dt / substeps))
 
 
 @pytest.mark.parametrize("model, n_steps", [
@@ -275,45 +297,45 @@ def _revival_grid(n_steps=30, substeps=32, dt=0.2):
     (correlated_pair_model().noise, 2),
 ], ids=["revival", "transverse", "rank-deficient-pair"])
 def test_sampler_factor_equals_the_written_out_build(model, n_steps):
-    # the build frees and scales in place but computes the same numbers in
-    # the same order, so its factor (and every draw) is byte-identical
-    times = _revival_grid(n_steps)
-    sampler = GaussianPathSampler(model, times)
-    want = _reference_factor(model, times)
+    # the build writes the gaps into its target block and exponentiates in
+    # place, but computes the same numbers in the same order, so its factor
+    # (and every draw) is byte-identical
+    ends = _revival_intervals(n_steps)
+    sampler = GaussianPathSampler(model, ends)
+    want = _reference_factor(model, ends)
     assert sampler._factor.shape == want.shape
     assert sampler._factor.tobytes() == want.tobytes()
 
 
 def test_sampler_build_peak_stays_near_the_eigh_floor():
-    # a 960-point grid build traces at most 3.5 N^2 doubles of numpy arrays:
-    # the covariance while eigh runs and v after it, with no lag matrix or
-    # correlation array left alive
-    times = _revival_grid()
+    # a 960-interval build traces at most 3.5 N^2 doubles of numpy arrays:
+    # the covariance and one complex m x m exponent while it is built, the
+    # covariance while eigh runs and v after it, with no gap matrix left alive
+    ends = _revival_intervals()
     model = revival_demo_model().noise
     tracemalloc.start()
     try:
-        GaussianPathSampler(model, times)
+        GaussianPathSampler(model, ends)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * times.size**2
+    assert peak <= 3.5 * 8 * ends.size**2
 
 
 def test_sampler_grid_cap():
-    # the cap counts every drawn value: channels x time points, or channels
-    # x segments for integrals
+    # the cap counts every drawn value: channels x intervals
     model = NoiseModel.single(1.0, 1.0)
     with pytest.raises(ValueError, match="4096"):
-        GaussianPathSampler(model, np.arange(4097, dtype=float))
+        GaussianPathSampler(model, np.arange(1, 4098, dtype=float))
     pair = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=np.eye(2))
-    with pytest.raises(ValueError, match="segments.*4096"):
-        GaussianPathSampler(pair, np.arange(1, 2050, dtype=float), integrals=True)
+    with pytest.raises(ValueError, match="intervals.*4096"):
+        GaussianPathSampler(pair, np.arange(1, 2050, dtype=float))
 
 
 def test_correlated_channels_sample_together():
     cross = np.array([[1.0, 1.0], [1.0, 1.0]])
     model = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=cross)
-    paths = GaussianPathSampler(model, _midpoints(0.2, 5)).sample(np.random.default_rng(3), 2000)
+    paths = GaussianPathSampler(model, _ends(0.2, 5)).sample(np.random.default_rng(3), 2000)
     # unit cross amplitude with equal rates means identical channels up to
     # the eigh factorization noise of the singular covariance
     npt.assert_allclose(paths[:, 0], paths[:, 1], atol=1e-5)

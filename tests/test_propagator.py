@@ -90,34 +90,35 @@ def test_free_evolution_superop():
 
 
 def _draw_paths(model, dt, n_steps, seed, n_paths):
-    """Noise values (n_paths, n_channels, n_steps) at the step midpoints."""
-    sampler = GaussianPathSampler(model.noise, (np.arange(n_steps) + 0.5) * dt)
+    """Noise integrals (n_paths, n_channels, n_steps) over the steps."""
+    sampler = GaussianPathSampler(model.noise, dt * np.arange(1, n_steps + 1))
     return sampler.sample(np.random.default_rng(seed), n_paths)
 
 
 def _mean_states(model, b, dt, rho0):
-    """Path-averaged states at every step of the noise values b (P, n_ch, n_steps).
+    """Path-averaged states at every step of the noise integrals b (P, n_ch, n_steps).
 
-    Each step is one segment of one substep; a diagonal model takes the
-    phase kernel on each step's noise integral, b dt."""
+    Each step is one segment of one interval; a diagonal model takes the
+    phase kernel, any other a step kernel."""
     n_steps = b.shape[-1]
     if model.is_diagonal:
-        maps = _phase_kernel(model, np.full(n_steps, dt), [None] * n_steps)(b * dt)
+        maps = _phase_kernel(model, np.full(n_steps, dt), [None] * n_steps)(b)
     else:
         maps = _chunk_map_sums(model, b[..., None], np.full(n_steps, dt), [None] * n_steps)
     return (maps / b.shape[0] @ vec(rho0)).reshape(-1, model.dim, model.dim)
 
 
 def _expm_map_sums(model, b, tau, pulses):
-    """Per-path expm products summed into maps, on the kernel's (P, n_ch, n_seg, m) layout."""
+    """Per-path products of exp(-i (h tau + sum_a I_a c_a)) summed into maps, on the
+    kernel's (P, n_ch, n_seg, m) layout of interval integrals."""
     d = model.dim
     want = np.zeros((b.shape[2], d * d, d * d), dtype=complex)
     for path in b:
         u = np.eye(d, dtype=complex)
         for k in range(b.shape[2]):
-            for values in path[:, k].T:
-                h = model.h_system + sum(v * c for v, c in zip(values, model.couplings))
-                u = expm(-1.0j * h * tau[k]) @ u
+            for integrals in path[:, k].T:
+                h = model.h_system * tau[k] + sum(i * c for i, c in zip(integrals, model.couplings))
+                u = expm(-1.0j * h) @ u
             if pulses[k] is not None:
                 u = pulses[k] @ u
             want[k] += unitary_superop(u)
@@ -137,13 +138,13 @@ def test_evolve_trajectory_is_unitary_per_path():
 
 
 def test_evolve_trajectory_constant_path_phase():
-    # frozen B just shifts the precession frequency; rho_10 advances with
+    # constant B just shifts the precession frequency; rho_10 advances with
     # the positive phase 2(bias + B) t under sigma_z = diag(1, -1)
     bias, b = 0.1, 0.35
     model = _z_model(bias=bias)
     dt, n = 0.2, 12
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    states = _mean_states(model, np.full((1, 1, n), b), dt, rho0)
+    states = _mean_states(model, np.full((1, 1, n), b * dt), dt, rho0)
     for k, rho in enumerate(states, start=1):
         want = 0.5 * np.exp(2j * (bias + b) * k * dt)
         assert abs(rho[1, 0] - want) < 1e-12
@@ -179,14 +180,14 @@ def test_evolve_trajectory_matches_expm_products_off_the_diagonal():
     for model in (qubit, pair, qutrit):
         d = model.dim
         dt, n_steps = 0.15, 9
-        values = rng.normal(scale=2.0, size=(2, n_steps))
+        integrals = rng.normal(scale=0.3, size=(2, n_steps))
         rho0 = random_density(d, rng)
-        states = _mean_states(model, values[None], dt, rho0)
+        states = _mean_states(model, integrals[None], dt, rho0)
         u = np.eye(d, dtype=complex)
         for k in range(n_steps):
-            h = model.h_system + sum(values[a, k] * c
-                                     for a, c in enumerate(model.couplings))
-            u = expm(-1.0j * h * dt) @ u
+            h = model.h_system * dt + sum(integrals[a, k] * c
+                                          for a, c in enumerate(model.couplings))
+            u = expm(-1.0j * h) @ u
             npt.assert_allclose(states[k], u @ rho0 @ u.conj().T, rtol=0, atol=1e-12)
 
 
@@ -325,8 +326,9 @@ def test_control_variate_transverse_channel():
 
 def test_control_variate_helpers_match_written_out_sums():
     # two qubits with x noise on qubit 1 and y noise on qubit 2: generators
-    # g[a, j] = dt_sub S(s_j)^H L_a S(s_j) and the time-ordered second-order
-    # sum, taken pair by pair, at the ends of four segments of three substeps
+    # g[a, j] = S(s_j)^H L_a S(s_j) per unit integral at the interval
+    # midpoints s_j and the time-ordered second-order sum, taken pair by
+    # pair, at the ends of four segments of three intervals
     eye = np.eye(2)
     h = 0.3 * np.kron(SIGMA_Z, eye) - 0.7 * np.kron(eye, SIGMA_Z)
     ops = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_Y))
@@ -345,9 +347,9 @@ def test_control_variate_helpers_match_written_out_sums():
         return unitary_superop(expm(-1.0j * h * t))
 
     lv = [-1.0j * (np.kron(c, np.eye(4)) - np.kron(np.eye(4), c.T)) for c in ops]
-    g_want = np.array([[dt_sub * s_free(s).conj().T @ lv[a] @ s_free(s) for s in midpoints]
+    g_want = np.array([[s_free(s).conj().T @ lv[a] @ s_free(s) for s in midpoints]
                        for a in range(n_ch)])
-    g = _cv_generators(model, dt_sub, midpoints)
+    g = _cv_generators(model, midpoints)
     npt.assert_allclose(g, g_want, rtol=0, atol=1e-13)
 
     want = np.zeros((n_seg, 16, 16), dtype=complex)
@@ -368,10 +370,11 @@ def test_control_variate_helpers_match_written_out_sums():
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_diagonal_control_variate_equals_substep_correction(antithetic):
     # a diagonal run corrects on its drawn step integrals with constant
-    # generators. On substep draws, that equals the time-ordered
-    # substep-level correction applied to their step sums; and a run's
-    # correction is the constant-generator one on its exact step integrals,
-    # drawn by the same chunk generators
+    # generators. On substep interval draws, the time-ordered substep-level
+    # correction with generators at the interval midpoints equals the
+    # constant-generator one on their step sums; and a run's correction is
+    # the constant-generator one on its exact step integrals, drawn by the
+    # same chunk generators
     model = two_qubit_dephasing(bias1=0.3, bias2=-0.2, zz=0.15, couplings=(1.0, 0.6),
                                 cross=0.4, kappas=(1.0, 2.0))
     dt, n_steps, substeps, n_traj, seed, chunk = 0.2, 5, 4, 600, 9, 128
@@ -390,15 +393,15 @@ def test_diagonal_control_variate_equals_substep_correction(antithetic):
     def draws(sampler):
         return np.concatenate(list(_chunks(sampler, n_traj, seed, chunk, antithetic)))
 
-    constant = _cv_generators(model, 1.0, np.zeros(n_steps))
-    grid = GaussianPathSampler(model.noise, midpoints)
-    want = correction(draws(grid), grid.covariance(), _cv_generators(model, dt_sub, midpoints))
-    windows = np.repeat(np.eye(n_steps) * dt_sub, substeps, axis=0)
+    constant = _cv_generators(model, np.zeros(n_steps))
+    fine = GaussianPathSampler(model.noise, dt_sub * np.arange(1, n_sub + 1))
+    want = correction(draws(fine), fine.covariance(), _cv_generators(model, midpoints))
+    windows = np.repeat(np.eye(n_steps), substeps, axis=0)
     cov = np.einsum("ik,aibj,jl->akbl", windows,
-                    grid.covariance().reshape(n_ch, n_sub, n_ch, n_sub), windows)
-    got = correction(draws(grid) @ windows, cov.reshape(n_ch * n_steps, -1), constant)
+                    fine.covariance().reshape(n_ch, n_sub, n_ch, n_sub), windows)
+    got = correction(draws(fine) @ windows, cov.reshape(n_ch * n_steps, -1), constant)
     npt.assert_allclose(got, want, rtol=0, atol=1e-13)
-    integrals = GaussianPathSampler(model.noise, dt * np.arange(1, n_steps + 1), integrals=True)
+    integrals = GaussianPathSampler(model.noise, dt * np.arange(1, n_steps + 1))
     want = correction(draws(integrals), integrals.covariance(), constant)
     kwargs = dict(substeps=substeps, seed=seed, antithetic=antithetic, chunk_size=chunk)
     raw = simulate_process(model, dt, n_steps, n_traj, **kwargs)
@@ -463,8 +466,8 @@ def test_phase_frame_refuses_a_basis_that_is_not_joint(monkeypatch):
     # an accidental degeneracy of the generic combination would let eigh
     # return a basis that mixes joint eigenvectors; such a basis (forced
     # here by rotating two eigenvectors of different X1 eigenvalue into
-    # each other) leaves the rotated X1 off-diagonal, so the run keeps the
-    # midpoint grid. The true basis reproduces every operator
+    # each other) leaves the rotated X1 off-diagonal, so the run steps on
+    # substep intervals. The true basis reproduces every operator
     eye = np.eye(2)
     noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0), cross=np.eye(2))
     couplings = (np.kron(SIGMA_X, eye), np.kron(eye, SIGMA_X))
@@ -482,10 +485,10 @@ def test_phase_frame_refuses_a_basis_that_is_not_joint(monkeypatch):
 
 def test_covariance_cap_counts_the_drawn_values():
     # a commuting run draws one value per channel and step, any other model
-    # one per channel and substep midpoint
-    with pytest.raises(CovarianceCapError, match="segments"):
+    # one per channel and substep interval
+    with pytest.raises(CovarianceCapError, match="intervals"):
         simulate_process(_z_model(), 0.01, 4097, 2)
-    with pytest.raises(CovarianceCapError, match="time points"):
+    with pytest.raises(CovarianceCapError, match="intervals"):
         simulate_process(transverse_noise_model(), 0.01, 513, 2, substeps=8)
     assert len(simulate_process(_z_model(), 0.01, 513, 2, substeps=8)) == 513
 
@@ -623,13 +626,15 @@ def test_pulsed_runs_keep_the_cycle_ends_of_the_plain_grid(model):
 
 def test_pulsed_kernels_match_per_path_expm_products():
     # a transverse qubit (Cayley-Klein SU(2) kernel), a non-diagonal pair (Taylor
-    # kernel) and two diagonal models on the phase route: a biased z qubit
-    # with two cross-correlated z channels and a pair with zz and per-qubit
-    # biases, whose Hadamard pulses hand each segment's integral to the
-    # SU(2) and Taylor kernels, each also run without pulses (the toggling
-    # kernel). Odd and even substep counts, a different substep length in
-    # each segment and a pulse carrying a global phase: pulses act at the
-    # end of their segment, inside its sum
+    # kernel) and two diagonal models: a biased z qubit with two
+    # cross-correlated z channels and a pair with zz and per-qubit biases,
+    # whose Hadamard pulses take the SU(2) and Taylor kernels, each also run
+    # without pulses, where the phase kernel on the segment sums of the
+    # integrals gives the same maps. Odd and even interval counts, a
+    # different interval length in each segment, a pulse carrying a global
+    # phase and real pulses of determinant -1 (a float Hadamard, whose pair
+    # needs a complex root): pulses act at the end of their segment, inside
+    # its sum
     eye = np.eye(2)
     hadamard = np.exp(0.3j) * (SIGMA_X + SIGMA_Z) / np.sqrt(2)
     cross = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -650,35 +655,30 @@ def test_pulsed_kernels_match_per_path_expm_products():
     qubit_pulses = [hadamard, None, SIGMA_Y, hadamard]
     pair_pulses = [np.kron(hadamard, eye), None, np.kron(eye, SIGMA_Y),
                    np.kron(SIGMA_X, hadamard)]
+    no_pulses = [None] * 4
     rng = np.random.default_rng(8)
     tau = np.array([0.1, 0.25, 0.05, 0.15])
-    for model, pulses in ((qubit, qubit_pulses), (pair, pair_pulses),
-                          (z_qubit, qubit_pulses), (z_pair, pair_pulses),
-                          (z_qubit, [None] * 4), (z_pair, [None] * 4)):
+    for model, pulses in ((qubit, qubit_pulses), (qubit, [_HADAMARD, None, SIGMA_X.real, None]),
+                          (pair, pair_pulses), (z_qubit, qubit_pulses), (z_pair, pair_pulses),
+                          (z_qubit, no_pulses), (z_pair, no_pulses)):
         for substeps in (1, 3, 4):
             b = rng.normal(scale=2.0, size=(6, 2, tau.size, substeps))
             want = _expm_map_sums(model, b, tau, pulses)
-            if model.is_diagonal:
-                # the phase route takes each segment's noise integral and length
-                got = _phase_kernel(model, substeps * tau, pulses)(b.sum(axis=-1) * tau)
-            else:
-                got = _chunk_map_sums(model, b, tau, pulses)
-            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+            npt.assert_allclose(_chunk_map_sums(model, b, tau, pulses), want, rtol=0, atol=1e-12)
+            phase = _phase_kernel(model, substeps * tau, pulses)
+            assert (phase is None) == (not model.is_diagonal or pulses is not no_pulses)
+            if phase is not None:
+                npt.assert_allclose(phase(b.sum(axis=-1)), want, rtol=0, atol=1e-12)
 
 
-def _integral_map_sums(model, integrals, durations, pulses):
-    """Per-path expm products of exp(-i (h T + sum_a I_a c_a)), summed into maps."""
-    values = np.divide(integrals, durations, out=np.zeros_like(integrals),
-                       where=durations > 0)
-    return _expm_map_sums(model, values[..., None], durations, pulses)
 
-
-def test_monomial_pulses_take_the_toggling_frame_exactly(monkeypatch):
+def test_monomial_pulses_take_the_toggling_frame_exactly():
     # pulses that permute the joint eigenbasis and carry phases (a
     # phase-carrying X, a CNOT on the z pair, a cyclic shift with phases on
     # the qutrit) take the toggling kernel, every stride of sums matching
-    # per-path expm products; a Hadamard after monomial pulses hands the
-    # run to the SU(2) or Taylor kernel, exactly as well
+    # per-path expm products; with a Hadamard after monomial pulses there is
+    # no phase kernel, and the SU(2) or Taylor kernel on one interval per
+    # segment is exact as well
     eye = np.eye(2)
     cnot = np.eye(4)[[0, 1, 3, 2]]
     shift = np.eye(3)[[2, 0, 1]] * np.exp([0.3j, -1.1j, 2.0j])
@@ -696,23 +696,17 @@ def test_monomial_pulses_take_the_toggling_frame_exactly(monkeypatch):
         (z_qubit, [SIGMA_X, SIGMA_Y, _HADAMARD, None], False),
         (z_pair, [cnot, None, np.kron(eye, _HADAMARD), np.kron(SIGMA_X, eye)], False),
     ]
-    handoffs = []
-
-    def step_kernel(*args):
-        handoffs.append(args[0])
-        return _chunk_map_sums(*args)
-
-    monkeypatch.setattr(propagator, "_chunk_map_sums", step_kernel)
     rng = np.random.default_rng(11)
     durations = np.array([0.1, 0.25, 0.05, 0.15])
     for model, pulses, monomial in cases:
         pulses = [None if p is None else np.asarray(p, dtype=complex) for p in pulses]
         integrals = rng.normal(scale=0.5, size=(5, model.noise.n_channels, durations.size))
-        want = _integral_map_sums(model, integrals, durations, pulses)
+        want = _expm_map_sums(model, integrals[..., None], durations, pulses)
         for stride in (1, 2, 4):
-            handoffs.clear()
-            got = _phase_kernel(model, durations, pulses, stride)(integrals)
-            assert [m is model for m in handoffs] == ([] if monomial else [True])
+            phase = _phase_kernel(model, durations, pulses, stride)
+            assert (phase is not None) == monomial
+            got = (phase(integrals) if monomial else
+                   _chunk_map_sums(model, integrals[..., None], durations, pulses, stride))
             npt.assert_allclose(got, want[stride - 1::stride], rtol=0, atol=1e-12)
 
 
@@ -737,21 +731,21 @@ def test_phase_kernel_sums_mirrored_paths_by_conjugation(model):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("pulse", [SIGMA_X, _HADAMARD], ids=["toggling", "handoff"])
+@pytest.mark.parametrize("pulse", [SIGMA_X, _HADAMARD], ids=["toggling", "step"])
 def test_zero_length_segments_match_per_path_expm_products(pulse):
     # a zero-length segment draws an integral of exactly 0 and propagates by
-    # the identity on both phase routes, with no divide warning; the maps
-    # equal per-path expm products on the run's own draws
+    # the identity on the phase and step kernels, with no divide warning;
+    # the maps equal per-path expm products on the run's own draws
     model = _z_model()
     segments, n_cycles, n_traj = [(0.5, pulse), (0.0, SIGMA_Y)], 3, 16
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         maps = simulate_pulsed_process(model, segments, n_cycles, n_traj, seed=4)
     durations = np.array([0.5, 0.0] * n_cycles)
-    sampler = GaussianPathSampler(model.noise, np.cumsum(durations), integrals=True)
+    sampler = GaussianPathSampler(model.noise, np.cumsum(durations))
     (draws,) = _chunks(sampler, n_traj, 4, 1024)
     assert not draws[:, :, 1::2].any()
-    want = _integral_map_sums(model, draws, durations, [pulse, SIGMA_Y] * n_cycles)
+    want = _expm_map_sums(model, draws[..., None], durations, [pulse, SIGMA_Y] * n_cycles)
     npt.assert_allclose(np.stack(maps), want[1::2] / n_traj, rtol=0, atol=1e-12)
 
 
@@ -759,10 +753,11 @@ def test_zero_length_segments_match_per_path_expm_products(pulse):
 @pytest.mark.parametrize("squarings, outlier", [(0, 1.0), (1, 1.0), (4, 1.0), (4, 100.0)])
 def test_taylor_kernel_matches_per_path_expm_products(d, squarings, outlier):
     # general-d kernel on random non-commuting operators with pulses, odd
-    # and even substep counts and a different substep length per segment.
-    # Each segment's length puts the largest 1-norm of H tau at
-    # 0.75 2^s theta, so the chunk takes s squarings there; with an outlier
-    # path, the other paths alone would need none
+    # and even interval counts and a different interval length per segment.
+    # The integrals are tau times the values b, and each segment's length
+    # puts the largest 1-norm of H tau at 0.75 2^s theta, so the chunk takes
+    # s squarings there; with an outlier path, the other paths alone would
+    # need none
     rng = np.random.default_rng(10 * d + squarings)
     noise = NoiseModel(kappas=(1.0, 1.0), omegas=(0.0, 0.0),
                        cross=np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -778,8 +773,10 @@ def test_taylor_kernel_matches_per_path_expm_products(d, squarings, outlier):
         tau = 0.75 * 2.0**squarings * _TAYLOR_THETA / norms.max(axis=(0, 2))
         if outlier > 1:
             assert (norms[1:].max(axis=2) * tau).max() < _TAYLOR_THETA
-        got = _chunk_map_sums(model, b, tau, pulses)
-        npt.assert_allclose(got, _expm_map_sums(model, b, tau, pulses), rtol=0, atol=1e-12)
+        integrals = b * tau[:, None]
+        got = _chunk_map_sums(model, integrals, tau, pulses)
+        npt.assert_allclose(got, _expm_map_sums(model, integrals, tau, pulses),
+                            rtol=0, atol=1e-12)
 
 
 def test_pulsed_process_rejects_non_unitary_pulses():
@@ -955,14 +952,26 @@ def test_mirror_is_the_pauli_string_that_flips_every_coupling(model, label):
 ], ids=["su2", "su2-pair", "taylor", "diagonal", "commuting-pair"])
 def test_mirrored_antithetic_runs_equal_the_explicit_pairs(model, dt, n_steps,
                                                            control_variate, monkeypatch):
-    # a mirrored chunk sums S + Pi S Pi^H over its draws; without the mirror
-    # `_ensemble` propagates [draws; -draws]. Maps and chunk means agree to
-    # rounding, on a last chunk of 44 draws next to two of 128 as well
+    # a mirrored chunk sums S + Pi S Pi^H over its draws, and the phase
+    # kernel takes 2 Re of the drawn half's sums; the explicit pairs
+    # propagate [draws; -draws], through the step kernels without the mirror
+    # and through the phase kernel without its antithetic sums. Maps and
+    # chunk means agree to rounding, on a last chunk of 44 draws next to two
+    # of 128 as well
     assert _mirror(model) is not None
     kwargs = dict(n_traj=600, substeps=3, seed=5, antithetic=True, chunk_size=128,
                   collect_chunk_means=True, control_variate=control_variate)
     maps, means = simulate_process(model, dt, n_steps, **kwargs)
+    phase_kernel = propagator._phase_kernel
+
+    def explicit_pairs(model, durations, pulses, stride, antithetic):
+        kernel = phase_kernel(model, durations, pulses, stride)
+        if kernel is None:
+            return None
+        return lambda draws: kernel(np.concatenate([draws, -draws]))
+
     monkeypatch.setattr(propagator, "_mirror", lambda model: None)
+    monkeypatch.setattr(propagator, "_phase_kernel", explicit_pairs)
     want_maps, want_means = simulate_process(model, dt, n_steps, **kwargs)
     assert means.shape == want_means.shape == (3, n_steps) + maps[0].shape
     npt.assert_allclose(np.stack(maps), np.stack(want_maps), rtol=0, atol=1e-14)
